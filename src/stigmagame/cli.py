@@ -18,12 +18,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .distributions import (
-    DistributionSpec,
-    QuadratureError,
-    piecewise_linear_cdf,
-    uniform,
-)
+from .distributions import DistributionSpec, piecewise_linear_cdf, uniform
 from .figures import figure_tables, line_chart_svg
 from .montecarlo import SimConfig, analytic_targets, simulate
 from .signaling import AssumptionViolation, ModelParams, check_assumptions
@@ -490,7 +485,7 @@ def main(argv=None) -> int:
     except AssumptionViolation as exc:
         print(f"assumption failure: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
-    except (QuadratureError, SweepError) as exc:
+    except SweepError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

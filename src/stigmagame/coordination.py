@@ -3,14 +3,19 @@
 Players discounting the future below the threshold beta* = u/gap ("hot")
 prefer the unsafe equilibrium; the rest ("cold") prefer safe. Matched pairs
 settle on the equilibrium both prefer, with mixed pairs resolved by the
-joint-welfare rule: unsafe iff beta_1 + beta_2 < 2*beta*.
+joint-welfare rule: unsafe iff beta_1 + beta_2 < 2*beta*. The resulting
+high-risk fraction is computed exactly in closed form: its mixed-pair
+integrand is piecewise linear for every supported distribution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .distributions import DistributionSpec, cdf, density, integrate
+from .distributions import DistributionSpec, cdf, density
+# unused here; perfbench/tracer.py times this name, so it must still resolve
+from .distributions import integrate  # noqa: F401
 from .signaling import AssumptionViolation, ModelParams
 
 __all__ = [
@@ -66,26 +71,35 @@ def pair_outcome(beta_1: float, beta_2: float, beta_star: float) -> str:
     return "unsafe" if beta_1 + beta_2 < 2.0 * beta_star else "safe"
 
 
-def high_risk_fraction(
-    dist_beta: DistributionSpec, beta_star: float, tol: float = 1e-10
-) -> float:
-    """Mass of players ending up in unsafe pairs.
+def high_risk_fraction(dist_beta: DistributionSpec, beta_star: float) -> float:
+    """Mass of players ending up in unsafe pairs, exact in closed form.
 
-    H^2 of hot-hot pairs plus, by adaptive quadrature over the outer
-    present-bias variable, twice the mixed-pair mass whose joint bias is
-    below 2*beta*. Integration limits are clamped to the support, so large
-    thresholds degrade gracefully.
+    H^2 of hot-hot pairs plus twice the mixed-pair mass
+    integral_{lo}^{hi} F(2*beta* - b) f(b) db, with the limits clamped to
+    the support (lo = max(beta*, support_lo), hi = min(2*beta*, support_hi)).
+    Between the knots x_k and their mirrors 2*beta* - x_k the density is
+    constant and F(2*beta* - b) is linear, so the trapezoid rule over those
+    breakpoints is exact; math.fsum adds the pieces.
     """
     h = hot_fraction(dist_beta, beta_star)
     lo = max(beta_star, dist_beta.support_lo)
     hi = min(2.0 * beta_star, dist_beta.support_hi)
     if hi <= lo:
         return h * h
-
-    def mixed_mass(b1: float) -> float:
-        return cdf(dist_beta, 2.0 * beta_star - b1) * density(dist_beta, b1)
-
-    return h * h + 2.0 * integrate(mixed_mass, lo, hi, tol)
+    twice = 2.0 * beta_star
+    cuts = {lo, hi}
+    for x in dist_beta.knots_x:
+        if lo < x < hi:
+            cuts.add(x)
+        if lo < twice - x < hi:
+            cuts.add(twice - x)
+    pts = sorted(cuts)
+    mirrored = [cdf(dist_beta, twice - b) for b in pts]
+    mixed = math.fsum(
+        (b - a) * density(dist_beta, 0.5 * (a + b)) * (fa + fb) * 0.5
+        for a, b, fa, fb in zip(pts, pts[1:], mirrored, mirrored[1:])
+    )
+    return h * h + 2.0 * mixed
 
 
 def period1_outcome(params: ModelParams, gap: float) -> Period1Outcome:

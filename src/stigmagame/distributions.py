@@ -3,8 +3,10 @@
 Two families are supported: uniform on [lo, hi) and a piecewise-linear CDF
 given by knots. Both reduce internally to the knot representation, so the
 CDF, mean, truncated first moment, and inverse-CDF sampler share one code
-path. Scalar evaluation stays in pure Python (these functions sit inside
-quadrature inner loops); sampling is vectorized through numpy.
+path. Scalar evaluation stays in pure Python (the period-1 chain calls it a
+few times per knot); sampling is vectorized through numpy. The adaptive
+quadrature is not on the analysis path; the tests use it as an
+independent oracle for the closed-form high-risk fraction.
 
 Support convention is half-open [lo, hi): cdf(lo) = 0 and any tie at a
 threshold resolves downward. Boundary mass is zero for the continuous
@@ -75,6 +77,8 @@ class DistributionSpec:
             raise ValueError("knot positions must be finite")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("knot positions must be strictly increasing")
+        if any(not 0.0 <= p <= 1.0 for p in ps):
+            raise ValueError("knot probabilities must be finite and lie in [0, 1]")
         if any(b < a for a, b in zip(ps, ps[1:])):
             raise ValueError("knot probabilities must be non-decreasing")
         if ps[0] != 0.0 or ps[-1] != 1.0:

@@ -175,7 +175,12 @@ def welfare(
     _check_convention(convention)
     _require_welfare_preconditions(params)
     tau = params.tau_hat if tau_hat is None else tau_hat
-    p, s, ev_l, ev_h, _, p1, _, r_pop = _chain(params, tau)
+    return _welfare_from_chain(_chain(params, tau), tau, convention)
+
+
+def _welfare_from_chain(chain, tau: float, convention: str) -> WelfareReport:
+    """Welfare report from an already evaluated _chain(params, tau)."""
+    p, s, ev_l, ev_h, _, p1, _, r_pop = chain
     r = p1.r
     w_high = r * (p.M + ev_h)
     w_low = (1.0 - r) * (p.M - p.u + ev_l)
@@ -244,15 +249,18 @@ def decomposition(params: ModelParams, tau_hat: float) -> PolicyDecomposition:
     if not 0.0 < tau_hat <= 1.0:
         raise ValueError(f"tau_hat must lie in (0, 1], got {tau_hat!r}")
     _require_welfare_preconditions(params)
-    _, _, ev_l, ev_h0, _, p1_0, _, _ = _chain(params, 0.0)
-    p, _, _, ev_h1, _, p1_1, _, r_pop = _chain(params, tau_hat)
+    chain_0 = _chain(params, 0.0)
+    chain_1 = _chain(params, tau_hat)
+    _, _, ev_l, ev_h0, _, p1_0, _, _ = chain_0
+    p, _, _, ev_h1, _, p1_1, _, r_pop = chain_1
     cutoff = tau_hat * p.theta_H * p.z
     deterrence = (p1_0.r - p1_1.r) * (ev_l - ev_h1)
     suppression = p1_1.r * (ev_h1 - ev_h0)
     b_loss = -r_pop * partial_expectation(p.dist_y, cutoff)
     paper_sum = deterrence + suppression + b_loss
     exact = (
-        welfare(params, tau_hat, "corrected").W - welfare(params, 0.0, "corrected").W
+        _welfare_from_chain(chain_1, tau_hat, "corrected").W
+        - _welfare_from_chain(chain_0, 0.0, "corrected").W
     )
     return PolicyDecomposition(
         deterrence_gain=deterrence,
@@ -267,9 +275,12 @@ def decomposition(params: ModelParams, tau_hat: float) -> PolicyDecomposition:
 def evaluate_point(
     params: ModelParams, tau_hat: float, convention: str = "corrected"
 ) -> SweepRow:
-    """One row of the sweep schema, assembled from the single-point ops."""
-    _, s, _, _, gap, p1, r_h, r_pop = _chain(params, tau_hat)
-    report = welfare(params, tau_hat, convention)
+    """One row of the sweep schema; the chain is evaluated once."""
+    _check_convention(convention)
+    _require_welfare_preconditions(params)
+    chain = _chain(params, tau_hat)
+    _, s, _, _, gap, p1, r_h, r_pop = chain
+    report = _welfare_from_chain(chain, tau_hat, convention)
     return SweepRow(
         tau_hat=tau_hat,
         S=s,

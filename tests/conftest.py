@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stigmagame import ModelParams, piecewise_linear_cdf, uniform
+from stigmagame.distributions import cdf, density, integrate
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PAPER_CFG = REPO_ROOT / "paper.cfg"
@@ -65,3 +66,39 @@ def random_valid_params(rng: np.random.Generator, piecewise_y: bool = False) -> 
         dist_y=dist_y,
         tau_hat=0.0,
     )
+
+
+def quadrature_r(spec, beta_star: float) -> float:
+    """High-risk fraction by adaptive quadrature, an oracle independent of
+    the program's trapezoid sum: H^2 plus twice the integral of
+    F(2*beta* - b) f(b) over [max(beta*, lo), min(2*beta*, hi)], split at
+    every knot and mirrored knot so that each piece is smooth. Each piece
+    takes its constant density at its midpoint, because density() at a knot
+    reports the slope of the segment to the right."""
+    h = cdf(spec, min(beta_star, 1.0))
+    lo = max(beta_star, spec.support_lo)
+    hi = min(2.0 * beta_star, spec.support_hi)
+    if hi <= lo:
+        return h * h
+    cuts = {lo, hi}
+    for x in spec.knots_x:
+        cuts.update(c for c in (x, 2.0 * beta_star - x) if lo < c < hi)
+    pts = sorted(cuts)
+    mixed = 0.0
+    for a, b in zip(pts, pts[1:]):
+        f = density(spec, 0.5 * (a + b))
+        mixed += integrate(lambda t: cdf(spec, 2.0 * beta_star - t) * f, a, b, 1e-13)
+    return h * h + 2.0 * mixed
+
+
+def random_piecewise_beta(rng: np.random.Generator):
+    """Piecewise-linear present-bias CDF on a random sub-interval of [0, 1]
+    with 2-9 knots, random spacing and random segment masses (some zero)."""
+    n = int(rng.integers(2, 10))
+    lo, hi = np.sort(rng.uniform(0.0, 1.0, size=2))
+    xs = np.sort(np.concatenate(([lo, hi], rng.uniform(lo, hi, size=n - 2))))
+    mass = rng.uniform(0.0, 1.0, size=n - 1) * (rng.random(n - 1) > 0.15)
+    mass[rng.integers(0, n - 1)] += 0.5
+    ps = np.minimum(np.concatenate(([0.0], np.cumsum(mass) / mass.sum())), 1.0)
+    ps[-1] = 1.0
+    return piecewise_linear_cdf(list(zip(xs.tolist(), ps.tolist())))

@@ -24,7 +24,7 @@ from stigmagame import (
 )
 from stigmagame import cli
 
-from conftest import PAPER_CFG, random_valid_params
+from conftest import PAPER_CFG, quadrature_r, random_valid_params
 
 SEED = 20240810
 
@@ -93,14 +93,16 @@ def test_criterion_3_closed_form_vs_quadrature():
     t0 = time.perf_counter()
     rng = np.random.default_rng(SEED)
     beta01 = uniform(0.0, 1.0)
-    worst = 0.0
+    worst_formula = worst_quad = 0.0
     for beta_star in rng.uniform(0.0, 0.5, size=100):
-        quad = high_risk_fraction(beta01, float(beta_star))
-        worst = max(worst, abs(quad - 2.0 * float(beta_star) ** 2))
+        r = high_risk_fraction(beta01, float(beta_star))
+        worst_formula = max(worst_formula, abs(r - 2.0 * float(beta_star) ** 2))
+        worst_quad = max(worst_quad, abs(r - quadrature_r(beta01, float(beta_star))))
     report(
         3,
-        worst <= 1e-8,
-        f"uniform closed form 2*beta*^2 vs double-integral path, worst gap {worst:.2e}",
+        worst_formula <= 1e-12 and worst_quad <= 1e-12,
+        f"uniform r vs closed form 2*beta*^2 (worst gap {worst_formula:.2e}) "
+        f"and vs the double-integral quadrature (worst gap {worst_quad:.2e})",
         time.perf_counter() - t0,
         5.0,
     )

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -119,6 +120,16 @@ class TestExitCodes:
             ["evaluate", "--config", str(path), "--out", str(tmp_path)]
         )
         assert rc == 3
+
+    @pytest.mark.parametrize("command", ["check", "evaluate"])
+    def test_nan_knot_probability_exits_2_fast(self, tmp_path, capsys, command):
+        (tmp_path / "beta.csv").write_text("x,p\n0,0\n0.5,nan\n1,1\n", encoding="utf-8")
+        path = write_cfg(tmp_path, edited_cfg(dist_beta="piecewise:beta.csv"))
+        t0 = time.perf_counter()
+        rc = cli.main([command, "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "knot probabilities" in capsys.readouterr().err
 
     def test_bad_flag_values(self, tmp_path):
         args = ["sweep", "--config", str(PAPER_CFG), "--out", str(tmp_path)]

@@ -16,7 +16,7 @@ from stigmagame import (
     uniform,
 )
 
-from conftest import random_valid_params
+from conftest import quadrature_r, random_piecewise_beta, random_valid_params
 
 BETA01 = uniform(0.0, 1.0)
 
@@ -97,15 +97,36 @@ class TestHighRiskFraction:
     def test_closed_form_agreement_small_thresholds(self):
         rng = np.random.default_rng(20240810)
         for beta_star in rng.uniform(0.0, 0.5, size=30):
-            quad = high_risk_fraction(BETA01, float(beta_star))
-            assert abs(quad - closed_form_r(float(beta_star))) <= 1e-8
+            r = high_risk_fraction(BETA01, float(beta_star))
+            assert abs(r - closed_form_r(float(beta_star))) <= 1e-12
+            assert abs(r - quadrature_r(BETA01, float(beta_star))) <= 1e-12
 
     def test_closed_form_agreement_clamped_region(self):
         # 2*beta* beyond the support top exercises the clamp branch
         rng = np.random.default_rng(9)
         for beta_star in rng.uniform(0.5, 1.0, size=20):
-            quad = high_risk_fraction(BETA01, float(beta_star))
-            assert abs(quad - closed_form_r(float(beta_star))) <= 1e-8
+            r = high_risk_fraction(BETA01, float(beta_star))
+            assert abs(r - closed_form_r(float(beta_star))) <= 1e-12
+            assert abs(r - quadrature_r(BETA01, float(beta_star))) <= 1e-12
+
+    def test_random_piecewise_against_quadrature_oracle(self):
+        rng = np.random.default_rng(20240810)
+        for _ in range(40):
+            spec = random_piecewise_beta(rng)
+            for beta_star in rng.uniform(0.0, 1.0, size=3):
+                r = high_risk_fraction(spec, float(beta_star))
+                assert abs(r - quadrature_r(spec, float(beta_star))) <= 1e-12
+
+    @pytest.mark.parametrize("offset", [-1e-4, 5e-5, 3e-4])
+    def test_narrow_knot_piece_next_to_joint_threshold(self, offset):
+        # half the mass on a 1e-4-wide piece near 2*beta*: unsplit adaptive
+        # quadrature stepped over it and missed r by up to 3.3e-4
+        spec = piecewise_linear_cdf(
+            [(0.0, 0.0), (0.3, 0.4), (0.3001, 0.9), (1.0, 1.0)]
+        )
+        beta_star = (0.3 + offset) / 2.0
+        r = high_risk_fraction(spec, beta_star)
+        assert abs(r - quadrature_r(spec, beta_star)) <= 1e-12
 
     def test_pair_simulation_oracle(self):
         # brute-force oracle: classify a million sampled pairs one by one

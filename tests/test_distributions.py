@@ -46,6 +46,8 @@ class TestConstruction:
             [(0.0, 0.1), (1.0, 1.0)],
             [(0.0, 0.0), (1.0, 0.9)],
             [(1.0, 0.0), (0.5, 1.0)],
+            [(0.0, 0.0), (0.5, float("nan")), (1.0, 1.0)],
+            [(0.0, float("nan")), (1.0, 1.0)],
         ],
     )
     def test_bad_knots_rejected(self, knots):

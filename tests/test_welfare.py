@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -204,6 +205,26 @@ class TestSweep:
             sweep(paper_params, [0.5, 0.25])
         with pytest.raises(ValueError):
             sweep(paper_params, [0.0, 1.5])
+
+    def test_chain_runs_once_per_point(self, paper_params, monkeypatch):
+        # the package re-exports the function `welfare`, so reach the module
+        # through sys.modules
+        module = sys.modules["stigmagame.welfare"]
+        original = module.period1_outcome
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "period1_outcome", counting)
+        row = evaluate_point(paper_params, 0.3)
+        assert len(calls) == 1
+        assert row.W == welfare(paper_params, 0.3).W
+        calls.clear()
+        grid = [i / 16 for i in range(17)]
+        sweep(paper_params, grid)
+        assert len(calls) == len(grid)
 
     def test_failed_row_identifies_tau(self, paper_params):
         bad = replace(paper_params, c_h=0.3)
