@@ -1,37 +1,19 @@
-"""Hot simulation kernels: a numba @njit path and a pure-numpy twin.
+"""The pair-simulation kernel: one vectorized numpy body, no reductions.
 
-Backend selection: the STIGMAGAME_BACKEND environment variable ("numba" or
-"numpy") wins; otherwise numba is used when importable, numpy otherwise.
-
-Both paths draw from the same counter-based RNG (splitmix64 output function
-keyed on (seed, global draw counter)), apply the same decision rules in the
-same floating-point order, and defer all reductions to the caller, so their
-per-pair outputs are bit-identical. Pair i consumes counters 6i..6i+5 for
-(beta_1, beta_2, y_a1, y_a2, y_b1, y_b2), which makes results independent
-of execution order.
-
-Keep the numpy and numba bodies in lockstep when editing: the cross-backend
-equality test enforces exact agreement.
+Draws come from a counter-based RNG (splitmix64 output function keyed on
+(seed, global draw counter)). Pair i consumes counters 6i..6i+5 for
+(beta_1, beta_2, y_a1, y_a2, y_b1, y_b2), so a pair's outputs depend only
+on the seed and its global index: the caller may run any contiguous range
+of pairs, in any chunking, and a smaller run is a prefix of a larger one.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .distributions import ppf_from_knots
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-__all__ = ["HAVE_NUMBA", "active_backend", "simulate_pairs", "BACKEND_ENV_VAR"]
-
-BACKEND_ENV_VAR = "STIGMAGAME_BACKEND"
+__all__ = ["active_backend", "simulate_pairs"]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -46,21 +28,8 @@ _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 
 
 def active_backend() -> str:
-    """Resolve the kernel backend from the environment."""
-    env = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-    if env == "numpy":
-        return "numpy"
-    if env == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError(
-                f"{BACKEND_ENV_VAR}=numba requested but numba is not importable"
-            )
-        return "numba"
-    if env:
-        raise RuntimeError(
-            f"unrecognized {BACKEND_ENV_VAR}={env!r}; use 'numba' or 'numpy'"
-        )
-    return "numba" if HAVE_NUMBA else "numpy"
+    # perfbench/run.py writes this into its run record
+    return "numpy"
 
 
 def _unit_array(seed: np.uint64, counters: np.ndarray) -> np.ndarray:
@@ -72,8 +41,9 @@ def _unit_array(seed: np.uint64, counters: np.ndarray) -> np.ndarray:
     return (z >> _S11) * _INV53
 
 
-def simulate_pairs_numpy(
+def simulate_pairs(
     seed: int,
+    first_pair: int,
     n_pairs: int,
     beta_star: float,
     stigma: float,
@@ -91,9 +61,13 @@ def simulate_pairs_numpy(
     y_ps: np.ndarray,
     literal_b: bool,
 ):
-    """Vectorized reference path; returns per-pair arrays, no reductions."""
+    """Per-pair arrays for pairs first_pair .. first_pair + n_pairs - 1.
+
+    Returns (w, unsafe, nhot, ntest, ndisc, nlowtest, nuntestrej): pair
+    welfare as float64, then uint8 flags and per-pair counts (0-2).
+    """
     s = np.uint64(seed)
-    base = np.arange(n_pairs, dtype=np.uint64) * _SIX
+    base = (np.arange(n_pairs, dtype=np.uint64) + np.uint64(first_pair)) * _SIX
     b1 = ppf_from_knots(_unit_array(s, base), beta_xs, beta_ps)
     b2 = ppf_from_knots(_unit_array(s, base + np.uint64(1)), beta_xs, beta_ps)
     ya1 = ppf_from_knots(_unit_array(s, base + np.uint64(2)), y_xs, y_ps)
@@ -136,117 +110,3 @@ def simulate_pairs_numpy(
     nlowtest = (safe_mask & t1).astype(np.uint8) + (safe_mask & t2).astype(np.uint8)
     nuntestrej = (~t1 & ~m1).astype(np.uint8) + (~t2 & ~m2).astype(np.uint8)
     return w, unsafe.astype(np.uint8), nhot, ntest, ndisc, nlowtest, nuntestrej
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _unit_scalar(seed, counter):
-        z = seed + (counter + _ONE) * _GOLDEN
-        z = (z ^ (z >> _S30)) * _MIX1
-        z = (z ^ (z >> _S27)) * _MIX2
-        z = z ^ (z >> _S31)
-        return (z >> _S11) * _INV53
-
-    @njit(cache=True)
-    def _ppf_scalar(u, xs, ps):
-        k = np.searchsorted(ps, u, side="right") - 1
-        if k < 0:
-            k = 0
-        last = ps.shape[0] - 2
-        if k > last:
-            k = last
-        den = ps[k + 1] - ps[k]
-        if den > 0.0:
-            return xs[k] + (u - ps[k]) * (xs[k + 1] - xs[k]) / den
-        return xs[k]
-
-    @njit(cache=True)
-    def simulate_pairs_numba(
-        seed,
-        n_pairs,
-        beta_star,
-        stigma,
-        cutoff,
-        theta_L,
-        theta_H,
-        v,
-        c,
-        c_h,
-        M,
-        u_cost,
-        beta_xs,
-        beta_ps,
-        y_xs,
-        y_ps,
-        literal_b,
-    ):
-        w = np.empty(n_pairs, dtype=np.float64)
-        unsafe_out = np.empty(n_pairs, dtype=np.uint8)
-        nhot = np.empty(n_pairs, dtype=np.uint8)
-        ntest = np.empty(n_pairs, dtype=np.uint8)
-        ndisc = np.empty(n_pairs, dtype=np.uint8)
-        nlowtest = np.empty(n_pairs, dtype=np.uint8)
-        nuntestrej = np.empty(n_pairs, dtype=np.uint8)
-        s = np.uint64(seed)
-        for i in range(n_pairs):
-            base = np.uint64(i) * _SIX
-            b1 = _ppf_scalar(_unit_scalar(s, base), beta_xs, beta_ps)
-            b2 = _ppf_scalar(_unit_scalar(s, base + np.uint64(1)), beta_xs, beta_ps)
-            ya1 = _ppf_scalar(_unit_scalar(s, base + np.uint64(2)), y_xs, y_ps)
-            ya2 = _ppf_scalar(_unit_scalar(s, base + np.uint64(3)), y_xs, y_ps)
-            yb1 = _ppf_scalar(_unit_scalar(s, base + np.uint64(4)), y_xs, y_ps)
-            yb2 = _ppf_scalar(_unit_scalar(s, base + np.uint64(5)), y_xs, y_ps)
-
-            hot1 = b1 < beta_star
-            hot2 = b2 < beta_star
-            unsafe = (hot1 and hot2) or (
-                (hot1 != hot2) and (b1 + b2 < 2.0 * beta_star)
-            )
-            theta = theta_H if unsafe else theta_L
-            pay1 = M if unsafe else M - u_cost
-
-            net = theta * v - c
-            t1 = net - stigma * ya1 > 0.0
-            t2 = net - stigma * ya2 > 0.0
-            d1 = yb1 < cutoff
-            d2 = yb2 < cutoff
-            m1 = not (d1 and t1)
-            m2 = not (d2 and t2)
-
-            t1f = 1.0 if t1 else 0.0
-            t2f = 1.0 if t2 else 0.0
-            m1f = 1.0 if m1 else 0.0
-            m2f = 1.0 if m2 else 0.0
-            ua1 = pay1 + t1f * net - theta * c_h + m1f * ya1
-            ua2 = pay1 + t2f * net - theta * c_h + m2f * ya2
-            if literal_b:
-                ub1 = (t1f if d1 else 1.0) * yb1
-                ub2 = (t2f if d2 else 1.0) * yb2
-            else:
-                ub1 = m1f * yb1
-                ub2 = m2f * yb2
-            w[i] = 0.5 * (ua1 + ua2 + ub1 + ub2)
-
-            unsafe_out[i] = 1 if unsafe else 0
-            nhot[i] = (1 if hot1 else 0) + (1 if hot2 else 0)
-            ntest[i] = (1 if t1 else 0) + (1 if t2 else 0)
-            ndisc[i] = (1 if d1 else 0) + (1 if d2 else 0)
-            safe_pair = not unsafe
-            nlowtest[i] = (1 if (safe_pair and t1) else 0) + (
-                1 if (safe_pair and t2) else 0
-            )
-            nuntestrej[i] = (1 if ((not t1) and (not m1)) else 0) + (
-                1 if ((not t2) and (not m2)) else 0
-            )
-        return w, unsafe_out, nhot, ntest, ndisc, nlowtest, nuntestrej
-
-
-def simulate_pairs(backend: str, *args):
-    if backend == "numpy":
-        return simulate_pairs_numpy(*args)
-    if backend == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        return simulate_pairs_numba(*args)
-    raise ValueError(f"unknown backend {backend!r}")

@@ -341,7 +341,6 @@ def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
     )
     path = out / "sim.csv"
     _write_csv(path, _SIM_HEADER, [row])
-    print(f"backend = {res.backend}", file=sys.stderr)
     for name, est, se in (
         ("r", res.r_hat, res.stderr.r),
         ("R", res.R_hat, res.stderr.R),
@@ -412,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None, help="simulation seed")
         sp.add_argument(
             "--convention",
-            choices=("paper", "corrected"),
+            choices=CONVENTIONS,
             default=None,
             help="population-B welfare bookkeeping",
         )
@@ -426,9 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     updates = {}
     if args.convention is not None:
-        updates["convention"] = (
-            "paper_literal" if args.convention == "paper" else "corrected"
-        )
+        updates["convention"] = args.convention
     if args.grid is not None:
         if args.grid < 3:
             raise ConfigError(f"--grid must be >= 3, got {args.grid}")

@@ -174,10 +174,12 @@ def knot_arrays(spec: DistributionSpec) -> tuple[np.ndarray, np.ndarray]:
 def ppf_from_knots(u, xs: np.ndarray, ps: np.ndarray):
     """Inverse CDF for u in [0, 1) given knot arrays. Vectorized.
 
-    The compiled simulation kernel mirrors this formula term for term; any
-    change here must be reflected there to keep the backends bit-identical.
+    Two knots with a rising CDF (every uniform) take the general formula
+    with k = 0 directly, skipping the search; the results are bit-identical.
     """
     u = np.asarray(u, dtype=np.float64)
+    if len(ps) == 2 and ps[1] - ps[0] > 0.0:
+        return xs[0] + (u - ps[0]) * (xs[1] - xs[0]) / (ps[1] - ps[0])
     k = np.searchsorted(ps, u, side="right") - 1
     k = np.clip(k, 0, len(ps) - 2)
     p0 = ps[k]

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from .coordination import hot_threshold
 from .signaling import ModelParams, continuation_values, pointwise_continuation, stigma_level
-from .welfare import sweep
+from .welfare import _sweep_points
+from .welfare import sweep  # noqa: F401  perfbench/tracer.py spans figures.sweep
 
 __all__ = ["FigureTable", "figure_tables", "line_chart_svg"]
 
@@ -105,31 +106,27 @@ def figure_tables(
     )
 
     grid = [i / (grid_points - 1) for i in range(grid_points)]
-    rows = sweep(params, grid, convention)
+    points = _sweep_points(params, grid, convention)
     fig4 = FigureTable(
         name="fig4",
         comments=(),
         header=("tau_hat", "S", "gap", "H", "r", "R_H", "R", "W_A", "W_B", "W"),
         rows=[
             (x.tau_hat, x.S, x.gap, x.H, x.r, x.R_H, x.R, x.W_A, x.W_B, x.W)
-            for x in rows
+            for x, _ in points
         ],
     )
 
-    from .welfare import welfare
-
-    groups = []
-    for g in grid:
-        rep = welfare(params, g, convention)
-        groups.append(
-            (
-                g,
-                rep.components.welfare_high,
-                rep.components.welfare_low,
-                rep.W_B,
-                rep.W,
-            )
+    groups = [
+        (
+            row.tau_hat,
+            rep.components.welfare_high,
+            rep.components.welfare_low,
+            rep.W_B,
+            rep.W,
         )
+        for row, rep in points
+    ]
     n = len(groups)
     means = [sum(row[k] for row in groups) / n for k in range(1, 5)]
     fig5 = FigureTable(

@@ -11,13 +11,17 @@ enters the utility calculus, so sampling it would only add variance.
 Matching is one B partner per A player.
 
 Results are deterministic for a fixed (params, seed, n_pairs): pairs own
-counter-derived substreams and all reductions run over arrays in fixed
-order, independent of backend.
+counter-derived substreams, keyed on their global index. The pairs stream
+through the kernel in fixed chunks of CHUNK, each reduced at once to
+sufficient statistics (exact integer counts, and the welfare sum and
+centred sum of squares), merged in chunk order. Memory therefore does not
+grow with n_pairs, and a smaller run is a prefix of a larger one.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,6 +42,8 @@ __all__ = [
     "convergence_report",
     "analytic_targets",
 ]
+
+CHUNK = 2**16  # pairs per kernel call; bounds the per-pair arrays held at once
 
 
 @dataclass(frozen=True)
@@ -95,7 +101,10 @@ class SimResult:
     counts: PairCounts
     low_risk_tests: int
     untested_rejections: int
-    backend: str
+
+
+def _count(mask: np.ndarray) -> int:
+    return int(np.count_nonzero(mask))
 
 
 def _binom_se(p: float, n: int) -> float:
@@ -117,11 +126,7 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     cutoff = p.tau_hat * p.theta_H * p.z
     beta_xs, beta_ps = knot_arrays(p.dist_beta)
     y_xs, y_ps = knot_arrays(p.dist_y)
-    backend = _kernels.active_backend()
-    w, unsafe, nhot, ntest, ndisc, nlow, nrej = _kernels.simulate_pairs(
-        backend,
-        config.seed,
-        config.n_pairs,
+    model = (
         beta_star,
         s,
         cutoff,
@@ -140,31 +145,59 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     )
 
     n = config.n_pairs
+    tally = Counter()
+    w_sums = []
+    w_m2 = 0.0
+    for first in range(0, n, CHUNK):
+        m = min(CHUNK, n - first)
+        w, unsafe, nhot, ntest, ndisc, nlow, nrej = _kernels.simulate_pairs(
+            config.seed, first, m, *model
+        )
+        unsafe_b = unsafe.astype(bool)
+        mixed = nhot == 1
+        tally.update(
+            hot_hot=_count(nhot == 2),
+            cold_cold=_count(nhot == 0),
+            hot_cold_unsafe=_count(mixed & unsafe_b),
+            hot_cold_safe=_count(mixed & ~unsafe_b),
+            unsafe=_count(unsafe_b),
+            one_test=_count(ntest == 1),
+            two_tests=_count(ntest == 2),
+            low_tests=int(np.sum(nlow)),
+            disclosures=int(np.sum(ndisc)),
+            untested_rejections=int(np.sum(nrej)),
+        )
+        # Chan, Golub & LeVeque (1979): add the chunk's centred sum of
+        # squares plus the shift between its mean and the running mean
+        w_sum = float(np.sum(w))
+        dev = w - w_sum / m
+        w_m2 += float(np.sum(dev * dev))
+        if first:
+            delta = w_sum / m - math.fsum(w_sums) / first
+            w_m2 += delta * delta * first * m / (first + m)
+        w_sums.append(w_sum)
+
     agents = 2 * n
-    unsafe_b = unsafe.astype(bool)
-    mixed = nhot == 1
-    counts = PairCounts(
-        hot_hot=int(np.sum(nhot == 2)),
-        cold_cold=int(np.sum(nhot == 0)),
-        hot_cold_unsafe=int(np.sum(mixed & unsafe_b)),
-        hot_cold_safe=int(np.sum(mixed & ~unsafe_b)),
-    )
-    n_unsafe = int(np.sum(unsafe_b))
+    n_unsafe = tally["unsafe"]
     r_hat = n_unsafe / n
-    tests_total = int(np.sum(ntest))
-    low_tests = int(np.sum(nlow))
+    one, two = tally["one_test"], tally["two_tests"]
+    tests_total = one + 2 * two
+    low_tests = tally["low_tests"]
     r_pop_hat = tests_total / agents
     n_high_agents = 2 * n_unsafe
     high_tests = tests_total - low_tests
     r_h_hat = high_tests / n_high_agents if n_high_agents else math.nan
-    s_hat = int(np.sum(ndisc)) / agents
-    w_hat = float(np.sum(w)) / n
+    s_hat = tally["disclosures"] / agents
+    w_hat = math.fsum(w_sums) / n
 
-    per_pair_tests = ntest.astype(np.float64) * 0.5
-    se_r_pop = (
-        float(np.std(per_pair_tests, ddof=1)) / math.sqrt(n) if n > 1 else math.nan
-    )
-    se_w = float(np.std(w, ddof=1)) / math.sqrt(n) if n > 1 else math.nan
+    if n > 1:
+        # per-pair test share x = ntest / 2: sample variance of x from the
+        # exact integer sums of ntest and ntest**2
+        tests_sq = n * (one + 4 * two) - tests_total**2
+        se_r_pop = math.sqrt(tests_sq / (4 * n * (n - 1))) / math.sqrt(n)
+        se_w = math.sqrt(w_m2 / (n - 1)) / math.sqrt(n)
+    else:
+        se_r_pop = se_w = math.nan
     errors = StatErrors(
         r=_binom_se(r_hat, n),
         R=se_r_pop,
@@ -180,10 +213,14 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
         S_hat=s_hat,
         W_hat=w_hat,
         stderr=errors,
-        counts=counts,
+        counts=PairCounts(
+            hot_hot=tally["hot_hot"],
+            cold_cold=tally["cold_cold"],
+            hot_cold_unsafe=tally["hot_cold_unsafe"],
+            hot_cold_safe=tally["hot_cold_safe"],
+        ),
         low_risk_tests=low_tests,
-        untested_rejections=int(np.sum(nrej)),
-        backend=backend,
+        untested_rejections=tally["untested_rejections"],
     )
 
 

@@ -272,16 +272,16 @@ def decomposition(params: ModelParams, tau_hat: float) -> PolicyDecomposition:
     )
 
 
-def evaluate_point(
-    params: ModelParams, tau_hat: float, convention: str = "corrected"
-) -> SweepRow:
-    """One row of the sweep schema; the chain is evaluated once."""
+def _point(
+    params: ModelParams, tau_hat: float, convention: str
+) -> tuple[SweepRow, WelfareReport]:
+    """Sweep row and welfare report from one evaluation of the chain."""
     _check_convention(convention)
     _require_welfare_preconditions(params)
     chain = _chain(params, tau_hat)
     _, s, _, _, gap, p1, r_h, r_pop = chain
     report = _welfare_from_chain(chain, tau_hat, convention)
-    return SweepRow(
+    row = SweepRow(
         tau_hat=tau_hat,
         S=s,
         gap=gap,
@@ -293,25 +293,40 @@ def evaluate_point(
         W_B=report.W_B,
         W=report.W,
     )
+    return row, report
 
 
-def sweep(
-    params: ModelParams, grid, convention: str = "corrected"
-) -> list[SweepRow]:
-    """Evaluate the full chain on a sorted tau_hat grid, one row per point."""
+def evaluate_point(
+    params: ModelParams, tau_hat: float, convention: str = "corrected"
+) -> SweepRow:
+    """One row of the sweep schema; the chain is evaluated once."""
+    return _point(params, tau_hat, convention)[0]
+
+
+def _sweep_points(
+    params: ModelParams, grid, convention: str
+) -> list[tuple[SweepRow, WelfareReport]]:
+    """Row and report at each point of a sorted tau_hat grid."""
     _check_convention(convention)
     grid = [float(g) for g in grid]
     if any(not 0.0 <= g <= 1.0 for g in grid):
         raise ValueError("grid values must lie in [0, 1]")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be sorted ascending")
-    rows = []
+    points = []
     for g in grid:
         try:
-            rows.append(evaluate_point(params, g, convention))
+            points.append(_point(params, g, convention))
         except Exception as exc:
             raise SweepError(g, exc) from exc
-    return rows
+    return points
+
+
+def sweep(
+    params: ModelParams, grid, convention: str = "corrected"
+) -> list[SweepRow]:
+    """Evaluate the full chain on a sorted tau_hat grid, one row per point."""
+    return [row for row, _ in _sweep_points(params, grid, convention)]
 
 
 _INVPHI = (5.0**0.5 - 1.0) / 2.0

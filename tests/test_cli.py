@@ -295,7 +295,7 @@ class TestArtifacts:
                 "--out",
                 str(tmp_path),
                 "--convention",
-                "paper",
+                "paper_literal",
             ]
         )
         assert rc == 0
@@ -306,6 +306,23 @@ class TestArtifacts:
         last = dict(zip(header, lines[-1].split(",")))
         # under the literal bookkeeping full stigma loses to none
         assert float(last["W_demeaned"]) < float(first["W_demeaned"])
+
+    def test_convention_key_and_flag_agree(self, tmp_path):
+        cfg = write_cfg(tmp_path, edited_cfg(convention="paper_literal"))
+        by_key, by_flag = tmp_path / "key", tmp_path / "flag"
+        base = ["figures", "--grid", "21"]
+        assert cli.main(base + ["--config", str(cfg), "--out", str(by_key)]) == 0
+        assert (
+            cli.main(
+                base
+                + ["--config", str(PAPER_CFG), "--out", str(by_flag)]
+                + ["--convention", "paper_literal"]
+            )
+            == 0
+        )
+        fig5 = (by_key / "fig5.csv").read_bytes()
+        assert fig5.startswith(b"# convention = paper_literal\n")
+        assert fig5 == (by_flag / "fig5.csv").read_bytes()
 
     def test_figures_rerun_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from stigmagame import _kernels
 from stigmagame.distributions import (
     QuadratureError,
     cdf,
     density,
     integrate,
+    knot_arrays,
     mean,
     partial_expectation,
     piecewise_linear_cdf,
     ppf,
+    ppf_from_knots,
     sample,
     uniform,
 )
@@ -168,6 +171,34 @@ class TestSampling:
             spec = random_spec(rng)
             for q in rng.uniform(0.01, 0.99, 10):
                 assert cdf(spec, ppf(spec, float(q))) == pytest.approx(q, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            uniform(0.0, 1.0),
+            uniform(0.0, 2.0),
+            uniform(-1.7, 0.3),
+            uniform(0.1, 0.1 + 1e-9),
+            piecewise_linear_cdf([(0.25, 0.0), (3.5, 1.0)]),
+            piecewise_linear_cdf([(-2.0, 0.0), (1e6, 1.0)]),
+        ],
+    )
+    def test_two_knot_shortcut_is_bit_identical(self, spec):
+        # the general search-and-interpolate formula, as the reference
+        def general(u, xs, ps):
+            k = np.clip(np.searchsorted(ps, u, side="right") - 1, 0, len(ps) - 2)
+            den = ps[k + 1] - ps[k]
+            x = xs[k] + (u - ps[k]) * (xs[k + 1] - xs[k]) / np.where(den > 0.0, den, 1.0)
+            return np.where(den > 0.0, x, xs[k])
+
+        counters = np.arange(100_000, dtype=np.uint64)
+        u = np.concatenate(
+            [[0.0, 1.0 - 2.0**-53], _kernels._unit_array(np.uint64(17), counters)]
+        )
+        xs, ps = knot_arrays(spec)
+        assert len(xs) == 2
+        got = ppf_from_knots(u, xs, ps)
+        assert np.array_equal(got.view(np.uint64), general(u, xs, ps).view(np.uint64))
 
 
 class TestIntegrate:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from stigmagame import (
     simulate,
 )
 from stigmagame import _kernels
+from stigmagame.montecarlo import CHUNK, PairCounts
 
 STATS = ("r", "R", "R_H", "S", "W")
 
@@ -61,37 +63,93 @@ class TestDeterminism:
         assert a.W_hat != b.W_hat
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-class TestBackendEquivalence:
-    def test_bitwise_identical_outputs(self, paper_params, monkeypatch):
-        cfg = SimConfig(n_pairs=30_000, seed=77, tau_hat=0.5)
-        monkeypatch.setenv(_kernels.BACKEND_ENV_VAR, "numpy")
-        via_numpy = simulate(paper_params, cfg)
-        monkeypatch.setenv(_kernels.BACKEND_ENV_VAR, "numba")
-        via_numba = simulate(paper_params, cfg)
-        assert via_numpy.backend == "numpy"
-        assert via_numba.backend == "numba"
-        assert via_numpy == replace(via_numba, backend="numpy")
+def run_recording_kernel(monkeypatch, params, cfg):
+    """simulate() plus the argument tuples of its kernel calls."""
+    kernel = _kernels.simulate_pairs
+    calls = []
 
-    def test_bitwise_identical_with_piecewise_dists(self, paper_params, monkeypatch):
-        from stigmagame import piecewise_linear_cdf
+    def recording(*args):
+        calls.append(args)
+        return kernel(*args)
 
-        p = replace(
-            paper_params,
-            dist_y=piecewise_linear_cdf([(0.0, 0.0), (0.6, 0.4), (2.0, 1.0)]),
-            dist_beta=piecewise_linear_cdf([(0.0, 0.0), (0.3, 0.7), (1.0, 1.0)]),
-        )
-        cfg = SimConfig(n_pairs=30_000, seed=5, tau_hat=0.4)
-        monkeypatch.setenv(_kernels.BACKEND_ENV_VAR, "numpy")
-        via_numpy = simulate(p, cfg)
-        monkeypatch.setenv(_kernels.BACKEND_ENV_VAR, "numba")
-        via_numba = simulate(p, cfg)
-        assert via_numpy == replace(via_numba, backend="numpy")
+    monkeypatch.setattr(_kernels, "simulate_pairs", recording)
+    res = simulate(params, cfg)
+    monkeypatch.setattr(_kernels, "simulate_pairs", kernel)
+    return res, calls
 
-    def test_unknown_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv(_kernels.BACKEND_ENV_VAR, "fortran")
-        with pytest.raises(RuntimeError):
-            _kernels.active_backend()
+
+def whole_array_stats(w, unsafe, nhot, ntest, ndisc, nlow, nrej):
+    """The reductions over per-pair arrays of the whole run at once."""
+    n = len(w)
+    unsafe_b = unsafe.astype(bool)
+    mixed = nhot == 1
+    tests = int(np.sum(ntest))
+    low = int(np.sum(nlow))
+    return {
+        "counts": PairCounts(
+            hot_hot=int(np.sum(nhot == 2)),
+            cold_cold=int(np.sum(nhot == 0)),
+            hot_cold_unsafe=int(np.sum(mixed & unsafe_b)),
+            hot_cold_safe=int(np.sum(mixed & ~unsafe_b)),
+        ),
+        "r_hat": int(np.sum(unsafe_b)) / n,
+        "R_hat": tests / (2 * n),
+        "R_H_hat": (tests - low) / (2 * int(np.sum(unsafe_b))),
+        "S_hat": int(np.sum(ndisc)) / (2 * n),
+        "low_risk_tests": low,
+        "untested_rejections": int(np.sum(nrej)),
+        "W_hat": float(np.sum(w)) / n,
+        "se_W": float(np.std(w, ddof=1)) / math.sqrt(n),
+        "se_R": float(np.std(ntest * 0.5, ddof=1)) / math.sqrt(n),
+    }
+
+
+class TestStreaming:
+    @pytest.mark.parametrize(
+        "n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
+    )
+    def test_chunked_reduction_matches_whole_array(self, paper_params, monkeypatch, n):
+        cfg = SimConfig(n_pairs=n, seed=31, tau_hat=0.4, convention="paper_literal")
+        res, calls = run_recording_kernel(monkeypatch, paper_params, cfg)
+        assert [(c[1], c[2]) for c in calls] == [
+            (first, min(CHUNK, n - first)) for first in range(0, n, CHUNK)
+        ]
+        seed, _, _, *model = calls[0]
+        ref = whole_array_stats(*_kernels.simulate_pairs(seed, 0, n, *model))
+        assert res.counts == ref["counts"]
+        assert {type(c) for c in vars(res.counts).values()} == {int}
+        for key in (
+            "r_hat", "R_hat", "R_H_hat", "S_hat", "low_risk_tests", "untested_rejections"
+        ):
+            assert getattr(res, key) == ref[key], key
+        assert res.W_hat == pytest.approx(ref["W_hat"], rel=1e-12, abs=0.0)
+        assert res.stderr.W == pytest.approx(ref["se_W"], rel=1e-12, abs=0.0)
+        assert res.stderr.R == pytest.approx(ref["se_R"], rel=1e-12, abs=0.0)
+
+    def test_shorter_run_is_prefix_of_longer(self, paper_params, monkeypatch):
+        n = CHUNK + 7
+        cfg = SimConfig(n_pairs=n, seed=8, tau_hat=0.5)
+        _, calls = run_recording_kernel(monkeypatch, paper_params, cfg)
+        seed, _, _, *model = calls[0]
+        short = _kernels.simulate_pairs(seed, 0, n, *model)
+        longer = _kernels.simulate_pairs(seed, 0, n + CHUNK, *model)
+        tail = _kernels.simulate_pairs(seed, n, CHUNK, *model)
+        for a, b, c in zip(short, longer, tail):
+            assert np.array_equal(b[:n], a)
+            assert np.array_equal(b[n:], c)
+
+    def test_peak_memory_does_not_grow_with_pairs(self, paper_params):
+        mib = 2**20
+        peaks = []
+        for n in (2**20, 2**21):
+            tracemalloc.start()
+            try:
+                simulate(paper_params, SimConfig(n_pairs=n, seed=2, tau_hat=0.5))
+                peaks.append(tracemalloc.get_traced_memory()[1] / mib)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 24.0
+        assert abs(peaks[1] - peaks[0]) < 2.0
 
 
 class TestAgainstAnalyticChain:

@@ -16,6 +16,7 @@ from stigmagame import (
     sweep,
     welfare,
 )
+from stigmagame.figures import figure_tables
 from stigmagame.welfare import SweepError
 
 
@@ -224,6 +225,9 @@ class TestSweep:
         calls.clear()
         grid = [i / 16 for i in range(17)]
         sweep(paper_params, grid)
+        assert len(calls) == len(grid)
+        calls.clear()
+        figure_tables(paper_params, "corrected", len(grid))
         assert len(calls) == len(grid)
 
     def test_failed_row_identifies_tau(self, paper_params):
