@@ -2,26 +2,32 @@
 
 Commands: check | evaluate | sweep | optimize | simulate | figures.
 Config files are flat `key = value` text (UTF-8, # comments). Exit codes:
-0 success, 2 config error (including an assumption-1 violation), 3
-assumption-3 failure, 4 numerical failure. All CSV output uses a fixed
-column order with 12-significant-digit floats, so repeated runs with the
-same config are byte-identical.
+0 success, 2 config error (including an assumption-1 violation, and
+tau_true != 0 for the welfare commands), 3 assumption-3 failure (the
+welfare commands, and check under --strict), 4 numerical failure inside
+the chain. `--tau` replaces tau_hat for every command. All CSV output
+uses a fixed column order with 12-significant-digit floats, so repeated
+runs with the same config are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 from .distributions import DistributionSpec, piecewise_linear_cdf, uniform
 from .figures import figure_tables, line_chart_svg
-from .montecarlo import SimConfig, analytic_targets, simulate
-from .signaling import AssumptionViolation, ModelParams, check_assumptions
+from .montecarlo import ESTIMATES, PairCounts, SimConfig, analytic_targets, simulate
+from .signaling import (
+    AssumptionViolation,
+    ModelParams,
+    assumption3_margin,
+    check_assumptions,
+)
 from .welfare import (
     CONVENTIONS,
     SweepError,
@@ -38,7 +44,7 @@ EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
 EXIT_NUMERICAL = 4
 
-SWEEP_HEADER = ("tau_hat", "S", "gap", "H", "r", "R_H", "R", "W_A", "W_B", "W")
+SWEEP_HEADER = SweepRow._fields
 
 _PARAM_KEYS = (
     "theta_L",
@@ -85,7 +91,6 @@ class RunConfig:
     seed: int = 2024
     strict: bool = False
     out_dir: str = "."
-    tau: float | None = None
 
 
 def _parse_dist(key: str, value: str, base_dir: Path) -> DistributionSpec:
@@ -213,21 +218,6 @@ def _echo_params(cfg: RunConfig) -> list[str]:
     ]
 
 
-def _sweep_row_values(row: SweepRow):
-    return (
-        row.tau_hat,
-        row.S,
-        row.gap,
-        row.H,
-        row.r,
-        row.R_H,
-        row.R,
-        row.W_A,
-        row.W_B,
-        row.W,
-    )
-
-
 def _grid(n: int) -> list[float]:
     return [i / (n - 1) for i in range(n)]
 
@@ -254,19 +244,18 @@ def _cmd_check(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_evaluate(cfg: RunConfig, out: Path) -> int:
-    tau = cfg.params.tau_hat if cfg.tau is None else cfg.tau
-    row = evaluate_point(cfg.params, tau, cfg.convention)
+    row = evaluate_point(cfg.params, cfg.params.tau_hat, cfg.convention)
     for line in _echo_params(cfg):
         print(line)
     print(",".join(SWEEP_HEADER))
-    print(_csv_line(_sweep_row_values(row)))
+    print(_csv_line(row))
     return EXIT_OK
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path) -> int:
     rows = sweep(cfg.params, _grid(cfg.grid), cfg.convention)
     path = out / "sweep.csv"
-    _write_csv(path, SWEEP_HEADER, [_sweep_row_values(r) for r in rows])
+    _write_csv(path, SWEEP_HEADER, rows)
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -283,74 +272,27 @@ def _cmd_optimize(cfg: RunConfig, out: Path) -> int:
 
 
 _SIM_HEADER = (
-    "tau_hat",
-    "n_pairs",
-    "seed",
-    "r_hat",
-    "r_se",
-    "r_analytic",
-    "R_hat",
-    "R_se",
-    "R_analytic",
-    "R_H_hat",
-    "R_H_se",
-    "R_H_analytic",
-    "S_hat",
-    "S_se",
-    "S_analytic",
-    "W_hat",
-    "W_se",
-    "W_analytic",
-    "hot_hot",
-    "cold_cold",
-    "hot_cold_unsafe",
-    "hot_cold_safe",
+    ("tau_hat", "n_pairs", "seed")
+    + tuple(f"{n}_{col}" for n in ESTIMATES for col in ("hat", "se", "analytic"))
+    + tuple(f.name for f in fields(PairCounts))
 )
 
 
 def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
-    tau = cfg.params.tau_hat if cfg.tau is None else cfg.tau
+    tau = cfg.params.tau_hat
+    tgt = analytic_targets(cfg.params, tau, cfg.convention)
     sim_cfg = SimConfig(
         n_pairs=cfg.n_pairs, seed=cfg.seed, tau_hat=tau, convention=cfg.convention
     )
     res = simulate(cfg.params, sim_cfg)
-    tgt = analytic_targets(cfg.params, tau, cfg.convention)
-    row = (
-        tau,
-        res.n_pairs,
-        cfg.seed,
-        res.r_hat,
-        res.stderr.r,
-        tgt["r"],
-        res.R_hat,
-        res.stderr.R,
-        tgt["R"],
-        res.R_H_hat,
-        res.stderr.R_H,
-        tgt["R_H"],
-        res.S_hat,
-        res.stderr.S,
-        tgt["S"],
-        res.W_hat,
-        res.stderr.W,
-        tgt["W"],
-        res.counts.hot_hot,
-        res.counts.cold_cold,
-        res.counts.hot_cold_unsafe,
-        res.counts.hot_cold_safe,
-    )
+    estimates = [
+        (getattr(res, f"{n}_hat"), getattr(res.stderr, n), tgt[n]) for n in ESTIMATES
+    ]
+    row = (tau, res.n_pairs, cfg.seed) + sum(estimates, ()) + astuple(res.counts)
     path = out / "sim.csv"
     _write_csv(path, _SIM_HEADER, [row])
-    for name, est, se in (
-        ("r", res.r_hat, res.stderr.r),
-        ("R", res.R_hat, res.stderr.R),
-        ("R_H", res.R_H_hat, res.stderr.R_H),
-        ("S", res.S_hat, res.stderr.S),
-        ("W", res.W_hat, res.stderr.W),
-    ):
-        print(
-            f"{name}: {_fmt(est)} +/- {_fmt(se)}  (analytic {_fmt(tgt[name])})"
-        )
+    for name, (est, se, target) in zip(ESTIMATES, estimates):
+        print(f"{name}: {_fmt(est)} +/- {_fmt(se)}  (analytic {_fmt(target)})")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -445,7 +387,7 @@ def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if args.tau is not None:
         if not 0.0 <= args.tau <= 1.0:
             raise ConfigError(f"--tau must lie in [0, 1], got {args.tau}")
-        updates["tau"] = args.tau
+        updates["params"] = replace(cfg.params, tau_hat=args.tau)
     if args.out is not None:
         updates["out_dir"] = args.out
     if args.strict:
@@ -469,8 +411,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if cfg.strict:
-        p = cfg.params
-        a3 = p.c_h * (p.theta_H - p.theta_L) - (p.theta_H * p.v - p.c)
+        a3 = assumption3_margin(cfg.params)
         if a3 <= 0.0:
             print(
                 f"assumption 3 violated: continuation-gap margin = {a3!r}",

@@ -11,8 +11,10 @@ import math
 from dataclasses import dataclass
 
 from .coordination import hot_threshold
-from .signaling import ModelParams, continuation_values, pointwise_continuation, stigma_level
-from .welfare import _sweep_points
+from .signaling import ModelParams, pointwise_continuation, policy_state
+# unused here; perfbench/tracer.py patches these names, so they must still resolve
+from .signaling import continuation_values, stigma_level  # noqa: F401
+from .welfare import SweepRow, _require_preconditions, _sweep_points
 from .welfare import sweep  # noqa: F401  perfbench/tracer.py spans figures.sweep
 
 __all__ = ["FigureTable", "figure_tables", "line_chart_svg"]
@@ -34,14 +36,6 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def _beta_star(params: ModelParams, tau_hat: float) -> float:
-    from dataclasses import replace
-
-    p = params if tau_hat == params.tau_hat else replace(params, tau_hat=tau_hat)
-    _, _, gap = continuation_values(p, stigma_level(p))
-    return hot_threshold(p.u, gap)
-
-
 def figure_tables(
     params: ModelParams, convention: str, grid_points: int
 ) -> list[FigureTable]:
@@ -53,19 +47,20 @@ def figure_tables(
        natural and configured policy; 4: the policy sweep panels;
        5: demeaned group welfare and total welfare over the policy grid.
     """
+    _require_preconditions(params, convention)
     y_lo, y_hi = params.dist_y.support_lo, params.dist_y.support_hi
     ys = _linspace(y_lo, y_hi, _CURVE_POINTS)
-    s_now = stigma_level(params)
+    now = policy_state(params)
 
     fig1 = FigureTable(
         name="fig1",
-        comments=(f"# stigma S = {s_now!r}",),
+        comments=(f"# stigma S = {now.S!r}",),
         header=("y", "V_L", "V_H"),
         rows=[
             (
                 y,
-                pointwise_continuation(params, s_now, y, "L"),
-                pointwise_continuation(params, s_now, y, "H"),
+                pointwise_continuation(params, now.S, y, "L"),
+                pointwise_continuation(params, now.S, y, "H"),
             )
             for y in ys
         ],
@@ -86,8 +81,8 @@ def figure_tables(
     b_lo = params.dist_beta.support_lo
     b_hi = params.dist_beta.support_hi
     bs = _linspace(b_lo, b_hi, _CURVE_POINTS)
-    bstar_natural = _beta_star(params, 0.0)
-    bstar_policy = _beta_star(params, params.tau_hat)
+    bstar_natural = hot_threshold(params.u, policy_state(params, 0.0).gap)
+    bstar_policy = hot_threshold(params.u, now.gap)
 
     def boundary(bstar: float, b1: float) -> float:
         return min(max(2.0 * bstar - b1, b_lo), b_hi)
@@ -110,11 +105,8 @@ def figure_tables(
     fig4 = FigureTable(
         name="fig4",
         comments=(),
-        header=("tau_hat", "S", "gap", "H", "r", "R_H", "R", "W_A", "W_B", "W"),
-        rows=[
-            (x.tau_hat, x.S, x.gap, x.H, x.r, x.R_H, x.R, x.W_A, x.W_B, x.W)
-            for x, _ in points
-        ],
+        header=SweepRow._fields,
+        rows=[row for row, _ in points],
     )
 
     groups = [

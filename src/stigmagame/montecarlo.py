@@ -27,9 +27,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .coordination import period1_outcome
+from .coordination import hot_threshold
 from .distributions import knot_arrays
-from .signaling import ModelParams, continuation_values, stigma_level
+from .signaling import ModelParams, policy_state
+# unused here; perfbench/tracer.py patches these names, so they must still resolve
+from .coordination import period1_outcome  # noqa: F401
+from .signaling import continuation_values, stigma_level  # noqa: F401
 from .welfare import CONVENTIONS, evaluate_point
 
 __all__ = [
@@ -38,12 +41,16 @@ __all__ = [
     "PairCounts",
     "StatErrors",
     "ConvergenceRow",
+    "ESTIMATES",
     "simulate",
     "convergence_report",
     "analytic_targets",
 ]
 
 CHUNK = 2**16  # pairs per kernel call; bounds the per-pair arrays held at once
+# the estimated quantities, in report order: SimResult.<name>_hat,
+# StatErrors.<name> and the SweepRow field of the analytic target
+ESTIMATES = ("r", "R", "R_H", "S", "W")
 
 
 @dataclass(frozen=True)
@@ -115,14 +122,9 @@ def _binom_se(p: float, n: int) -> float:
 
 def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     """Run one finite-population replication and reduce it to a SimResult."""
-    p = (
-        params
-        if config.tau_hat == params.tau_hat
-        else replace(params, tau_hat=config.tau_hat)
-    )
-    s = stigma_level(p)
-    _, _, gap = continuation_values(p, s)
-    beta_star = period1_outcome(p, gap).beta_star
+    state = policy_state(params, config.tau_hat)
+    p, s = state.params, state.S
+    beta_star = hot_threshold(p.u, state.gap)
     cutoff = p.tau_hat * p.theta_H * p.z
     beta_xs, beta_ps = knot_arrays(p.dist_beta)
     y_xs, y_ps = knot_arrays(p.dist_y)
@@ -229,7 +231,7 @@ def analytic_targets(
 ) -> dict[str, float]:
     """Model-chain values the simulation estimates: r, R, R_H, S, W."""
     row = evaluate_point(params, tau_hat, convention)
-    return {"r": row.r, "R": row.R, "R_H": row.R_H, "S": row.S, "W": row.W}
+    return {name: getattr(row, name) for name in ESTIMATES}
 
 
 @dataclass(frozen=True)
@@ -256,20 +258,8 @@ def convergence_report(
     rows = []
     for size in sizes:
         res = simulate(params, replace(config, n_pairs=size))
-        est = {
-            "r": res.r_hat,
-            "R": res.R_hat,
-            "R_H": res.R_H_hat,
-            "S": res.S_hat,
-            "W": res.W_hat,
-        }
-        ses = {
-            "r": res.stderr.r,
-            "R": res.stderr.R,
-            "R_H": res.stderr.R_H,
-            "S": res.stderr.S,
-            "W": res.stderr.W,
-        }
+        est = {name: getattr(res, f"{name}_hat") for name in ESTIMATES}
+        ses = {name: getattr(res.stderr, name) for name in ESTIMATES}
         gaps = {k: abs(est[k] - targets[k]) for k in est}
         rows.append(
             ConvergenceRow(

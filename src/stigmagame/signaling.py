@@ -13,13 +13,15 @@ All operations are pure functions of immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .distributions import DistributionSpec, cdf, mean, partial_expectation
 
 __all__ = [
     "AssumptionViolation",
     "ModelParams",
+    "PolicyState",
     "Period2Outcome",
     "AssumptionReport",
     "stigma_level",
@@ -28,8 +30,10 @@ __all__ = [
     "best_response_test",
     "best_response_interact",
     "continuation_values",
+    "policy_state",
     "pointwise_continuation",
     "positive_fraction",
+    "assumption3_margin",
     "check_assumptions",
     "period2_outcome",
 ]
@@ -187,6 +191,30 @@ def continuation_values(params: ModelParams, S: float) -> tuple[float, float, fl
     return ev_l, ev_h, ev_l - ev_h
 
 
+class PolicyState(NamedTuple):
+    """The chain's prefix tau_hat -> S -> (EV_L, EV_H, gap) at one policy value.
+
+    params carries the policy value as its tau_hat.
+    """
+
+    params: ModelParams
+    S: float
+    EV_L: float
+    EV_H: float
+    gap: float
+
+
+def policy_state(params: ModelParams, tau_hat: float | None = None) -> PolicyState:
+    """Stigma and continuation values at tau_hat (default: params.tau_hat)."""
+    p = (
+        params
+        if tau_hat is None or tau_hat == params.tau_hat
+        else replace(params, tau_hat=tau_hat)
+    )
+    s = stigma_level(p)
+    return PolicyState(p, s, *continuation_values(p, s))
+
+
 def pointwise_continuation(params: ModelParams, S: float, y_a: float, risk: str) -> float:
     """Period-2 payoff at a single valuation y_a for risk type "L" or "H"."""
     if risk == "L":
@@ -205,6 +233,16 @@ def positive_fraction(params: ModelParams, r: float) -> float:
     return r * params.theta_H + (1.0 - r) * params.theta_L
 
 
+def assumption3_margin(params: ModelParams) -> float:
+    """c_h*(theta_H-theta_L) - (theta_H*v-c): the continuation gap at S = 0.
+
+    Assumption 3 requires it to be positive.
+    """
+    return params.c_h * (params.theta_H - params.theta_L) - (
+        params.theta_H * params.v - params.c
+    )
+
+
 def check_assumptions(params: ModelParams) -> AssumptionReport:
     """Report the three maintained assumptions with their numeric margins.
 
@@ -217,12 +255,8 @@ def check_assumptions(params: ModelParams) -> AssumptionReport:
         params.c - params.theta_L * params.v,
         params.theta_H * params.v - params.c,
     )
-    a3_margin = (
-        params.c_h * (params.theta_H - params.theta_L)
-        - (params.theta_H * params.v - params.c)
-    )
-    S = stigma_level(params)
-    _, _, gap = continuation_values(params, S)
+    a3_margin = assumption3_margin(params)
+    gap = policy_state(params).gap
     if gap <= 0.0:
         r = 1.0
     else:
@@ -243,10 +277,9 @@ def check_assumptions(params: ModelParams) -> AssumptionReport:
 
 def period2_outcome(params: ModelParams, r: float) -> Period2Outcome:
     """Bundle the period-2 quantities at a given high-risk fraction r."""
-    S = stigma_level(params)
+    _, S, ev_l, ev_h, gap = policy_state(params)
     y_star = testing_threshold(params, S)
     r_h, r_pop = testing_rates(params, S, r)
-    ev_l, ev_h, gap = continuation_values(params, S)
     h_bar = positive_fraction(params, r)
     return Period2Outcome(
         S=S,

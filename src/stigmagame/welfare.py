@@ -20,15 +20,18 @@ is kept selectable for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .coordination import Period1Outcome, period1_outcome
 from .signaling import (
     AssumptionViolation,
     ModelParams,
-    continuation_values,
-    stigma_level,
+    assumption3_margin,
+    policy_state,
     testing_rates,
 )
+# unused here; perfbench/tracer.py patches these names, so they must still resolve
+from .signaling import continuation_values, stigma_level  # noqa: F401
 from .distributions import mean, partial_expectation
 
 __all__ = [
@@ -104,8 +107,9 @@ class PresentBiasLoss:
     total_shortfall: float
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One point of the policy sweep; the field order is the sweep CSV header."""
+
     tau_hat: float
     S: float
     gap: float
@@ -137,14 +141,17 @@ def _check_convention(convention: str) -> str:
     return convention
 
 
-def _require_welfare_preconditions(params: ModelParams) -> None:
+def _require_preconditions(params: ModelParams, convention: str) -> None:
+    """Reject what no point of the welfare chain can evaluate.
+
+    Public entry points call this once, before any chain evaluation.
+    """
+    _check_convention(convention)
     if params.tau_true != 0.0:
         raise ValueError(
             f"welfare analysis assumes tau_true = 0, got {params.tau_true!r}"
         )
-    gap0 = params.c_h * (params.theta_H - params.theta_L) - (
-        params.theta_H * params.v - params.c
-    )
+    gap0 = assumption3_margin(params)
     if gap0 <= 0.0:
         raise AssumptionViolation(
             "assumption 3",
@@ -152,13 +159,24 @@ def _require_welfare_preconditions(params: ModelParams) -> None:
         )
 
 
-def _chain(params: ModelParams, tau_hat: float):
-    p = params if tau_hat == params.tau_hat else replace(params, tau_hat=tau_hat)
-    s = stigma_level(p)
-    ev_l, ev_h, gap = continuation_values(p, s)
+class _Chain(NamedTuple):
+    """The full chain at one policy value; params carries it as tau_hat."""
+
+    params: ModelParams
+    S: float
+    EV_L: float
+    EV_H: float
+    gap: float
+    p1: Period1Outcome
+    R_H: float
+    R: float
+
+
+def _chain(params: ModelParams, tau_hat: float | None) -> _Chain:
+    p, s, ev_l, ev_h, gap = policy_state(params, tau_hat)
     p1 = period1_outcome(p, gap)
     r_h, r_pop = testing_rates(p, s, p1.r)
-    return p, s, ev_l, ev_h, gap, p1, r_h, r_pop
+    return _Chain(p, s, ev_l, ev_h, gap, p1, r_h, r_pop)
 
 
 def welfare(
@@ -172,19 +190,16 @@ def welfare(
     welfare weights the per-type totals by the equilibrium composition;
     population B's follows the selected convention.
     """
-    _check_convention(convention)
-    _require_welfare_preconditions(params)
-    tau = params.tau_hat if tau_hat is None else tau_hat
-    return _welfare_from_chain(_chain(params, tau), tau, convention)
+    _require_preconditions(params, convention)
+    return _welfare_from_chain(_chain(params, tau_hat), convention)
 
 
-def _welfare_from_chain(chain, tau: float, convention: str) -> WelfareReport:
-    """Welfare report from an already evaluated _chain(params, tau)."""
-    p, s, ev_l, ev_h, _, p1, _, r_pop = chain
-    r = p1.r
-    w_high = r * (p.M + ev_h)
-    w_low = (1.0 - r) * (p.M - p.u + ev_l)
-    cutoff = tau * p.theta_H * p.z
+def _welfare_from_chain(chain: _Chain, convention: str) -> WelfareReport:
+    """Welfare report from an already evaluated chain."""
+    p, r, r_pop = chain.params, chain.p1.r, chain.R
+    w_high = r * (p.M + chain.EV_H)
+    w_low = (1.0 - r) * (p.M - p.u + chain.EV_L)
+    cutoff = p.tau_hat * p.theta_H * p.z
     pe = partial_expectation(p.dist_y, cutoff)
     mu = mean(p.dist_y)
     if convention == "corrected":
@@ -236,11 +251,12 @@ def present_bias_loss(params: ModelParams) -> PresentBiasLoss:
     In the all-unsafe regime (u >= gap) the composition term uses r = 1,
     so the loss degrades continuously to gap(0) as the gap closes.
     """
-    _require_welfare_preconditions(params)
-    _, _, _, _, gap0, p1, _, _ = _chain(params, 0.0)
+    _require_preconditions(params, "corrected")
+    chain = _chain(params, 0.0)
+    r0, gap0 = chain.p1.r, chain.gap
     return PresentBiasLoss(
-        continuation_loss=p1.r * gap0,
-        total_shortfall=p1.r * (gap0 - params.u),
+        continuation_loss=r0 * gap0,
+        total_shortfall=r0 * (gap0 - params.u),
     )
 
 
@@ -248,19 +264,18 @@ def decomposition(params: ModelParams, tau_hat: float) -> PolicyDecomposition:
     """Three-term account of W(tau_hat) - W(0) plus the exact difference."""
     if not 0.0 < tau_hat <= 1.0:
         raise ValueError(f"tau_hat must lie in (0, 1], got {tau_hat!r}")
-    _require_welfare_preconditions(params)
+    _require_preconditions(params, "corrected")
     chain_0 = _chain(params, 0.0)
     chain_1 = _chain(params, tau_hat)
-    _, _, ev_l, ev_h0, _, p1_0, _, _ = chain_0
-    p, _, _, ev_h1, _, p1_1, _, r_pop = chain_1
+    p = chain_1.params
     cutoff = tau_hat * p.theta_H * p.z
-    deterrence = (p1_0.r - p1_1.r) * (ev_l - ev_h1)
-    suppression = p1_1.r * (ev_h1 - ev_h0)
-    b_loss = -r_pop * partial_expectation(p.dist_y, cutoff)
+    deterrence = (chain_0.p1.r - chain_1.p1.r) * (chain_0.EV_L - chain_1.EV_H)
+    suppression = chain_1.p1.r * (chain_1.EV_H - chain_0.EV_H)
+    b_loss = -chain_1.R * partial_expectation(p.dist_y, cutoff)
     paper_sum = deterrence + suppression + b_loss
     exact = (
-        _welfare_from_chain(chain_1, tau_hat, "corrected").W
-        - _welfare_from_chain(chain_0, 0.0, "corrected").W
+        _welfare_from_chain(chain_1, "corrected").W
+        - _welfare_from_chain(chain_0, "corrected").W
     )
     return PolicyDecomposition(
         deterrence_gain=deterrence,
@@ -275,23 +290,23 @@ def decomposition(params: ModelParams, tau_hat: float) -> PolicyDecomposition:
 def _point(
     params: ModelParams, tau_hat: float, convention: str
 ) -> tuple[SweepRow, WelfareReport]:
-    """Sweep row and welfare report from one evaluation of the chain."""
-    _check_convention(convention)
-    _require_welfare_preconditions(params)
+    """Sweep row and welfare report from one evaluation of the chain.
+
+    The caller has checked the preconditions.
+    """
     chain = _chain(params, tau_hat)
-    _, s, _, _, gap, p1, r_h, r_pop = chain
-    report = _welfare_from_chain(chain, tau_hat, convention)
+    report = _welfare_from_chain(chain, convention)
     row = SweepRow(
-        tau_hat=tau_hat,
-        S=s,
-        gap=gap,
-        H=p1.H,
-        r=p1.r,
-        R_H=r_h,
-        R=r_pop,
-        W_A=report.W_A,
-        W_B=report.W_B,
-        W=report.W,
+        tau_hat,
+        chain.S,
+        chain.gap,
+        chain.p1.H,
+        chain.p1.r,
+        chain.R_H,
+        chain.R,
+        report.W_A,
+        report.W_B,
+        report.W,
     )
     return row, report
 
@@ -300,14 +315,18 @@ def evaluate_point(
     params: ModelParams, tau_hat: float, convention: str = "corrected"
 ) -> SweepRow:
     """One row of the sweep schema; the chain is evaluated once."""
+    _require_preconditions(params, convention)
     return _point(params, tau_hat, convention)[0]
 
 
 def _sweep_points(
     params: ModelParams, grid, convention: str
 ) -> list[tuple[SweepRow, WelfareReport]]:
-    """Row and report at each point of a sorted tau_hat grid."""
-    _check_convention(convention)
+    """Row and report at each point of a sorted tau_hat grid.
+
+    The caller has checked the preconditions, so a SweepError names a
+    failure inside the chain at one point.
+    """
     grid = [float(g) for g in grid]
     if any(not 0.0 <= g <= 1.0 for g in grid):
         raise ValueError("grid values must lie in [0, 1]")
@@ -326,6 +345,7 @@ def sweep(
     params: ModelParams, grid, convention: str = "corrected"
 ) -> list[SweepRow]:
     """Evaluate the full chain on a sorted tau_hat grid, one row per point."""
+    _require_preconditions(params, convention)
     return [row for row, _ in _sweep_points(params, grid, convention)]
 
 

@@ -347,3 +347,66 @@ class TestArtifacts:
             assert (out1 / f"fig{n}.svg").read_bytes() == (
                 out2 / f"fig{n}.svg"
             ).read_bytes()
+
+
+class TestExitCodeMatrix:
+    # c_h = 0.3 fails assumption 3 (margin -0.07); tau_true = 0.2 is outside
+    # the welfare analysis. Every welfare-bearing command reports the same
+    # code for the same config, whatever point of the chain it reaches first.
+    CONFIGS = {"a3": {"c_h": "0.3"}, "tau_true": {"tau_true": "0.2"}}
+    EXPECTED = {
+        ("evaluate", "a3"): 3,
+        ("sweep", "a3"): 3,
+        ("optimize", "a3"): 3,
+        ("simulate", "a3"): 3,
+        ("figures", "a3"): 3,
+        ("check", "a3"): 0,
+        ("check --strict", "a3"): 3,
+        ("evaluate", "tau_true"): 2,
+        ("sweep", "tau_true"): 2,
+        ("optimize", "tau_true"): 2,
+        ("simulate", "tau_true"): 2,
+        ("figures", "tau_true"): 2,
+        ("check", "tau_true"): 0,
+    }
+
+    @pytest.mark.parametrize("command, config", sorted(EXPECTED))
+    def test_exit_code(self, tmp_path, capsys, command, config):
+        path = write_cfg(tmp_path, edited_cfg(**self.CONFIGS[config]))
+        argv = command.split() + ["--config", str(path), "--out", str(tmp_path)]
+        argv += ["--grid", "5", "--pairs", "1000"]
+        assert cli.main(argv) == self.EXPECTED[command, config]
+        err = capsys.readouterr().err
+        assert "numerical failure" not in err
+
+
+class TestTauFlag:
+    def test_check_echoes_and_uses_tau(self, capsys):
+        assert cli.main(["check", "--config", str(PAPER_CFG), "--tau", "0.9"]) == 0
+        at_09 = capsys.readouterr().out
+        assert "tau_hat = 0.9," in at_09
+        assert cli.main(["check", "--config", str(PAPER_CFG)]) == 0
+        at_05 = capsys.readouterr().out
+        assert "tau_hat = 0.5," in at_05
+        a2 = [line for line in at_09.splitlines() if line.startswith("assumption 2")]
+        assert a2 and a2[0] not in at_05
+
+    def test_figures_use_tau(self, tmp_path):
+        comments = {}
+        for tau in ("0.5", "0.9"):
+            out = tmp_path / tau
+            argv = ["figures", "--config", str(PAPER_CFG), "--grid", "5"]
+            assert cli.main(argv + ["--tau", tau, "--out", str(out)]) == 0
+            comments[tau] = [
+                line
+                for n in (1, 3)
+                for line in (out / f"fig{n}.csv").read_text().splitlines()
+                if line.startswith("#")
+            ]
+        s_05, natural_05, policy_05 = comments["0.5"]
+        s_09, natural_09, policy_09 = comments["0.9"]
+        assert s_05 == "# stigma S = 0.5"
+        assert float(s_09.split("=")[1]) == pytest.approx(0.9, abs=1e-12)
+        assert natural_09 == natural_05
+        assert policy_05.startswith("# hot threshold policy")
+        assert policy_09 != policy_05

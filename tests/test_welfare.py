@@ -230,11 +230,29 @@ class TestSweep:
         figure_tables(paper_params, "corrected", len(grid))
         assert len(calls) == len(grid)
 
-    def test_failed_row_identifies_tau(self, paper_params):
-        bad = replace(paper_params, c_h=0.3)
+    def test_failed_row_identifies_tau(self, paper_params, monkeypatch):
+        module = sys.modules["stigmagame.welfare"]
+        original = module.period1_outcome
+
+        def failing(p, gap):
+            if p.tau_hat == 0.25:
+                raise ArithmeticError("injected failure")
+            return original(p, gap)
+
+        monkeypatch.setattr(module, "period1_outcome", failing)
         with pytest.raises(SweepError) as info:
+            sweep(paper_params, [0.0, 0.25, 1.0])
+        assert info.value.tau_hat == 0.25
+        assert isinstance(info.value.__cause__, ArithmeticError)
+
+    @pytest.mark.parametrize(
+        "change, error",
+        [({"c_h": 0.3}, AssumptionViolation), ({"tau_true": 0.2}, ValueError)],
+    )
+    def test_preconditions_fail_before_any_point(self, paper_params, change, error):
+        bad = replace(paper_params, **change)
+        with pytest.raises(error):
             sweep(bad, [0.0, 0.5, 1.0])
-        assert info.value.tau_hat == 0.0
 
 
 class TestOptimize:
