@@ -51,6 +51,7 @@ from .welfare import (
 )
 from .montecarlo import (
     ConvergenceRow,
+    Estimates,
     SimConfig,
     SimResult,
     analytic_targets,

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import ppf_from_knots
+from .distributions import knot_arrays, ppf_from_knots
+from .signaling import PolicyState, rejection_cutoff
 
 __all__ = ["active_backend", "simulate_pairs"]
 
@@ -45,27 +46,22 @@ def simulate_pairs(
     seed: int,
     first_pair: int,
     n_pairs: int,
+    state: PolicyState,
     beta_star: float,
-    stigma: float,
-    cutoff: float,
-    theta_L: float,
-    theta_H: float,
-    v: float,
-    c: float,
-    c_h: float,
-    M: float,
-    u_cost: float,
-    beta_xs: np.ndarray,
-    beta_ps: np.ndarray,
-    y_xs: np.ndarray,
-    y_ps: np.ndarray,
     literal_b: bool,
 ):
     """Per-pair arrays for pairs first_pair .. first_pair + n_pairs - 1.
 
+    state supplies the stigma level S and the parameters: the model
+    scalars, the rejection cutoff and both distributions. beta_star is the
+    hot threshold; literal_b selects the paper_literal welfare of B.
     Returns (w, unsafe, nhot, ntest, ndisc, nlowtest, nuntestrej): pair
     welfare as float64, then uint8 flags and per-pair counts (0-2).
     """
+    p, stigma = state.params, state.S
+    cutoff = rejection_cutoff(p)
+    beta_xs, beta_ps = knot_arrays(p.dist_beta)
+    y_xs, y_ps = knot_arrays(p.dist_y)
     s = np.uint64(seed)
     base = (np.arange(n_pairs, dtype=np.uint64) + np.uint64(first_pair)) * _SIX
     b1 = ppf_from_knots(_unit_array(s, base), beta_xs, beta_ps)
@@ -78,10 +74,10 @@ def simulate_pairs(
     hot1 = b1 < beta_star
     hot2 = b2 < beta_star
     unsafe = (hot1 & hot2) | ((hot1 ^ hot2) & (b1 + b2 < 2.0 * beta_star))
-    theta = np.where(unsafe, theta_H, theta_L)
-    pay1 = np.where(unsafe, M, M - u_cost)
+    theta = np.where(unsafe, p.theta_H, p.theta_L)
+    pay1 = np.where(unsafe, p.M, p.M - p.u)
 
-    net = theta * v - c
+    net = theta * p.v - p.c
     t1 = net - stigma * ya1 > 0.0
     t2 = net - stigma * ya2 > 0.0
     d1 = yb1 < cutoff
@@ -93,8 +89,8 @@ def simulate_pairs(
     t2f = t2.astype(np.float64)
     m1f = m1.astype(np.float64)
     m2f = m2.astype(np.float64)
-    ua1 = pay1 + t1f * net - theta * c_h + m1f * ya1
-    ua2 = pay1 + t2f * net - theta * c_h + m2f * ya2
+    ua1 = pay1 + t1f * net - theta * p.c_h + m1f * ya1
+    ua2 = pay1 + t2f * net - theta * p.c_h + m2f * ya2
     if literal_b:
         ub1 = np.where(d1, t1f, 1.0) * yb1
         ub2 = np.where(d2, t2f, 1.0) * yb2

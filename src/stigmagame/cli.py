@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .distributions import DistributionSpec, piecewise_linear_cdf, uniform
 from .figures import figure_tables, line_chart_svg
-from .montecarlo import ESTIMATES, PairCounts, SimConfig, analytic_targets, simulate
+from .montecarlo import Estimates, PairCounts, SimConfig, analytic_targets, simulate
 from .signaling import (
     AssumptionViolation,
     ModelParams,
@@ -35,6 +35,7 @@ from .welfare import (
     evaluate_point,
     optimize,
     sweep,
+    tau_grid,
 )
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "run", "main", "entry"]
@@ -193,7 +194,7 @@ def _csv_line(values) -> str:
 
 
 def _write_csv(path: Path, header, rows, comments=()) -> None:
-    lines = list(comments)
+    lines = [f"# {label} = {_fmt(value)}" for label, value in comments]
     lines.append(",".join(header))
     lines.extend(_csv_line(row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -216,10 +217,6 @@ def _echo_params(cfg: RunConfig) -> list[str]:
         f"# dist_beta = {_dist_repr(p.dist_beta)}, dist_y = {_dist_repr(p.dist_y)}",
         f"# convention = {cfg.convention}",
     ]
-
-
-def _grid(n: int) -> list[float]:
-    return [i / (n - 1) for i in range(n)]
 
 
 def _cmd_check(cfg: RunConfig, out: Path) -> int:
@@ -253,7 +250,7 @@ def _cmd_evaluate(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path) -> int:
-    rows = sweep(cfg.params, _grid(cfg.grid), cfg.convention)
+    rows = sweep(cfg.params, tau_grid(cfg.grid), cfg.convention)
     path = out / "sweep.csv"
     _write_csv(path, SWEEP_HEADER, rows)
     print(f"wrote {path} ({len(rows)} rows)")
@@ -273,7 +270,7 @@ def _cmd_optimize(cfg: RunConfig, out: Path) -> int:
 
 _SIM_HEADER = (
     ("tau_hat", "n_pairs", "seed")
-    + tuple(f"{n}_{col}" for n in ESTIMATES for col in ("hat", "se", "analytic"))
+    + tuple(f"{n}_{c}" for n in Estimates._fields for c in ("hat", "se", "analytic"))
     + tuple(f.name for f in fields(PairCounts))
 )
 
@@ -285,13 +282,11 @@ def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
         n_pairs=cfg.n_pairs, seed=cfg.seed, tau_hat=tau, convention=cfg.convention
     )
     res = simulate(cfg.params, sim_cfg)
-    estimates = [
-        (getattr(res, f"{n}_hat"), getattr(res.stderr, n), tgt[n]) for n in ESTIMATES
-    ]
+    estimates = list(zip(res.hat, res.stderr, tgt))
     row = (tau, res.n_pairs, cfg.seed) + sum(estimates, ()) + astuple(res.counts)
     path = out / "sim.csv"
     _write_csv(path, _SIM_HEADER, [row])
-    for name, (est, se, target) in zip(ESTIMATES, estimates):
+    for name, (est, se, target) in zip(Estimates._fields, estimates):
         print(f"{name}: {_fmt(est)} +/- {_fmt(se)}  (analytic {_fmt(target)})")
     print(f"wrote {path}")
     return EXIT_OK

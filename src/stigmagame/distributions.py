@@ -73,8 +73,11 @@ class DistributionSpec:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if len(xs) != len(ps) or len(xs) < 2:
             raise ValueError("need at least two (x, p) knots")
-        if any(not math.isfinite(x) for x in xs):
-            raise ValueError("knot positions must be finite")
+        # partial_expectation squares the knots
+        if any(not math.isfinite(x * x) for x in xs):
+            raise ValueError(
+                "knot positions must be finite with finite squares (|x| <= 1.34e154)"
+            )
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("knot positions must be strictly increasing")
         if any(not 0.0 <= p <= 1.0 for p in ps):

@@ -14,7 +14,7 @@ from .coordination import hot_threshold
 from .signaling import ModelParams, pointwise_continuation, policy_state
 # unused here; perfbench/tracer.py patches these names, so they must still resolve
 from .signaling import continuation_values, stigma_level  # noqa: F401
-from .welfare import SweepRow, _require_preconditions, _sweep_points
+from .welfare import SweepRow, _require_preconditions, _sweep_points, tau_grid
 from .welfare import sweep  # noqa: F401  perfbench/tracer.py spans figures.sweep
 
 __all__ = ["FigureTable", "figure_tables", "line_chart_svg"]
@@ -25,8 +25,10 @@ _CURVE_POINTS = 201
 
 @dataclass(frozen=True)
 class FigureTable:
+    """comments are (label, value) pairs, written as `# label = value`."""
+
     name: str
-    comments: tuple[str, ...]
+    comments: tuple[tuple[str, float | str], ...]
     header: tuple[str, ...]
     rows: list[tuple[float, ...]]
 
@@ -54,7 +56,7 @@ def figure_tables(
 
     fig1 = FigureTable(
         name="fig1",
-        comments=(f"# stigma S = {now.S!r}",),
+        comments=(("stigma S", now.S),),
         header=("y", "V_L", "V_H"),
         rows=[
             (
@@ -90,8 +92,8 @@ def figure_tables(
     fig3 = FigureTable(
         name="fig3",
         comments=(
-            f"# hot threshold natural = {bstar_natural!r}",
-            f"# hot threshold policy  = {bstar_policy!r}",
+            ("hot threshold natural", bstar_natural),
+            ("hot threshold policy ", bstar_policy),
         ),
         header=("beta_1", "unsafe_boundary_natural", "unsafe_boundary_policy"),
         rows=[
@@ -100,8 +102,7 @@ def figure_tables(
         ],
     )
 
-    grid = [i / (grid_points - 1) for i in range(grid_points)]
-    points = _sweep_points(params, grid, convention)
+    points = _sweep_points(params, tau_grid(grid_points), convention)
     fig4 = FigureTable(
         name="fig4",
         comments=(),
@@ -123,7 +124,7 @@ def figure_tables(
     means = [sum(row[k] for row in groups) / n for k in range(1, 5)]
     fig5 = FigureTable(
         name="fig5",
-        comments=(f"# convention = {convention}",),
+        comments=(("convention", convention),),
         header=(
             "tau_hat",
             "welfare_high_demeaned",

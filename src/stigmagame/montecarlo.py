@@ -23,12 +23,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
 from .coordination import hot_threshold
-from .distributions import knot_arrays
 from .signaling import ModelParams, policy_state
 # unused here; perfbench/tracer.py patches these names, so they must still resolve
 from .coordination import period1_outcome  # noqa: F401
@@ -39,18 +39,14 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "PairCounts",
-    "StatErrors",
+    "Estimates",
     "ConvergenceRow",
-    "ESTIMATES",
     "simulate",
     "convergence_report",
     "analytic_targets",
 ]
 
 CHUNK = 2**16  # pairs per kernel call; bounds the per-pair arrays held at once
-# the estimated quantities, in report order: SimResult.<name>_hat,
-# StatErrors.<name> and the SweepRow field of the analytic target
-ESTIMATES = ("r", "R", "R_H", "S", "W")
 
 
 @dataclass(frozen=True)
@@ -79,8 +75,10 @@ class PairCounts:
     hot_cold_safe: int
 
 
-@dataclass(frozen=True)
-class StatErrors:
+class Estimates(NamedTuple):
+    """One value per estimated quantity, in report order; each name is also
+    the SweepRow field that holds its analytic target."""
+
     r: float
     R: float
     R_H: float
@@ -90,7 +88,8 @@ class StatErrors:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Empirical rates and welfare with standard errors and pair taxonomy.
+    """Empirical rates and welfare (hat) with standard errors (stderr) and
+    pair taxonomy.
 
     Rate standard errors are binomial over their sampling unit (pairs for
     r, B players for S, high-risk players for R_H); R and W use the
@@ -99,12 +98,8 @@ class SimResult:
     """
 
     n_pairs: int
-    r_hat: float
-    R_hat: float
-    R_H_hat: float
-    S_hat: float
-    W_hat: float
-    stderr: StatErrors
+    hat: Estimates
+    stderr: Estimates
     counts: PairCounts
     low_risk_tests: int
     untested_rejections: int
@@ -123,28 +118,8 @@ def _binom_se(p: float, n: int) -> float:
 def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     """Run one finite-population replication and reduce it to a SimResult."""
     state = policy_state(params, config.tau_hat)
-    p, s = state.params, state.S
-    beta_star = hot_threshold(p.u, state.gap)
-    cutoff = p.tau_hat * p.theta_H * p.z
-    beta_xs, beta_ps = knot_arrays(p.dist_beta)
-    y_xs, y_ps = knot_arrays(p.dist_y)
-    model = (
-        beta_star,
-        s,
-        cutoff,
-        p.theta_L,
-        p.theta_H,
-        p.v,
-        p.c,
-        p.c_h,
-        p.M,
-        p.u,
-        beta_xs,
-        beta_ps,
-        y_xs,
-        y_ps,
-        config.convention == "paper_literal",
-    )
+    beta_star = hot_threshold(state.params.u, state.gap)
+    literal_b = config.convention == "paper_literal"
 
     n = config.n_pairs
     tally = Counter()
@@ -153,7 +128,7 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     for first in range(0, n, CHUNK):
         m = min(CHUNK, n - first)
         w, unsafe, nhot, ntest, ndisc, nlow, nrej = _kernels.simulate_pairs(
-            config.seed, first, m, *model
+            config.seed, first, m, state, beta_star, literal_b
         )
         unsafe_b = unsafe.astype(bool)
         mixed = nhot == 1
@@ -200,21 +175,16 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
         se_w = math.sqrt(w_m2 / (n - 1)) / math.sqrt(n)
     else:
         se_r_pop = se_w = math.nan
-    errors = StatErrors(
-        r=_binom_se(r_hat, n),
-        R=se_r_pop,
-        R_H=_binom_se(r_h_hat, n_high_agents) if n_high_agents else math.nan,
-        S=_binom_se(s_hat, agents),
-        W=se_w,
-    )
     return SimResult(
         n_pairs=n,
-        r_hat=r_hat,
-        R_hat=r_pop_hat,
-        R_H_hat=r_h_hat,
-        S_hat=s_hat,
-        W_hat=w_hat,
-        stderr=errors,
+        hat=Estimates(r_hat, r_pop_hat, r_h_hat, s_hat, w_hat),
+        stderr=Estimates(
+            r=_binom_se(r_hat, n),
+            R=se_r_pop,
+            R_H=_binom_se(r_h_hat, n_high_agents),
+            S=_binom_se(s_hat, agents),
+            W=se_w,
+        ),
         counts=PairCounts(
             hot_hot=tally["hot_hot"],
             cold_cold=tally["cold_cold"],
@@ -228,19 +198,19 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
 
 def analytic_targets(
     params: ModelParams, tau_hat: float, convention: str = "corrected"
-) -> dict[str, float]:
-    """Model-chain values the simulation estimates: r, R, R_H, S, W."""
+) -> Estimates:
+    """Model-chain values the simulation estimates."""
     row = evaluate_point(params, tau_hat, convention)
-    return {name: getattr(row, name) for name in ESTIMATES}
+    return Estimates(row.r, row.R, row.R_H, row.S, row.W)
 
 
 @dataclass(frozen=True)
 class ConvergenceRow:
     n_pairs: int
-    estimates: dict[str, float]
-    stderrs: dict[str, float]
-    gaps: dict[str, float]
-    targets: dict[str, float]
+    estimates: Estimates
+    stderrs: Estimates
+    gaps: Estimates
+    targets: Estimates
 
 
 def convergence_report(
@@ -258,12 +228,6 @@ def convergence_report(
     rows = []
     for size in sizes:
         res = simulate(params, replace(config, n_pairs=size))
-        est = {name: getattr(res, f"{name}_hat") for name in ESTIMATES}
-        ses = {name: getattr(res.stderr, name) for name in ESTIMATES}
-        gaps = {k: abs(est[k] - targets[k]) for k in est}
-        rows.append(
-            ConvergenceRow(
-                n_pairs=size, estimates=est, stderrs=ses, gaps=gaps, targets=targets
-            )
-        )
+        gaps = Estimates(*(abs(e - t) for e, t in zip(res.hat, targets)))
+        rows.append(ConvergenceRow(size, res.hat, res.stderr, gaps, targets))
     return rows

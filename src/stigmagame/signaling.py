@@ -24,6 +24,7 @@ __all__ = [
     "PolicyState",
     "Period2Outcome",
     "AssumptionReport",
+    "rejection_cutoff",
     "stigma_level",
     "testing_threshold",
     "testing_rates",
@@ -135,9 +136,14 @@ class AssumptionReport:
     h_bar: float
 
 
+def rejection_cutoff(params: ModelParams) -> float:
+    """tau_hat*theta_H*z: B rejects a tested partner below this valuation."""
+    return params.tau_hat * params.theta_H * params.z
+
+
 def stigma_level(params: ModelParams) -> float:
     """Mass of B players who reject a tested partner: G(tau_hat*theta_H*z)."""
-    return cdf(params.dist_y, params.tau_hat * params.theta_H * params.z)
+    return cdf(params.dist_y, rejection_cutoff(params))
 
 
 def testing_threshold(params: ModelParams, S: float) -> float:
@@ -171,7 +177,7 @@ def best_response_interact(t_a: int, y_b: float, params: ModelParams) -> int:
     """
     if t_a == 0:
         return 1
-    return 1 if y_b >= params.tau_hat * params.theta_H * params.z else 0
+    return 1 if y_b >= rejection_cutoff(params) else 0
 
 
 def continuation_values(params: ModelParams, S: float) -> tuple[float, float, float]:

@@ -28,6 +28,7 @@ from .signaling import (
     ModelParams,
     assumption3_margin,
     policy_state,
+    rejection_cutoff,
     testing_rates,
 )
 # unused here; perfbench/tracer.py patches these names, so they must still resolve
@@ -48,6 +49,7 @@ __all__ = [
     "present_bias_loss",
     "decomposition",
     "sweep",
+    "tau_grid",
     "optimize",
 ]
 
@@ -199,8 +201,7 @@ def _welfare_from_chain(chain: _Chain, convention: str) -> WelfareReport:
     p, r, r_pop = chain.params, chain.p1.r, chain.R
     w_high = r * (p.M + chain.EV_H)
     w_low = (1.0 - r) * (p.M - p.u + chain.EV_L)
-    cutoff = p.tau_hat * p.theta_H * p.z
-    pe = partial_expectation(p.dist_y, cutoff)
+    pe = partial_expectation(p.dist_y, rejection_cutoff(p))
     mu = mean(p.dist_y)
     if convention == "corrected":
         w_disc = (1.0 - r_pop) * pe
@@ -268,10 +269,9 @@ def decomposition(params: ModelParams, tau_hat: float) -> PolicyDecomposition:
     chain_0 = _chain(params, 0.0)
     chain_1 = _chain(params, tau_hat)
     p = chain_1.params
-    cutoff = tau_hat * p.theta_H * p.z
     deterrence = (chain_0.p1.r - chain_1.p1.r) * (chain_0.EV_L - chain_1.EV_H)
     suppression = chain_1.p1.r * (chain_1.EV_H - chain_0.EV_H)
-    b_loss = -chain_1.R * partial_expectation(p.dist_y, cutoff)
+    b_loss = -chain_1.R * partial_expectation(p.dist_y, rejection_cutoff(p))
     paper_sum = deterrence + suppression + b_loss
     exact = (
         _welfare_from_chain(chain_1, "corrected").W
@@ -341,6 +341,11 @@ def _sweep_points(
     return points
 
 
+def tau_grid(n: int) -> list[float]:
+    """n evenly spaced policy values from 0 to 1 inclusive."""
+    return [i / (n - 1) for i in range(n)]
+
+
 def sweep(
     params: ModelParams, grid, convention: str = "corrected"
 ) -> list[SweepRow]:
@@ -381,7 +386,7 @@ def optimize(
         return w
 
     n = grid_points
-    taus = [i / (n - 1) for i in range(n)]
+    taus = tau_grid(n)
     values = []
     for t in taus:
         w = objective(t)

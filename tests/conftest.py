@@ -1,13 +1,25 @@
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from stigmagame import ModelParams, piecewise_linear_cdf, uniform
 from stigmagame.distributions import cdf, density, integrate
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PAPER_CFG = REPO_ROOT / "paper.cfg"
+
+
+def pytest_configure(config):
+    # hypothesis caches the constants it finds in the package under its home
+    # directory (default ./.hypothesis) at collection, even without an example
+    # database; give it a temporary one
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(home)
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
 
 
 @pytest.fixture(scope="session")

@@ -116,13 +116,9 @@ def test_criterion_4_simulation_oracle_agreement():
     for tau in (0.0, 0.25, 0.5, 0.75, 1.0):
         res = simulate(params, SimConfig(n_pairs=500_000, seed=SEED, tau_hat=tau))
         tgt = analytic_targets(params, tau)
-        for key, est, se in (
-            ("r", res.r_hat, res.stderr.r),
-            ("R", res.R_hat, res.stderr.R),
-            ("R_H", res.R_H_hat, res.stderr.R_H),
-            ("W", res.W_hat, res.stderr.W),
-        ):
-            gap = abs(est - tgt[key])
+        for key in ("r", "R", "R_H", "W"):
+            est, se, target = (getattr(e, key) for e in (res.hat, res.stderr, tgt))
+            gap = abs(est - target)
             ok = ok and gap <= 3.0 * se + 1e-12
             if se > 0:
                 worst = max(worst, gap / se)

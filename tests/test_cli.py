@@ -131,6 +131,15 @@ class TestExitCodes:
         assert time.perf_counter() - t0 < 1.0
         assert "knot probabilities" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    @pytest.mark.parametrize("dist", ["uniform(0,1e160)", "uniform(-1e160,2)"])
+    def test_overflowing_support_exits_2(self, tmp_path, capsys, command, dist):
+        path = write_cfg(tmp_path, edited_cfg(dist_y=dist))
+        rc = cli.main([command, "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "finite squares" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_bad_flag_values(self, tmp_path):
         args = ["sweep", "--config", str(PAPER_CFG), "--out", str(tmp_path)]
         assert cli.main(args + ["--grid", "1"]) == 2
@@ -406,7 +415,8 @@ class TestTauFlag:
         s_05, natural_05, policy_05 = comments["0.5"]
         s_09, natural_09, policy_09 = comments["0.9"]
         assert s_05 == "# stigma S = 0.5"
-        assert float(s_09.split("=")[1]) == pytest.approx(0.9, abs=1e-12)
-        assert natural_09 == natural_05
-        assert policy_05.startswith("# hot threshold policy")
-        assert policy_09 != policy_05
+        # comment values use the 12-digit CSV format: S is 0.9000000000000001
+        assert s_09 == "# stigma S = 0.9"
+        assert natural_09 == natural_05 == "# hot threshold natural = 0.285714285714"
+        assert policy_05 == "# hot threshold policy  = 0.175824175824"
+        assert policy_09 == "# hot threshold policy  = 0.171632896305"

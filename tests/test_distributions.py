@@ -57,6 +57,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             piecewise_linear_cdf(knots)
 
+    def test_knot_squares_must_be_finite(self):
+        # partial_expectation squares the knots; 1e160**2 overflows to inf
+        for lo, hi in ((0.0, 1e160), (-1e160, 2.0), (0.0, 1.35e154)):
+            with pytest.raises(ValueError, match="finite squares"):
+                uniform(lo, hi)
+        with pytest.raises(ValueError, match="finite squares"):
+            piecewise_linear_cdf([(0.0, 0.0), (1.0, 0.5), (1e160, 1.0)])
+        spec = uniform(-1.34e154, 1.34e154)
+        assert math.isfinite(partial_expectation(spec, spec.support_hi))
+
 
 class TestCdf:
     def test_uniform_linear(self):

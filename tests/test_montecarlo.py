@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stigmagame import (
+    Estimates,
     SimConfig,
     analytic_targets,
     convergence_report,
@@ -14,29 +15,6 @@ from stigmagame import (
 )
 from stigmagame import _kernels
 from stigmagame.montecarlo import CHUNK, PairCounts
-
-STATS = ("r", "R", "R_H", "S", "W")
-
-
-def result_stats(res):
-    return {
-        "r": res.r_hat,
-        "R": res.R_hat,
-        "R_H": res.R_H_hat,
-        "S": res.S_hat,
-        "W": res.W_hat,
-    }
-
-
-def result_errors(res):
-    return {
-        "r": res.stderr.r,
-        "R": res.stderr.R,
-        "R_H": res.stderr.R_H,
-        "S": res.stderr.S,
-        "W": res.stderr.W,
-    }
-
 
 class TestConfigValidation:
     def test_zero_pairs_rejected(self):
@@ -60,7 +38,7 @@ class TestDeterminism:
     def test_seed_changes_results(self, paper_params):
         a = simulate(paper_params, SimConfig(n_pairs=50_000, seed=1, tau_hat=0.5))
         b = simulate(paper_params, SimConfig(n_pairs=50_000, seed=2, tau_hat=0.5))
-        assert a.W_hat != b.W_hat
+        assert a.hat.W != b.hat.W
 
 
 def run_recording_kernel(monkeypatch, params, cfg):
@@ -92,13 +70,15 @@ def whole_array_stats(w, unsafe, nhot, ntest, ndisc, nlow, nrej):
             hot_cold_unsafe=int(np.sum(mixed & unsafe_b)),
             hot_cold_safe=int(np.sum(mixed & ~unsafe_b)),
         ),
-        "r_hat": int(np.sum(unsafe_b)) / n,
-        "R_hat": tests / (2 * n),
-        "R_H_hat": (tests - low) / (2 * int(np.sum(unsafe_b))),
-        "S_hat": int(np.sum(ndisc)) / (2 * n),
+        "hat": Estimates(
+            r=int(np.sum(unsafe_b)) / n,
+            R=tests / (2 * n),
+            R_H=(tests - low) / (2 * int(np.sum(unsafe_b))),
+            S=int(np.sum(ndisc)) / (2 * n),
+            W=float(np.sum(w)) / n,
+        ),
         "low_risk_tests": low,
         "untested_rejections": int(np.sum(nrej)),
-        "W_hat": float(np.sum(w)) / n,
         "se_W": float(np.std(w, ddof=1)) / math.sqrt(n),
         "se_R": float(np.std(ntest * 0.5, ddof=1)) / math.sqrt(n),
     }
@@ -118,11 +98,11 @@ class TestStreaming:
         ref = whole_array_stats(*_kernels.simulate_pairs(seed, 0, n, *model))
         assert res.counts == ref["counts"]
         assert {type(c) for c in vars(res.counts).values()} == {int}
-        for key in (
-            "r_hat", "R_hat", "R_H_hat", "S_hat", "low_risk_tests", "untested_rejections"
-        ):
+        for key in ("r", "R", "R_H", "S"):
+            assert getattr(res.hat, key) == getattr(ref["hat"], key), key
+        for key in ("low_risk_tests", "untested_rejections"):
             assert getattr(res, key) == ref[key], key
-        assert res.W_hat == pytest.approx(ref["W_hat"], rel=1e-12, abs=0.0)
+        assert res.hat.W == pytest.approx(ref["hat"].W, rel=1e-12, abs=0.0)
         assert res.stderr.W == pytest.approx(ref["se_W"], rel=1e-12, abs=0.0)
         assert res.stderr.R == pytest.approx(ref["se_R"], rel=1e-12, abs=0.0)
 
@@ -158,20 +138,19 @@ class TestAgainstAnalyticChain:
             cfg = SimConfig(n_pairs=100_000, seed=20240810, tau_hat=tau)
             res = simulate(paper_params, cfg)
             targets = analytic_targets(paper_params, tau)
-            stats = result_stats(res)
-            errors = result_errors(res)
             for key in ("r", "R", "R_H", "W"):
-                assert abs(stats[key] - targets[key]) <= 3.0 * errors[key] + 1e-12, key
+                gap = abs(getattr(res.hat, key) - getattr(targets, key))
+                assert gap <= 3.0 * getattr(res.stderr, key) + 1e-12, key
 
     def test_zero_policy_exact_acceptance(self, paper_params):
         res = simulate(paper_params, SimConfig(n_pairs=20_000, seed=3, tau_hat=0.0))
-        assert res.S_hat == 0.0
+        assert res.hat.S == 0.0
         assert res.untested_rejections == 0
-        assert res.R_H_hat == 1.0  # every high-risk player tests when S = 0
+        assert res.hat.R_H == 1.0  # every high-risk player tests when S = 0
 
     def test_full_policy_full_stigma(self, paper_params):
         res = simulate(paper_params, SimConfig(n_pairs=20_000, seed=3, tau_hat=1.0))
-        assert res.S_hat == 1.0
+        assert res.hat.S == 1.0
 
     def test_low_risk_players_never_test(self, paper_params):
         for seed in (1, 7, 42):
@@ -192,7 +171,7 @@ class TestAgainstAnalyticChain:
             replace(paper_params, u=1.0),
             SimConfig(n_pairs=20_000, seed=9, tau_hat=0.5),
         )
-        assert res.r_hat == 1.0
+        assert res.hat.r == 1.0
         assert res.counts.hot_hot == 20_000
 
     def test_count_identity(self, paper_params):
@@ -200,7 +179,7 @@ class TestAgainstAnalyticChain:
         c = res.counts
         n = res.n_pairs
         assert c.hot_hot + c.cold_cold + c.hot_cold_unsafe + c.hot_cold_safe == n
-        assert res.r_hat == (2 * c.hot_hot + 2 * c.hot_cold_unsafe) / (2 * n)
+        assert res.hat.r == (2 * c.hot_hot + 2 * c.hot_cold_unsafe) / (2 * n)
 
     def test_literal_convention_shifts_b_payoffs(self, paper_params):
         cfg_c = SimConfig(n_pairs=50_000, seed=4, tau_hat=0.5, convention="corrected")
@@ -211,28 +190,29 @@ class TestAgainstAnalyticChain:
         res_l = simulate(paper_params, cfg_l)
         tgt_c = analytic_targets(paper_params, 0.5, "corrected")
         tgt_l = analytic_targets(paper_params, 0.5, "paper_literal")
-        assert abs(res_c.W_hat - tgt_c["W"]) <= 3.0 * res_c.stderr.W
-        assert abs(res_l.W_hat - tgt_l["W"]) <= 3.0 * res_l.stderr.W
-        assert res_c.W_hat > res_l.W_hat  # corrected credits non-rejected meetings
+        assert abs(res_c.hat.W - tgt_c.W) <= 3.0 * res_c.stderr.W
+        assert abs(res_l.hat.W - tgt_l.W) <= 3.0 * res_l.stderr.W
+        assert res_c.hat.W > res_l.hat.W  # corrected credits non-rejected meetings
 
 
 class TestTargets:
     def test_targets_match_sweep_row(self, paper_params):
         row = evaluate_point(paper_params, 0.5)
         tgt = analytic_targets(paper_params, 0.5)
-        assert tgt == {"r": row.r, "R": row.R, "R_H": row.R_H, "S": row.S, "W": row.W}
+        want = {"r": row.r, "R": row.R, "R_H": row.R_H, "S": row.S, "W": row.W}
+        assert tgt._asdict() == want
 
 
 class TestConvergence:
     def test_errors_shrink_and_targets_fixed(self, paper_params):
         cfg = SimConfig(n_pairs=1, seed=20240810, tau_hat=0.5)
         rows = convergence_report(paper_params, cfg, [1_000, 10_000, 100_000])
-        ses = [row.stderrs["r"] for row in rows]
+        ses = [row.stderrs.r for row in rows]
         assert ses[0] > ses[1] > ses[2]
         for row in rows:
             assert row.targets == rows[0].targets
             for key in ("r", "R", "W"):
-                assert row.gaps[key] <= 4.0 * row.stderrs[key]
+                assert getattr(row.gaps, key) <= 4.0 * getattr(row.stderrs, key)
 
     def test_batch_sizes_must_increase(self, paper_params):
         cfg = SimConfig(n_pairs=1, seed=1, tau_hat=0.5)
@@ -246,6 +226,6 @@ class TestConvergence:
         for seed in range(n_seeds):
             cfg = SimConfig(n_pairs=1, seed=seed, tau_hat=0.5)
             rows = convergence_report(paper_params, cfg, [1_000, 100_000])
-            if rows[1].gaps["W"] <= rows[0].gaps["W"]:
+            if rows[1].gaps.W <= rows[0].gaps.W:
                 closer += 1
         assert closer >= 0.9 * n_seeds

@@ -1,0 +1,187 @@
+"""Property tests: generated distributions, parameters and config files.
+
+Hypothesis runs derandomized and without an example database, so each run
+draws the same examples; conftest.py moves its cache out of the working tree.
+"""
+
+import contextlib
+import io
+import math
+import tempfile
+import time
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from stigmagame import ModelParams, evaluate_point, piecewise_linear_cdf, uniform
+from stigmagame import cli
+from stigmagame.coordination import high_risk_fraction
+
+from conftest import PAPER_CFG, quadrature_r
+
+PROPERTY = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+@st.composite
+def piecewise_specs(draw, lo=0.0, hi=1.0, max_knots=9):
+    """Piecewise-linear CDF on a sub-interval of [lo, hi]: 2..max_knots
+    knots at least 1e-4 of the range apart, some segments without mass."""
+    n = draw(st.integers(2, max_knots))
+    steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n + 1, max_size=n + 1))
+    mass = st.just(0.0) | st.floats(1e-3, 1.0)
+    masses = draw(st.lists(mass, min_size=n - 1, max_size=n - 1))
+    k = draw(st.integers(0, n - 2))
+    masses[k] += 0.5
+    scale = (hi - lo) / sum(steps)
+    xs = [lo + scale * steps[0]]
+    for step in steps[1:n]:
+        xs.append(xs[-1] + scale * step)
+    ps = [0.0]
+    total = sum(masses)
+    for m in masses[:-1]:
+        ps.append(min(ps[-1] + m / total, 1.0))
+    ps.append(1.0)
+    return piecewise_linear_cdf(list(zip(xs, ps)))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(spec=piecewise_specs(), beta_star=st.floats(0.0, 1.2))
+def test_closed_form_r_matches_quadrature(spec, beta_star):
+    r = high_risk_fraction(spec, beta_star)
+    assert abs(r - quadrature_r(spec, beta_star)) <= 1e-12
+
+
+@st.composite
+def valid_params(draw):
+    """Parameters that satisfy assumptions 1 and 3 by construction, with a
+    uniform or piecewise present-bias and valuation distribution."""
+    theta_L = draw(st.floats(0.05, 0.45))
+    theta_H = draw(st.floats(theta_L + 0.1, 0.95))
+    v = draw(st.floats(0.5, 2.0))
+    lo, hi = theta_L * v, theta_H * v
+    c = draw(st.floats(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo)))
+    net = theta_H * v - c
+    c_h = net / (theta_H - theta_L) * draw(st.floats(1.05, 3.0))
+    y_hi = draw(st.floats(0.5, 3.0))
+    return ModelParams(
+        theta_L=theta_L,
+        theta_H=theta_H,
+        v=v,
+        c=c,
+        c_h=c_h,
+        z=draw(st.floats(0.5, 4.0)),
+        u=draw(st.floats(0.0, 0.5)),
+        dist_beta=draw(st.just(uniform(0.0, 1.0)) | piecewise_specs()),
+        dist_y=draw(st.just(uniform(0.0, y_hi)) | piecewise_specs(0.0, y_hi)),
+        tau_hat=0.0,
+        M=draw(st.floats(0.0, 2.0)),
+    )
+
+
+@settings(PROPERTY, max_examples=100)
+@given(params=valid_params(), taus=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_chain_is_monotone_in_tau(params, taus):
+    lo, hi = (evaluate_point(params, t) for t in sorted(taus))
+    assert hi.S >= lo.S - 1e-12
+    assert hi.gap >= lo.gap - 1e-12
+    for name in ("r", "R_H", "R"):
+        assert getattr(hi, name) <= getattr(lo, name) + 1e-12, name
+
+
+def _config_lines():
+    lines = {}
+    for line in PAPER_CFG.read_text(encoding="utf-8").splitlines():
+        text = line.split("#", 1)[0]
+        if "=" in text:
+            key, value = (part.strip() for part in text.split("=", 1))
+            lines[key] = value
+    return lines
+
+
+PAPER_LINES = _config_lines()
+COMMANDS = ("check", "evaluate", "sweep", "optimize", "simulate", "figures")
+SCALARS = ("theta_L", "theta_H", "v", "c", "c_h", "z", "u", "M", "tau_hat", "tau_true")
+REMOVE = object()
+
+plausible = st.floats(0.0, 3.0)
+number = plausible | st.floats(allow_nan=True, allow_infinity=True)
+junk = st.sampled_from(["", "fast", "1e999", "-inf", "nan", "0x10", "1,2"])
+knot_rows = st.lists(
+    st.tuples(number, number).map(lambda xp: f"{xp[0]!r},{xp[1]!r}") | junk, max_size=6
+)
+dist_text = st.one_of(
+    piecewise_specs(0.0, 2.0).map(
+        lambda d: ["x,p"] + [f"{x!r},{p!r}" for x, p in zip(d.knots_x, d.knots_p)]
+    ),
+    st.tuples(plausible, plausible).map(lambda ab: f"uniform({min(ab)!r},{max(ab)!r})"),
+    st.tuples(number, number).map(lambda ab: f"uniform({ab[0]!r},{ab[1]!r})"),
+    knot_rows,
+    st.sampled_from(["uniform(0)", "normal(0,1)", "piecewise:nope.csv", "uniform(1,1)"]),
+)
+
+
+def scalar_text(key):
+    """The paper value scaled by 0.5-1.5 (mostly still valid), any float, junk
+    or a missing key."""
+    base = float(PAPER_LINES.get(key, "1" if key == "M" else "0"))
+    near = st.floats(0.5, 1.5).map(lambda f: repr(base * f))
+    # repeated branches weight the draw towards configs that reach the chain
+    return st.one_of(near, near, near, number.map(repr), junk, st.just(REMOVE))
+
+
+overrides = st.lists(
+    st.sampled_from(SCALARS).flatmap(lambda k: st.tuples(st.just(k), scalar_text(k))),
+    max_size=2,
+)
+tau_flag = st.none() | st.floats(0.0, 1.0) | st.floats(-0.5, 1.5)
+
+
+@settings(PROPERTY, max_examples=250)
+@given(
+    command=st.sampled_from(COMMANDS),
+    edits=overrides,
+    dists=st.dictionaries(st.sampled_from(["dist_beta", "dist_y"]), dist_text),
+    convention=st.sampled_from(["corrected", "paper_literal"] * 2 + ["paper"]),
+    extra=st.sampled_from([""] * 6 + ["gamma = 1", "theta_L = 0.2", "no equals sign"]),
+    tau=tau_flag,
+    strict=st.booleans(),
+)
+def test_config_fuzz_exits_with_a_documented_code(
+    command, edits, dists, convention, extra, tau, strict
+):
+    """Every generated config ends within 1 s in exit 0, 2, 3 or 4, and a
+    successful evaluate prints only finite numbers."""
+    lines = dict(PAPER_LINES, convention=convention)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for key, value in edits + list(dists.items()):
+            if value is REMOVE:
+                lines.pop(key, None)
+            elif isinstance(value, list):  # rows of a knot file
+                (tmp / f"{key}.csv").write_text("\n".join(value) + "\n")
+                lines[key] = f"piecewise:{key}.csv"
+            else:
+                lines[key] = value
+        text = "\n".join(f"{k} = {v}" for k, v in lines.items()) + f"\n{extra}\n"
+        (tmp / "fuzz.cfg").write_text(text)
+        argv = [command, "--config", str(tmp / "fuzz.cfg"), "--out", str(tmp)]
+        argv += ["--grid", "5", "--pairs", "2000"]
+        argv += [] if tau is None else [f"--tau={tau!r}"]
+        argv += ["--strict"] if strict else []
+        out, err = io.StringIO(), io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        elapsed = time.perf_counter() - t0
+    assert rc in (0, 2, 3, 4), (rc, err.getvalue())
+    assert elapsed < 1.0
+    if command == "evaluate" and rc == 0:
+        printed = out.getvalue()
+        assert "nan" not in printed and "inf" not in printed, printed
+        row = printed.splitlines()[-1].split(",")
+        assert all(math.isfinite(float(x)) for x in row)

@@ -2,13 +2,19 @@
 
 perfbench/tracer.py looks each name up in its stigmagame module at install
 time, so a refactor that drops or renames one breaks `perfbench/run.py
---trace 1`. This test loads the tracer by file path and checks every name
-it patches still resolves to a callable.
+--trace 1`. These tests load the tracer by file path: one checks that every
+name it patches still resolves to a callable, the other that its kernel hook
+still reads the pair count and the output arrays of a real simulation.
 """
 
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
+
+import stigmagame
+from stigmagame import SimConfig, simulate
+from stigmagame.montecarlo import CHUNK
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -33,3 +39,21 @@ def test_every_traced_name_resolves():
         )
     ]
     assert missing == []
+
+
+def test_tracer_counts_kernel_pairs_and_bytes(paper_params):
+    # the tracer's kernel hook reads args[2] as the pair count and sums each
+    # returned array's nbytes: 8 for the float64 welfare, 1 per uint8 array
+    for info in pkgutil.iter_modules(stigmagame.__path__):
+        importlib.import_module(f"stigmagame.{info.name}")
+    tracer = _load_tracer().Tracer()
+    n = CHUNK + 7
+    try:
+        tracer.install()
+        simulate(paper_params, SimConfig(n_pairs=n, seed=5, tau_hat=0.5))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["kernels.pairs"] == n
+    assert tracer.counts["kernels.out_bytes"] == 14 * n
+    assert tracer.counts["distributions.ppf_values"] == 6 * n
+    assert tracer.counts["kernels.simulate_pairs"] == 2
