@@ -9,7 +9,6 @@ from .distributions import (
     mean,
     partial_expectation,
     piecewise_linear_cdf,
-    sample,
     uniform,
 )
 from .signaling import (

@@ -1,5 +1,9 @@
 """The pair-simulation kernel: one vectorized numpy body, no reductions.
 
+This is the only module that imports numpy, and it holds the inverse CDF
+the kernel samples through. montecarlo.simulate imports it on first use,
+so the analytic chain and the other commands never load numpy.
+
 Draws come from a counter-based RNG (splitmix64 output function keyed on
 (seed, global draw counter)). Pair i consumes counters 6i..6i+5 for
 (beta_1, beta_2, y_a1, y_a2, y_b1, y_b2), so a pair's outputs depend only
@@ -11,10 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import knot_arrays, ppf_from_knots
+from .distributions import DistributionSpec
 from .signaling import PolicyState, rejection_cutoff
 
-__all__ = ["active_backend", "simulate_pairs"]
+__all__ = ["active_backend", "knot_arrays", "ppf_from_knots", "simulate_pairs"]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -31,6 +35,32 @@ _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 def active_backend() -> str:
     # perfbench/run.py writes this into its run record
     return "numpy"
+
+
+def knot_arrays(spec: DistributionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """CDF knots as float64 arrays for vectorized inverse sampling."""
+    return (
+        np.asarray(spec.knots_x, dtype=np.float64),
+        np.asarray(spec.knots_p, dtype=np.float64),
+    )
+
+
+def ppf_from_knots(u, xs: np.ndarray, ps: np.ndarray):
+    """Inverse CDF for u in [0, 1) given knot arrays. Vectorized.
+
+    Two knots with a rising CDF (every uniform) take the general formula
+    with k = 0 directly, skipping the search; the results are bit-identical.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if len(ps) == 2 and ps[1] - ps[0] > 0.0:
+        return xs[0] + (u - ps[0]) * (xs[1] - xs[0]) / (ps[1] - ps[0])
+    k = np.searchsorted(ps, u, side="right") - 1
+    k = np.clip(k, 0, len(ps) - 2)
+    p0 = ps[k]
+    den = ps[k + 1] - p0
+    safe = np.where(den > 0.0, den, 1.0)
+    x = xs[k] + (u - p0) * (xs[k + 1] - xs[k]) / safe
+    return np.where(den > 0.0, x, xs[k])
 
 
 def _unit_array(seed: np.uint64, counters: np.ndarray) -> np.ndarray:

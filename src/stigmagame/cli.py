@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import re
 import sys
 from dataclasses import astuple, dataclass, fields, replace
@@ -368,8 +369,8 @@ def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"--grid must be >= 3, got {args.grid}")
         updates["grid"] = args.grid
     if args.tol is not None:
-        if args.tol <= 0:
-            raise ConfigError(f"--tol must be positive, got {args.tol}")
+        if not (args.tol > 0 and math.isfinite(args.tol)):
+            raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
         updates["tol"] = args.tol
     if args.pairs is not None:
         if args.pairs < 1:

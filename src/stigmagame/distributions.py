@@ -2,9 +2,9 @@
 
 Two families are supported: uniform on [lo, hi) and a piecewise-linear CDF
 given by knots. Both reduce internally to the knot representation, so the
-CDF, mean, truncated first moment, and inverse-CDF sampler share one code
-path. Scalar evaluation stays in pure Python (the period-1 chain calls it a
-few times per knot); sampling is vectorized through numpy. The adaptive
+CDF, mean and truncated first moment share one code path, in pure Python
+(the period-1 chain calls it a few times per knot). The simulation's
+vectorized inverse CDF lives in _kernels, next to numpy. The adaptive
 quadrature is not on the analysis path; the tests use it as an
 independent oracle for the closed-form high-risk fraction.
 
@@ -19,8 +19,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "DistributionSpec",
     "QuadratureError",
@@ -30,10 +28,6 @@ __all__ = [
     "density",
     "mean",
     "partial_expectation",
-    "ppf",
-    "sample",
-    "knot_arrays",
-    "ppf_from_knots",
     "integrate",
 ]
 
@@ -164,51 +158,6 @@ def mean(spec: DistributionSpec) -> float:
     if math.isinf(spec.support_hi):
         raise ValueError("mean undefined")
     return partial_expectation(spec, spec.support_hi)
-
-
-def knot_arrays(spec: DistributionSpec) -> tuple[np.ndarray, np.ndarray]:
-    """CDF knots as float64 arrays for vectorized/compiled inverse sampling."""
-    return (
-        np.asarray(spec.knots_x, dtype=np.float64),
-        np.asarray(spec.knots_p, dtype=np.float64),
-    )
-
-
-def ppf_from_knots(u, xs: np.ndarray, ps: np.ndarray):
-    """Inverse CDF for u in [0, 1) given knot arrays. Vectorized.
-
-    Two knots with a rising CDF (every uniform) take the general formula
-    with k = 0 directly, skipping the search; the results are bit-identical.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    if len(ps) == 2 and ps[1] - ps[0] > 0.0:
-        return xs[0] + (u - ps[0]) * (xs[1] - xs[0]) / (ps[1] - ps[0])
-    k = np.searchsorted(ps, u, side="right") - 1
-    k = np.clip(k, 0, len(ps) - 2)
-    p0 = ps[k]
-    den = ps[k + 1] - p0
-    safe = np.where(den > 0.0, den, 1.0)
-    x = xs[k] + (u - p0) * (xs[k + 1] - xs[k]) / safe
-    return np.where(den > 0.0, x, xs[k])
-
-
-def ppf(spec: DistributionSpec, q: float) -> float:
-    """Scalar inverse CDF for q in [0, 1]."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q!r}")
-    xs, ps = knot_arrays(spec)
-    return float(ppf_from_knots(q, xs, ps))
-
-
-def sample(spec: DistributionSpec, stream: np.random.Generator, size=None):
-    """Inverse-CDF draws from a caller-owned numpy Generator.
-
-    Returns a scalar when size is None, else an ndarray of shape `size`.
-    """
-    u = stream.random(size)
-    xs, ps = knot_arrays(spec)
-    out = ppf_from_knots(u, xs, ps)
-    return float(out) if size is None else out
 
 
 def integrate(

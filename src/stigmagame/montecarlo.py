@@ -25,9 +25,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-import numpy as np
-
-from . import _kernels
 from .coordination import hot_threshold
 from .signaling import ModelParams, policy_state
 # unused here; perfbench/tracer.py patches these names, so they must still resolve
@@ -105,10 +102,6 @@ class SimResult:
     untested_rejections: int
 
 
-def _count(mask: np.ndarray) -> int:
-    return int(np.count_nonzero(mask))
-
-
 def _binom_se(p: float, n: int) -> float:
     if n <= 0:
         return math.nan
@@ -117,6 +110,14 @@ def _binom_se(p: float, n: int) -> float:
 
 def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     """Run one finite-population replication and reduce it to a SimResult."""
+    # numpy loads here, on the first simulation, and not with the package
+    import numpy as np
+
+    from . import _kernels
+
+    def count(mask) -> int:
+        return int(np.count_nonzero(mask))
+
     state = policy_state(params, config.tau_hat)
     beta_star = hot_threshold(state.params.u, state.gap)
     literal_b = config.convention == "paper_literal"
@@ -133,13 +134,13 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
         unsafe_b = unsafe.astype(bool)
         mixed = nhot == 1
         tally.update(
-            hot_hot=_count(nhot == 2),
-            cold_cold=_count(nhot == 0),
-            hot_cold_unsafe=_count(mixed & unsafe_b),
-            hot_cold_safe=_count(mixed & ~unsafe_b),
-            unsafe=_count(unsafe_b),
-            one_test=_count(ntest == 1),
-            two_tests=_count(ntest == 2),
+            hot_hot=count(nhot == 2),
+            cold_cold=count(nhot == 0),
+            hot_cold_unsafe=count(mixed & unsafe_b),
+            hot_cold_safe=count(mixed & ~unsafe_b),
+            unsafe=count(unsafe_b),
+            one_test=count(ntest == 1),
+            two_tests=count(ntest == 2),
             low_tests=int(np.sum(nlow)),
             disclosures=int(np.sum(ndisc)),
             untested_rejections=int(np.sum(nrej)),

@@ -19,6 +19,7 @@ is kept selectable for comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -373,8 +374,8 @@ def optimize(
     Trace entries carry the M = 0 objective except the final row.
     """
     _check_convention(convention)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
     search = replace(params, M=0.0)
@@ -402,7 +403,9 @@ def optimize(
     f2 = objective(x2)
     trace.append(("refine", x1, f1))
     trace.append(("refine", x2, f2))
-    while b - a > tol:
+    # the probes stop being strictly inside the bracket once it is a few ulps
+    # wide; a only rises and b only falls, so this ends for any tol
+    while b - a > tol and a < x1 < x2 < b:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)

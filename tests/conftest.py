@@ -1,3 +1,4 @@
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -7,10 +8,17 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from stigmagame import ModelParams, piecewise_linear_cdf, uniform
+from stigmagame._kernels import knot_arrays, ppf_from_knots
 from stigmagame.distributions import cdf, density, integrate
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PAPER_CFG = REPO_ROOT / "paper.cfg"
+
+
+def src_env() -> dict:
+    """Environment for a fresh interpreter that imports this checkout's src/."""
+    path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
 def pytest_configure(config):
@@ -36,6 +44,18 @@ def paper_params() -> ModelParams:
         dist_y=uniform(0.0, 2.0),
         tau_hat=0.5,
     )
+
+
+def ppf(spec, q: float) -> float:
+    """Scalar inverse CDF through the simulation kernel's ppf_from_knots."""
+    return float(ppf_from_knots(q, *knot_arrays(spec)))
+
+
+def sample(spec, stream: np.random.Generator, size=None):
+    """Inverse-CDF draws from a numpy Generator through the kernel's
+    ppf_from_knots: a scalar when size is None, else an ndarray."""
+    out = ppf_from_knots(stream.random(size), *knot_arrays(spec))
+    return float(out) if size is None else out
 
 
 def random_valid_params(rng: np.random.Generator, piecewise_y: bool = False) -> ModelParams:

@@ -1,11 +1,13 @@
 import math
+import subprocess
+import sys
 import time
 
 import pytest
 
 from stigmagame import cli
 
-from conftest import PAPER_CFG
+from conftest import PAPER_CFG, src_env
 
 GOOD_CFG = PAPER_CFG.read_text(encoding="utf-8")
 
@@ -143,7 +145,8 @@ class TestExitCodes:
     def test_bad_flag_values(self, tmp_path):
         args = ["sweep", "--config", str(PAPER_CFG), "--out", str(tmp_path)]
         assert cli.main(args + ["--grid", "1"]) == 2
-        assert cli.main(args + ["--tol", "0"]) == 2
+        for tol in ("0", "nan", "inf", "-inf"):
+            assert cli.main(args + [f"--tol={tol}"]) == 2, tol
         assert cli.main(args + ["--pairs", "0"]) == 2
         assert cli.main(args + ["--tau", "1.5"]) == 2
 
@@ -240,6 +243,25 @@ class TestArtifacts:
         trace = (tmp_path / "optimize_trace.csv").read_text().splitlines()
         assert trace[0] == "stage,tau_hat,W"
         assert any(line.startswith("refine") for line in trace)
+
+    def test_optimize_below_float_spacing_tol_ends(self, tmp_path, capsys):
+        # 1e-300 is below the float spacing near tau*, so the bracket never
+        # gets that narrow and the refinement must stop on the spacing; a
+        # fresh interpreter under a timeout turns a hang into a failure
+        argv = ["optimize", "--config", str(PAPER_CFG), "--out", str(tmp_path / "tiny")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "stigmagame.cli", *argv, "--tol", "1e-300"],
+            env=src_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert cli.main(["optimize", "--config", str(PAPER_CFG), "--out", str(tmp_path)]) == 0
+        tiny = (tmp_path / "tiny" / "optimize_trace.csv").read_text().splitlines()
+        default = (tmp_path / "optimize_trace.csv").read_text().splitlines()
+        # same grid scan and bracket, then more refinement steps
+        assert tiny[: len(default) - 1] == default[:-1]
+        assert len(tiny) > len(default)
+        tau_tiny, tau_default = (float(t[-1].split(",")[1]) for t in (tiny, default))
+        assert tau_tiny == pytest.approx(tau_default, abs=1e-6)
 
     def test_optimize_trace_rerun_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

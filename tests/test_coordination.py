@@ -16,7 +16,7 @@ from stigmagame import (
     uniform,
 )
 
-from conftest import quadrature_r, random_piecewise_beta, random_valid_params
+from conftest import quadrature_r, random_piecewise_beta, random_valid_params, sample
 
 BETA01 = uniform(0.0, 1.0)
 
@@ -158,8 +158,6 @@ class TestHighRiskFraction:
         analytic = high_risk_fraction(spec, beta_star)
         n = 400_000
         rng = np.random.default_rng(13)
-        from stigmagame import sample
-
         draws = sample(spec, rng, 2 * n)
         unsafe = sum(
             1

@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from stigmagame import _kernels
+from stigmagame._kernels import knot_arrays, ppf_from_knots
 from stigmagame.distributions import (
     QuadratureError,
     cdf,
     density,
     integrate,
-    knot_arrays,
     mean,
     partial_expectation,
     piecewise_linear_cdf,
-    ppf,
-    ppf_from_knots,
-    sample,
     uniform,
 )
+
+from conftest import ppf, sample
 
 PW = piecewise_linear_cdf([(0.0, 0.0), (1.0, 0.5), (2.0, 1.0)])
 

@@ -1,0 +1,92 @@
+"""numpy is loaded by the pair simulation only.
+
+The analytic chain is pure Python, so `import stigmagame` and the check,
+evaluate, sweep, optimize and figures commands must not pay for importing
+numpy. One test runs those commands in a fresh interpreter and inspects
+sys.modules; the other reads the source, so a module-level numpy import is
+caught even on a path no command reaches.
+"""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+from conftest import PAPER_CFG, REPO_ROOT, src_env
+
+PACKAGE = REPO_ROOT / "src" / "stigmagame"
+
+SCRIPT = """
+import contextlib, io, sys
+import stigmagame
+from stigmagame import cli
+
+out, configs = sys.argv[1], sys.argv[2:]
+for cfg in configs:
+    for argv in (["check"], ["evaluate"], ["sweep"], ["optimize"], ["figures", "--svg"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(argv + ["--config", cfg, "--out", out])
+        assert rc == 0, (argv, cfg, rc)
+before = "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["simulate", "--config", configs[0], "--out", out, "--pairs", "1000"])
+assert rc == 0, rc
+print(before, "numpy" in sys.modules)
+"""
+
+
+def test_numpy_loads_only_when_a_simulation_runs(tmp_path):
+    knots = {"beta.csv": "0,0\n0.3,0.5\n0.6,0.7\n1,1\n", "y.csv": "0,0\n0.5,0.2\n1.2,0.6\n2,1\n"}
+    for name, rows in knots.items():
+        (tmp_path / name).write_text("x,p\n" + rows, encoding="utf-8")
+    lines = PAPER_CFG.read_text(encoding="utf-8").splitlines()
+    lines = [line for line in lines if not line.startswith("dist_")]
+    lines += ["dist_beta = piecewise:beta.csv", "dist_y = piecewise:y.csv"]
+    piecewise = tmp_path / "piecewise.cfg"
+    piecewise.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = [str(tmp_path / "out"), str(PAPER_CFG), str(piecewise)]
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, *argv],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["False", "True"]
+
+
+def _module_level(node):
+    """Nodes that run at import time: everything outside function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        yield child
+        yield from _module_level(child)
+
+
+def _numpy_imports(path: Path) -> list[int]:
+    """Line numbers of module-level imports of numpy or of the kernel module,
+    which imports numpy itself."""
+    lines = []
+    for node in _module_level(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n.split(".")[0] == "numpy" or "_kernels" in n.split(".") for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_kernel_imports_numpy_at_module_level():
+    found = {
+        path.relative_to(REPO_ROOT).as_posix(): _numpy_imports(path)
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    kernel = "src/stigmagame/_kernels.py"
+    offenders = [
+        f"{name}:{line}" for name, lines in found.items() if name != kernel for line in lines
+    ]
+    assert offenders == []
+    assert found[kernel], "the scan no longer sees the kernel's own numpy import"

@@ -3,18 +3,25 @@
 perfbench/tracer.py looks each name up in its stigmagame module at install
 time, so a refactor that drops or renames one breaks `perfbench/run.py
 --trace 1`. These tests load the tracer by file path: one checks that every
-name it patches still resolves to a callable, the other that its kernel hook
-still reads the pair count and the output arrays of a real simulation.
+name it patches still resolves to a callable, the others that its kernel
+hooks still read the pair count, the output arrays and the inverse-CDF draws
+of a real simulation, also in a fresh interpreter where the kernel module is
+imported by name rather than by the package.
 """
 
 import importlib
 import importlib.util
+import json
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import stigmagame
 from stigmagame import SimConfig, simulate
 from stigmagame.montecarlo import CHUNK
+
+from conftest import PAPER_CFG, src_env
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -57,3 +64,39 @@ def test_tracer_counts_kernel_pairs_and_bytes(paper_params):
     assert tracer.counts["kernels.out_bytes"] == 14 * n
     assert tracer.counts["distributions.ppf_values"] == 6 * n
     assert tracer.counts["kernels.simulate_pairs"] == 2
+
+
+# perfbench/run.py's import order: the package, then _kernels by name (the
+# package itself no longer imports it), then the tracer, then a CLI run
+RUN_ORDER = """
+import importlib.util, json, sys
+import stigmagame
+from stigmagame import _kernels, cli
+
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+tracer = module.Tracer()
+tracer.install()
+try:
+    rc = cli.main(["simulate", "--config", sys.argv[2], "--out", sys.argv[3],
+                   "--pairs", sys.argv[4]])
+finally:
+    tracer.uninstall()
+print(json.dumps({"rc": rc, **tracer.counts}))
+"""
+
+
+def test_tracer_counts_a_cli_simulation_in_a_fresh_interpreter(tmp_path):
+    n = 1000
+    argv = [str(TRACER), str(PAPER_CFG), str(tmp_path), str(n)]
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_ORDER, *argv],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    assert counts["rc"] == 0
+    assert counts["kernels.pairs"] == n
+    assert counts["kernels.simulate_pairs"] == 1
+    assert counts["distributions.ppf_values"] == 6 * n

@@ -285,7 +285,8 @@ class TestOptimize:
         assert res.tau_star <= 1e-6
 
     def test_validation(self, paper_params):
-        with pytest.raises(ValueError):
-            optimize(paper_params, tol=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol"):
+                optimize(paper_params, tol=tol)
         with pytest.raises(ValueError):
             optimize(paper_params, grid_points=2)
