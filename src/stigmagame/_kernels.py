@@ -1,7 +1,8 @@
 """The pair-simulation kernel: one vectorized numpy body, no reductions.
 
 This is the only module that imports numpy, and it holds the inverse CDF
-the kernel samples through. montecarlo.simulate imports it on first use,
+the kernel samples through, a guide table over u in [0, 1] (1.0 gives the
+last segment's value). montecarlo.simulate imports it on first use,
 so the analytic chain and the other commands never load numpy.
 
 Draws come from a counter-based RNG (splitmix64 output function keyed on
@@ -13,12 +14,14 @@ of pairs, in any chunking, and a smaller run is a prefix of a larger one.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .distributions import DistributionSpec
 from .signaling import PolicyState, rejection_cutoff
 
-__all__ = ["active_backend", "knot_arrays", "ppf_from_knots", "simulate_pairs"]
+__all__ = ["InverseCdf", "active_backend", "knot_arrays", "ppf_from_knots", "simulate_pairs"]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -37,30 +40,55 @@ def active_backend() -> str:
     return "numpy"
 
 
-def knot_arrays(spec: DistributionSpec) -> tuple[np.ndarray, np.ndarray]:
-    """CDF knots as float64 arrays for vectorized inverse sampling."""
-    return (
-        np.asarray(spec.knots_x, dtype=np.float64),
-        np.asarray(spec.knots_p, dtype=np.float64),
-    )
+class InverseCdf(NamedTuple):
+    """A distribution's inverse-CDF guide table (Chen & Asau 1974; Devroye
+    1986, III.2.4). segments: rows x0, p0, dx, safe per segment. Bucket j of
+    B = len(lo) - 1 holds u in [j/B, (j+1)/B) (bucket B: u = 1.0), starts in
+    segment lo[j] and steps once when u >= step[j]; slow (None if empty) flags
+    buckets with more than one knot boundary, where that step may fall short."""
+
+    ps: np.ndarray
+    segments: np.ndarray
+    lo: np.ndarray
+    step: np.ndarray
+    slow: np.ndarray | None
 
 
-def ppf_from_knots(u, xs: np.ndarray, ps: np.ndarray):
-    """Inverse CDF for u in [0, 1) given knot arrays. Vectorized.
+def knot_arrays(spec: DistributionSpec) -> InverseCdf:
+    """The inverse-CDF table of spec. B is the smallest power of two >= 4
+    segments, so u*B and j/B are exact."""
+    xs = np.asarray(spec.knots_x, dtype=np.float64)
+    ps = np.asarray(spec.knots_p, dtype=np.float64)
+    last, den = len(ps) - 2, ps[1:] - ps[:-1]
+    buckets = 1 << (4 * last + 3).bit_length()
+    edges = np.arange(buckets + 1) / buckets
+    lo = np.minimum(np.searchsorted(ps, edges, side="right") - 1, last)
+    slow = np.searchsorted(ps, edges[1:], side="left") - 1 - lo[:-1] > 1
+    # a segment without mass gets dx = -0.0, see ppf_from_knots
+    dx = np.where(den > 0.0, xs[1:] - xs[:-1], -0.0)
+    segments = np.array([xs[:-1], ps[:-1], dx, np.where(den > 0.0, den, 1.0)])
+    step = np.append(ps[1:-1], np.inf)[lo]
+    return InverseCdf(ps, segments, lo, step, np.append(slow, False) if slow.any() else None)
 
-    Two knots with a rising CDF (every uniform) take the general formula
-    with k = 0 directly, skipping the search; the results are bit-identical.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    if len(ps) == 2 and ps[1] - ps[0] > 0.0:
-        return xs[0] + (u - ps[0]) * (xs[1] - xs[0]) / (ps[1] - ps[0])
-    k = np.searchsorted(ps, u, side="right") - 1
-    k = np.clip(k, 0, len(ps) - 2)
-    p0 = ps[k]
-    den = ps[k + 1] - p0
-    safe = np.where(den > 0.0, den, 1.0)
-    x = xs[k] + (u - p0) * (xs[k + 1] - xs[k]) / safe
-    return np.where(den > 0.0, x, xs[k])
+
+def ppf_from_knots(u, table: InverseCdf):
+    """Inverse CDF for u in [0, 1], vectorized: a draw takes its bucket's
+    segment and at most one step; only draws in slow buckets search. Every
+    value, u = 1.0 included, equals the search formula bit for bit: segment
+    k = clip(searchsorted(ps, u, "right") - 1, 0, n - 2), then x0 + (u - p0)
+    * (x1 - x0) / (p1 - p0), or x0 if the segment has no mass. That happens
+    only at u = 1.0 = p0, where dx = -0.0 gives x0 + (-0.0) = x0 exactly,
+    x0 = -0.0 included. One segment (every uniform) needs no table."""
+    t, v = table, np.asarray(u, dtype=np.float64).reshape(-1)
+    k = [0]
+    if t.segments.shape[1] > 1:
+        j = (v * (len(t.lo) - 1)).astype(np.intp)
+        k = t.lo[j] + (t.step[j] <= v)
+        if t.slow is not None:
+            s = np.flatnonzero(t.slow[j])
+            k[s] = np.searchsorted(t.ps, v[s], side="right") - 1
+    x0, p0, dx, safe = np.take(t.segments, k, axis=1)
+    return (x0 + (v - p0) * dx / safe).reshape(np.shape(u))
 
 
 def _unit_array(seed: np.uint64, counters: np.ndarray) -> np.ndarray:
@@ -79,27 +107,27 @@ def simulate_pairs(
     state: PolicyState,
     beta_star: float,
     literal_b: bool,
+    beta_cdf: InverseCdf,
+    y_cdf: InverseCdf,
 ):
     """Per-pair arrays for pairs first_pair .. first_pair + n_pairs - 1.
 
-    state supplies the stigma level S and the parameters: the model
-    scalars, the rejection cutoff and both distributions. beta_star is the
+    state supplies the stigma level S and the parameters, beta_cdf and
+    y_cdf the knot_arrays tables of its two distributions. beta_star is the
     hot threshold; literal_b selects the paper_literal welfare of B.
     Returns (w, unsafe, nhot, ntest, ndisc, nlowtest, nuntestrej): pair
     welfare as float64, then uint8 flags and per-pair counts (0-2).
     """
     p, stigma = state.params, state.S
     cutoff = rejection_cutoff(p)
-    beta_xs, beta_ps = knot_arrays(p.dist_beta)
-    y_xs, y_ps = knot_arrays(p.dist_y)
     s = np.uint64(seed)
     base = (np.arange(n_pairs, dtype=np.uint64) + np.uint64(first_pair)) * _SIX
-    b1 = ppf_from_knots(_unit_array(s, base), beta_xs, beta_ps)
-    b2 = ppf_from_knots(_unit_array(s, base + np.uint64(1)), beta_xs, beta_ps)
-    ya1 = ppf_from_knots(_unit_array(s, base + np.uint64(2)), y_xs, y_ps)
-    ya2 = ppf_from_knots(_unit_array(s, base + np.uint64(3)), y_xs, y_ps)
-    yb1 = ppf_from_knots(_unit_array(s, base + np.uint64(4)), y_xs, y_ps)
-    yb2 = ppf_from_knots(_unit_array(s, base + np.uint64(5)), y_xs, y_ps)
+    b1 = ppf_from_knots(_unit_array(s, base), beta_cdf)
+    b2 = ppf_from_knots(_unit_array(s, base + np.uint64(1)), beta_cdf)
+    ya1 = ppf_from_knots(_unit_array(s, base + np.uint64(2)), y_cdf)
+    ya2 = ppf_from_knots(_unit_array(s, base + np.uint64(3)), y_cdf)
+    yb1 = ppf_from_knots(_unit_array(s, base + np.uint64(4)), y_cdf)
+    yb2 = ppf_from_knots(_unit_array(s, base + np.uint64(5)), y_cdf)
 
     hot1 = b1 < beta_star
     hot2 = b2 < beta_star

@@ -45,6 +45,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
 EXIT_NUMERICAL = 4
+MAX_GRID = 1_000_001  # a tau_hat step of 1e-6; the grid and its rows are held in memory
 
 SWEEP_HEADER = SweepRow._fields
 
@@ -365,8 +366,8 @@ def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if args.convention is not None:
         updates["convention"] = args.convention
     if args.grid is not None:
-        if args.grid < 3:
-            raise ConfigError(f"--grid must be >= 3, got {args.grid}")
+        if not 3 <= args.grid <= MAX_GRID:
+            raise ConfigError(f"--grid must lie in [3, {MAX_GRID}], got {args.grid}")
         updates["grid"] = args.grid
     if args.tol is not None:
         if not (args.tol > 0 and math.isfinite(args.tol)):

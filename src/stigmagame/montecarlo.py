@@ -121,6 +121,7 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     state = policy_state(params, config.tau_hat)
     beta_star = hot_threshold(state.params.u, state.gap)
     literal_b = config.convention == "paper_literal"
+    cdfs = [_kernels.knot_arrays(d) for d in (state.params.dist_beta, state.params.dist_y)]
 
     n = config.n_pairs
     tally = Counter()
@@ -129,7 +130,7 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     for first in range(0, n, CHUNK):
         m = min(CHUNK, n - first)
         w, unsafe, nhot, ntest, ndisc, nlow, nrej = _kernels.simulate_pairs(
-            config.seed, first, m, state, beta_star, literal_b
+            config.seed, first, m, state, beta_star, literal_b, *cdfs
         )
         unsafe_b = unsafe.astype(bool)
         mixed = nhot == 1

@@ -13,6 +13,8 @@ from stigmagame.distributions import cdf, density, integrate
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PAPER_CFG = REPO_ROOT / "paper.cfg"
+# 33-knot piecewise beta and y, generated by perfbench/workloads.py at seed 1
+PIECEWISE_CFG = REPO_ROOT / "tests" / "data" / "piecewise.cfg"
 
 
 def src_env() -> dict:
@@ -46,16 +48,30 @@ def paper_params() -> ModelParams:
     )
 
 
-def ppf(spec, q: float) -> float:
-    """Scalar inverse CDF through the simulation kernel's ppf_from_knots."""
-    return float(ppf_from_knots(q, *knot_arrays(spec)))
+def ppf(spec, q):
+    """Inverse CDF through the simulation kernel's ppf_from_knots: a scalar
+    for a scalar q, else an ndarray."""
+    out = ppf_from_knots(q, knot_arrays(spec))
+    return out if np.ndim(q) else float(out)
+
+
+def ppf_reference(spec, u) -> np.ndarray:
+    """The search-and-interpolate inverse CDF, the oracle that ppf_from_knots
+    must equal bit for bit: the segment k = clip(searchsorted(ps, u,
+    "right") - 1, 0, n - 2), linear within it, its left end if it has no mass."""
+    xs = np.asarray(spec.knots_x, dtype=np.float64)
+    ps = np.asarray(spec.knots_p, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    k = np.clip(np.searchsorted(ps, u, side="right") - 1, 0, len(ps) - 2)
+    den = ps[k + 1] - ps[k]
+    x = xs[k] + (u - ps[k]) * (xs[k + 1] - xs[k]) / np.where(den > 0.0, den, 1.0)
+    return np.where(den > 0.0, x, xs[k])
 
 
 def sample(spec, stream: np.random.Generator, size=None):
     """Inverse-CDF draws from a numpy Generator through the kernel's
     ppf_from_knots: a scalar when size is None, else an ndarray."""
-    out = ppf_from_knots(stream.random(size), *knot_arrays(spec))
-    return float(out) if size is None else out
+    return ppf(spec, stream.random(size))
 
 
 def random_valid_params(rng: np.random.Generator, piecewise_y: bool = False) -> ModelParams:

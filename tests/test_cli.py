@@ -150,6 +150,21 @@ class TestExitCodes:
         assert cli.main(args + ["--pairs", "0"]) == 2
         assert cli.main(args + ["--tau", "1.5"]) == 2
 
+    @pytest.mark.parametrize("command", ["sweep", "optimize", "figures"])
+    def test_oversized_grid_exits_2_at_once(self, tmp_path, capsys, command):
+        t0 = time.perf_counter()
+        argv = [command, "--config", str(PAPER_CFG), "--grid", "100000000"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "--grid must lie in [3, 1000001]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_grid_bounds_are_inclusive(self):
+        cfg = cli.load_config(PAPER_CFG)
+        for grid in (3, cli.MAX_GRID):
+            argv = ["sweep", "--config", str(PAPER_CFG), "--grid", str(grid)]
+            assert cli._merge_flags(cfg, cli._build_parser().parse_args(argv)).grid == grid
+
 
 class TestEvaluate:
     def test_defaults_echoed(self, capsys):

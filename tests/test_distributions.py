@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from stigmagame import _kernels
-from stigmagame._kernels import knot_arrays, ppf_from_knots
 from stigmagame.distributions import (
     QuadratureError,
     cdf,
@@ -16,7 +15,7 @@ from stigmagame.distributions import (
     uniform,
 )
 
-from conftest import ppf, sample
+from conftest import ppf, ppf_reference, sample
 
 PW = piecewise_linear_cdf([(0.0, 0.0), (1.0, 0.5), (2.0, 1.0)])
 
@@ -193,21 +192,13 @@ class TestSampling:
         ],
     )
     def test_two_knot_shortcut_is_bit_identical(self, spec):
-        # the general search-and-interpolate formula, as the reference
-        def general(u, xs, ps):
-            k = np.clip(np.searchsorted(ps, u, side="right") - 1, 0, len(ps) - 2)
-            den = ps[k + 1] - ps[k]
-            x = xs[k] + (u - ps[k]) * (xs[k + 1] - xs[k]) / np.where(den > 0.0, den, 1.0)
-            return np.where(den > 0.0, x, xs[k])
-
         counters = np.arange(100_000, dtype=np.uint64)
         u = np.concatenate(
             [[0.0, 1.0 - 2.0**-53], _kernels._unit_array(np.uint64(17), counters)]
         )
-        xs, ps = knot_arrays(spec)
-        assert len(xs) == 2
-        got = ppf_from_knots(u, xs, ps)
-        assert np.array_equal(got.view(np.uint64), general(u, xs, ps).view(np.uint64))
+        assert len(spec.knots_x) == 2
+        got = ppf(spec, u)
+        assert np.array_equal(got.view(np.uint64), ppf_reference(spec, u).view(np.uint64))
 
 
 class TestIntegrate:

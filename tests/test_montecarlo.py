@@ -14,7 +14,10 @@ from stigmagame import (
     simulate,
 )
 from stigmagame import _kernels
+from stigmagame.cli import load_config
 from stigmagame.montecarlo import CHUNK, PairCounts
+
+from conftest import PIECEWISE_CFG
 
 class TestConfigValidation:
     def test_zero_pairs_rejected(self):
@@ -39,6 +42,46 @@ class TestDeterminism:
         a = simulate(paper_params, SimConfig(n_pairs=50_000, seed=1, tau_hat=0.5))
         b = simulate(paper_params, SimConfig(n_pairs=50_000, seed=2, tau_hat=0.5))
         assert a.hat.W != b.hat.W
+
+
+# SimResult of the 33-knot piecewise beta and y config at seed 41 and
+# 3 * CHUNK + 5 pairs: hat and stderr as hex floats, then hot_hot,
+# cold_cold, hot_cold_unsafe, hot_cold_safe, low_risk_tests and
+# untested_rejections
+PIECEWISE_GOLDEN = {
+    ("corrected", 0.3): (
+        ("0x1.7ac0336a54f97p-3", "0x1.2950bb241d6e8p-4", "0x1.91ea21d63185ep-2", "0x1.54231e70229a7p-2", "0x1.5a4faeaf02562p+1"),
+        ("0x1.cb0fd6026f4efp-11", "0x1.f7e0b67621e6ep-12", "0x1.daad86608f43ep-10", "0x1.89c93ed9571dfp-11", "0x1.5e8e264ff0396p-10"),
+        (18626, 94353, 17735, 65899, 0, 0),
+    ),
+    ("corrected", 0.85): (
+        ("0x1.2273713f98960p-3", "0x1.963d5aef131c3p-6", "0x1.660e074571bbap-3", "0x1.c097145988c02p-1", "0x1.593174607be86p+1"),
+        ("0x1.9c8001725619ap-11", "0x1.17efba506d098p-12", "0x1.a5a08836732e2p-10", "0x1.136957a943588p-11", "0x1.653117c9d8ca9p-10"),
+        (13938, 105856, 13946, 62873, 0, 0),
+    ),
+    ("paper_literal", 0.3): (
+        ("0x1.7ac0336a54f97p-3", "0x1.2950bb241d6e8p-4", "0x1.91ea21d63185ep-2", "0x1.54231e70229a7p-2", "0x1.50015bfaf5031p+1"),
+        ("0x1.cb0fd6026f4efp-11", "0x1.f7e0b67621e6ep-12", "0x1.daad86608f43ep-10", "0x1.89c93ed9571dfp-11", "0x1.7481719d78cddp-10"),
+        (18626, 94353, 17735, 65899, 0, 0),
+    ),
+    ("paper_literal", 0.85): (
+        ("0x1.2273713f98960p-3", "0x1.963d5aef131c3p-6", "0x1.660e074571bbap-3", "0x1.c097145988c02p-1", "0x1.ff3cbe235d8e5p+0"),
+        ("0x1.9c8001725619ap-11", "0x1.17efba506d098p-12", "0x1.a5a08836732e2p-10", "0x1.136957a943588p-11", "0x1.57c32594d8d60p-10"),
+        (13938, 105856, 13946, 62873, 0, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("convention, tau", sorted(PIECEWISE_GOLDEN))
+def test_piecewise_results_are_pinned(convention, tau):
+    hat, stderr, counts = PIECEWISE_GOLDEN[convention, tau]
+    cfg = SimConfig(n_pairs=3 * CHUNK + 5, seed=41, tau_hat=tau, convention=convention)
+    res = simulate(load_config(PIECEWISE_CFG).params, cfg)
+    assert tuple(x.hex() for x in res.hat) == hat
+    assert tuple(x.hex() for x in res.stderr) == stderr
+    c = res.counts
+    assert (c.hot_hot, c.cold_cold, c.hot_cold_unsafe, c.hot_cold_safe,
+            res.low_risk_tests, res.untested_rejections) == counts
 
 
 def run_recording_kernel(monkeypatch, params, cfg):

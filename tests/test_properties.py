@@ -11,14 +11,15 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stigmagame import ModelParams, evaluate_point, piecewise_linear_cdf, uniform
-from stigmagame import cli
+from stigmagame import _kernels, cli
 from stigmagame.coordination import high_risk_fraction
 
-from conftest import PAPER_CFG, quadrature_r
+from conftest import PAPER_CFG, ppf, ppf_reference, quadrature_r
 
 PROPERTY = settings(
     derandomize=True,
@@ -54,6 +55,64 @@ def piecewise_specs(draw, lo=0.0, hi=1.0, max_knots=9):
 def test_closed_form_r_matches_quadrature(spec, beta_star):
     r = high_risk_fraction(spec, beta_star)
     assert abs(r - quadrature_r(spec, beta_star)) <= 1e-12
+
+
+@st.composite
+def sampling_specs(draw):
+    """Piecewise-linear CDFs for the inverse-CDF exactness check: 2-2000
+    knots, the first or the second-last at -0.0 or 0.0 or none at zero,
+    equal or random segment masses, segments without mass (runs of equal p,
+    also at either end), and optionally 31 knots whose p lie within 1e-9 of
+    each other."""
+    n = draw(st.integers(2, 40) | st.integers(41, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = np.cumsum(rng.uniform(1e-3, 1.0, n)) + draw(st.sampled_from([-3.5, 1e6]))
+    at = draw(st.sampled_from([None, 0, n - 2]))
+    if at is not None:
+        xs -= xs[at]
+        xs[at] = draw(st.sampled_from([-0.0, 0.0]))
+    if draw(st.booleans()):
+        mass = np.ones(n - 1)
+    else:
+        mass = rng.uniform(0.0, 1.0, n - 1)
+        mass[rng.random(n - 1) < draw(st.sampled_from([0.0, 0.3, 0.8]))] = 0.0
+    if draw(st.booleans()):
+        mass[[0, -1]] = 0.0
+    mass[rng.integers(0, n - 1)] += 0.5
+    ps = np.minimum(np.concatenate(([0.0], np.cumsum(mass) / mass.sum())), 1.0)
+    if n >= 33 and draw(st.booleans()):
+        i = int(rng.integers(1, n - 31))
+        ps[i : i + 31] = ps[i] + np.linspace(0.0, 1e-9, 31)
+        ps = np.minimum(np.maximum.accumulate(ps), 1.0)
+    ps[-1] = 1.0
+    return piecewise_linear_cdf(list(zip(xs.tolist(), ps.tolist())))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(spec=sampling_specs(), seed=st.integers(0, 2**64 - 1))
+def test_inverse_cdf_is_bit_identical_to_search(spec, seed):
+    """The kernel's inverse CDF equals the search formula bit for bit at 0,
+    at every knot p and its neighbouring floats, at every guide-table bucket
+    edge j/B and the float below it, at 1 - 2**-53 and 1.0, and at 10**4
+    counter draws."""
+    ps = np.asarray(spec.knots_p)
+    buckets = 1 << (4 * (len(ps) - 1) - 1).bit_length()
+    edges = np.arange(buckets + 1) / buckets
+    counters = np.arange(10_000, dtype=np.uint64)
+    u = np.concatenate([
+        [0.0, 1.0 - 2.0**-53, 1.0],
+        ps,
+        np.nextafter(ps, -1.0),
+        np.nextafter(ps, 2.0),
+        edges,
+        np.nextafter(edges, -1.0),
+        _kernels._unit_array(np.uint64(seed), counters),
+    ])
+    u = np.clip(u, 0.0, 1.0)
+    got = ppf(spec, u).view(np.uint64)
+    want = ppf_reference(spec, u).view(np.uint64)
+    bad = np.flatnonzero(got != want)
+    assert bad.size == 0, (u[bad[:5]].tolist(), got[bad[:5]], want[bad[:5]])
 
 
 @st.composite

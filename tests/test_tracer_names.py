@@ -17,11 +17,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import stigmagame
 from stigmagame import SimConfig, simulate
+from stigmagame.cli import load_config
 from stigmagame.montecarlo import CHUNK
 
-from conftest import PAPER_CFG, src_env
+from conftest import PAPER_CFG, PIECEWISE_CFG, src_env
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -48,16 +51,20 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-def test_tracer_counts_kernel_pairs_and_bytes(paper_params):
+@pytest.mark.parametrize("config", [PAPER_CFG, PIECEWISE_CFG], ids=["paper", "piecewise"])
+def test_tracer_counts_kernel_pairs_and_bytes(config):
     # the tracer's kernel hook reads args[2] as the pair count and sums each
-    # returned array's nbytes: 8 for the float64 welfare, 1 per uint8 array
+    # returned array's nbytes: 8 for the float64 welfare, 1 per uint8 array;
+    # its inverse-CDF hook counts the draws of args[0], also on the
+    # piecewise config's guide-table path
     for info in pkgutil.iter_modules(stigmagame.__path__):
         importlib.import_module(f"stigmagame.{info.name}")
+    params = load_config(config).params
     tracer = _load_tracer().Tracer()
     n = CHUNK + 7
     try:
         tracer.install()
-        simulate(paper_params, SimConfig(n_pairs=n, seed=5, tau_hat=0.5))
+        simulate(params, SimConfig(n_pairs=n, seed=5, tau_hat=0.5))
     finally:
         tracer.uninstall()
     assert tracer.counts["kernels.pairs"] == n
