@@ -15,12 +15,10 @@ from .signaling import (
     AssumptionReport,
     AssumptionViolation,
     ModelParams,
-    Period2Outcome,
     best_response_interact,
     best_response_test,
     check_assumptions,
     continuation_values,
-    period2_outcome,
     pointwise_continuation,
     stigma_level,
     testing_rates,

@@ -17,7 +17,7 @@ import csv
 import math
 import re
 import sys
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import MISSING, astuple, dataclass, fields, replace
 from pathlib import Path
 
 from .distributions import DistributionSpec, piecewise_linear_cdf, uniform
@@ -49,6 +49,7 @@ MAX_GRID = 1_000_001  # a tau_hat step of 1e-6; the grid and its rows are held i
 
 SWEEP_HEADER = SweepRow._fields
 
+# the scalar parameters, in the order the commands echo them
 _PARAM_KEYS = (
     "theta_L",
     "theta_H",
@@ -61,19 +62,8 @@ _PARAM_KEYS = (
     "tau_hat",
     "tau_true",
 )
-_REQUIRED_KEYS = (
-    "theta_L",
-    "theta_H",
-    "v",
-    "c",
-    "c_h",
-    "z",
-    "u",
-    "tau_hat",
-    "dist_beta",
-    "dist_y",
-)
-_KNOWN_KEYS = set(_PARAM_KEYS) | {"dist_beta", "dist_y", "convention"}
+_REQUIRED_KEYS = tuple(f.name for f in fields(ModelParams) if f.default is MISSING)
+_KNOWN_KEYS = {f.name for f in fields(ModelParams)} | {"convention"}
 
 _UNIFORM_RE = re.compile(
     r"^uniform\(\s*([^,\s]+)\s*,\s*([^,\s)]+)\s*\)$", re.IGNORECASE
@@ -203,7 +193,7 @@ def _write_csv(path: Path, header, rows, comments=()) -> None:
 
 
 def _dist_repr(spec: DistributionSpec) -> str:
-    if spec.kind == "uniform":
+    if len(spec.knots_x) == 2:
         return f"uniform({_fmt(spec.support_lo)},{_fmt(spec.support_hi)})"
     return (
         f"piecewise_linear_cdf({len(spec.knots_x)} knots on "

@@ -1,9 +1,9 @@
 """One-dimensional distributions and quadrature.
 
-Two families are supported: uniform on [lo, hi) and a piecewise-linear CDF
-given by knots. Both reduce internally to the knot representation, so the
-CDF, mean and truncated first moment share one code path, in pure Python
-(the period-1 chain calls it a few times per knot). The simulation's
+A distribution is a piecewise-linear CDF given by knots; uniform on [lo, hi)
+is the two-knot case, not a separate family. The CDF, density, mean and
+truncated first moment each have one code path over the knots, in pure
+Python (the period-1 chain calls them a few times per knot). The simulation's
 vectorized inverse CDF lives in _kernels, next to numpy. The adaptive
 quadrature is not on the analysis path; the tests use it as an
 independent oracle for the closed-form high-risk fraction.
@@ -50,21 +50,16 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """Immutable spec for a bounded 1-D distribution.
-
-    kind is "uniform" or "piecewise_linear_cdf"; both are stored as CDF
-    knots (x strictly increasing, p from 0 to 1 non-decreasing). Construct
-    through :func:`uniform` or :func:`piecewise_linear_cdf`.
+    """Immutable spec for a bounded 1-D distribution, stored as CDF knots
+    (x strictly increasing, p from 0 to 1 non-decreasing). Construct through
+    :func:`uniform` or :func:`piecewise_linear_cdf`.
     """
 
-    kind: str
     knots_x: tuple[float, ...]
     knots_p: tuple[float, ...]
 
     def __post_init__(self):
         xs, ps = self.knots_x, self.knots_p
-        if self.kind not in ("uniform", "piecewise_linear_cdf"):
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
         if len(xs) != len(ps) or len(xs) < 2:
             raise ValueError("need at least two (x, p) knots")
         # partial_expectation squares the knots
@@ -94,14 +89,14 @@ def uniform(lo: float, hi: float) -> DistributionSpec:
     """Uniform distribution on [lo, hi)."""
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"uniform needs finite lo < hi, got ({lo!r}, {hi!r})")
-    return DistributionSpec("uniform", (float(lo), float(hi)), (0.0, 1.0))
+    return DistributionSpec((float(lo), float(hi)), (0.0, 1.0))
 
 
 def piecewise_linear_cdf(knots) -> DistributionSpec:
     """Distribution whose CDF linearly interpolates the given (x, p) knots."""
     xs = tuple(float(x) for x, _ in knots)
     ps = tuple(float(p) for _, p in knots)
-    return DistributionSpec("piecewise_linear_cdf", xs, ps)
+    return DistributionSpec(xs, ps)
 
 
 def cdf(spec: DistributionSpec, x: float) -> float:
@@ -111,8 +106,6 @@ def cdf(spec: DistributionSpec, x: float) -> float:
         return 0.0
     if x >= xs[-1]:
         return 1.0
-    if spec.kind == "uniform":
-        return (x - xs[0]) / (xs[1] - xs[0])
     ps = spec.knots_p
     k = bisect_right(xs, x) - 1
     return ps[k] + (x - xs[k]) * (ps[k + 1] - ps[k]) / (xs[k + 1] - xs[k])
@@ -124,8 +117,6 @@ def density(spec: DistributionSpec, x: float) -> float:
     xs = spec.knots_x
     if x < xs[0] or x > xs[-1]:
         return 0.0
-    if spec.kind == "uniform":
-        return 1.0 / (xs[1] - xs[0])
     ps = spec.knots_p
     k = bisect_right(xs, x) - 1
     if k >= len(xs) - 1:
@@ -154,7 +145,7 @@ def partial_expectation(spec: DistributionSpec, t: float) -> float:
 
 
 def mean(spec: DistributionSpec) -> float:
-    """Expected value; exact for both supported families."""
+    """Expected value; exact for a piecewise-linear CDF."""
     if math.isinf(spec.support_hi):
         raise ValueError("mean undefined")
     return partial_expectation(spec, spec.support_hi)

@@ -113,8 +113,8 @@ def figure_tables(
     groups = [
         (
             row.tau_hat,
-            rep.components.welfare_high,
-            rep.components.welfare_low,
+            rep.welfare_high,
+            rep.welfare_low,
             rep.W_B,
             rep.W,
         )

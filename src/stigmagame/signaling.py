@@ -1,5 +1,5 @@
-"""Second-period analytics: stigma, best responses, testing rates, beliefs,
-and continuation values for the partially separating outcome.
+"""Second-period analytics: stigma, best responses, testing rates and
+continuation values for the partially separating outcome.
 
 Population B discriminates against observed testing whenever its own
 interaction value falls below the perceived-risk cutoff; the mass of such
@@ -22,7 +22,6 @@ __all__ = [
     "AssumptionViolation",
     "ModelParams",
     "PolicyState",
-    "Period2Outcome",
     "AssumptionReport",
     "rejection_cutoff",
     "stigma_level",
@@ -36,7 +35,6 @@ __all__ = [
     "positive_fraction",
     "assumption3_margin",
     "check_assumptions",
-    "period2_outcome",
 ]
 
 
@@ -100,22 +98,6 @@ class ModelParams:
                 "assumption 1",
                 f"c = {self.c!r} must be < theta_H*v = {self.theta_H * self.v!r}",
             )
-
-
-@dataclass(frozen=True)
-class Period2Outcome:
-    """Derived period-2 quantities at a given high-risk fraction r."""
-
-    S: float
-    y_star: float
-    R_H: float
-    R: float
-    EV_L: float
-    EV_H: float
-    gap: float
-    h_bar: float
-    belief_tested: float
-    belief_untested_range: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -278,24 +260,4 @@ def check_assumptions(params: ModelParams) -> AssumptionReport:
         a3_holds=a3_margin > 0.0,
         a3_margin=a3_margin,
         h_bar=h_bar,
-    )
-
-
-def period2_outcome(params: ModelParams, r: float) -> Period2Outcome:
-    """Bundle the period-2 quantities at a given high-risk fraction r."""
-    _, S, ev_l, ev_h, gap = policy_state(params)
-    y_star = testing_threshold(params, S)
-    r_h, r_pop = testing_rates(params, S, r)
-    h_bar = positive_fraction(params, r)
-    return Period2Outcome(
-        S=S,
-        y_star=y_star,
-        R_H=r_h,
-        R=r_pop,
-        EV_L=ev_l,
-        EV_H=ev_h,
-        gap=gap,
-        h_bar=h_bar,
-        belief_tested=params.theta_H,
-        belief_untested_range=(params.theta_L, h_bar),
     )

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .coordination import Period1Outcome, period1_outcome
+from .coordination import period1_outcome
 from .signaling import (
     AssumptionViolation,
     ModelParams,
@@ -38,7 +38,6 @@ from .distributions import mean, partial_expectation
 
 __all__ = [
     "CONVENTIONS",
-    "WelfareComponents",
     "WelfareReport",
     "PolicyDecomposition",
     "PresentBiasLoss",
@@ -46,6 +45,7 @@ __all__ = [
     "SweepError",
     "OptimizeResult",
     "welfare",
+    "evaluate_point",
     "first_best_benchmark",
     "present_bias_loss",
     "decomposition",
@@ -58,20 +58,17 @@ CONVENTIONS = ("corrected", "paper_literal")
 
 
 @dataclass(frozen=True)
-class WelfareComponents:
+class WelfareReport:
+    """W = W_A + W_B; W_A sums the high- and low-risk welfare, W_B the
+    discriminators' and the accepters' terms."""
+
+    W_A: float
+    W_B: float
+    W: float
     welfare_high: float
     welfare_low: float
     welfare_B_discriminators: float
     welfare_B_accepters: float
-
-
-@dataclass(frozen=True)
-class WelfareReport:
-    W_A: float
-    W_B: float
-    W: float
-    components: WelfareComponents
-    wb_convention: str
 
 
 @dataclass(frozen=True)
@@ -162,26 +159,6 @@ def _require_preconditions(params: ModelParams, convention: str) -> None:
         )
 
 
-class _Chain(NamedTuple):
-    """The full chain at one policy value; params carries it as tau_hat."""
-
-    params: ModelParams
-    S: float
-    EV_L: float
-    EV_H: float
-    gap: float
-    p1: Period1Outcome
-    R_H: float
-    R: float
-
-
-def _chain(params: ModelParams, tau_hat: float | None) -> _Chain:
-    p, s, ev_l, ev_h, gap = policy_state(params, tau_hat)
-    p1 = period1_outcome(p, gap)
-    r_h, r_pop = testing_rates(p, s, p1.r)
-    return _Chain(p, s, ev_l, ev_h, gap, p1, r_h, r_pop)
-
-
 def welfare(
     params: ModelParams,
     tau_hat: float | None = None,
@@ -194,35 +171,8 @@ def welfare(
     population B's follows the selected convention.
     """
     _require_preconditions(params, convention)
-    return _welfare_from_chain(_chain(params, tau_hat), convention)
-
-
-def _welfare_from_chain(chain: _Chain, convention: str) -> WelfareReport:
-    """Welfare report from an already evaluated chain."""
-    p, r, r_pop = chain.params, chain.p1.r, chain.R
-    w_high = r * (p.M + chain.EV_H)
-    w_low = (1.0 - r) * (p.M - p.u + chain.EV_L)
-    pe = partial_expectation(p.dist_y, rejection_cutoff(p))
-    mu = mean(p.dist_y)
-    if convention == "corrected":
-        w_disc = (1.0 - r_pop) * pe
-    else:
-        w_disc = r_pop * pe
-    w_acc = mu - pe
-    w_a = w_high + w_low
-    w_b = w_disc + w_acc
-    return WelfareReport(
-        W_A=w_a,
-        W_B=w_b,
-        W=w_a + w_b,
-        components=WelfareComponents(
-            welfare_high=w_high,
-            welfare_low=w_low,
-            welfare_B_discriminators=w_disc,
-            welfare_B_accepters=w_acc,
-        ),
-        wb_convention=convention,
-    )
+    tau = params.tau_hat if tau_hat is None else tau_hat
+    return _point(params, tau, convention)[1]
 
 
 def first_best_benchmark(params: ModelParams) -> WelfareReport:
@@ -237,13 +187,10 @@ def first_best_benchmark(params: ModelParams) -> WelfareReport:
         W_A=w_a,
         W_B=mu,
         W=w_a + mu,
-        components=WelfareComponents(
-            welfare_high=0.0,
-            welfare_low=w_a,
-            welfare_B_discriminators=0.0,
-            welfare_B_accepters=mu,
-        ),
-        wb_convention="corrected",
+        welfare_high=0.0,
+        welfare_low=w_a,
+        welfare_B_discriminators=0.0,
+        welfare_B_accepters=mu,
     )
 
 
@@ -254,11 +201,10 @@ def present_bias_loss(params: ModelParams) -> PresentBiasLoss:
     so the loss degrades continuously to gap(0) as the gap closes.
     """
     _require_preconditions(params, "corrected")
-    chain = _chain(params, 0.0)
-    r0, gap0 = chain.p1.r, chain.gap
+    row = _point(params, 0.0, "corrected")[0]
     return PresentBiasLoss(
-        continuation_loss=r0 * gap0,
-        total_shortfall=r0 * (gap0 - params.u),
+        continuation_loss=row.r * row.gap,
+        total_shortfall=row.r * (row.gap - params.u),
     )
 
 
@@ -267,17 +213,16 @@ def decomposition(params: ModelParams, tau_hat: float) -> PolicyDecomposition:
     if not 0.0 < tau_hat <= 1.0:
         raise ValueError(f"tau_hat must lie in (0, 1], got {tau_hat!r}")
     _require_preconditions(params, "corrected")
-    chain_0 = _chain(params, 0.0)
-    chain_1 = _chain(params, tau_hat)
-    p = chain_1.params
-    deterrence = (chain_0.p1.r - chain_1.p1.r) * (chain_0.EV_L - chain_1.EV_H)
-    suppression = chain_1.p1.r * (chain_1.EV_H - chain_0.EV_H)
-    b_loss = -chain_1.R * partial_expectation(p.dist_y, rejection_cutoff(p))
+    row0 = _point(params, 0.0, "corrected")[0]
+    row1 = _point(params, tau_hat, "corrected")[0]
+    # EV_L does not depend on S, so EV_L - EV_H(tau_hat) is gap(tau_hat) and
+    # EV_H(tau_hat) - EV_H(0) is gap(0) - gap(tau_hat)
+    deterrence = (row0.r - row1.r) * row1.gap
+    suppression = row1.r * (row0.gap - row1.gap)
+    cutoff = rejection_cutoff(replace(params, tau_hat=tau_hat))
+    b_loss = -row1.R * partial_expectation(params.dist_y, cutoff)
     paper_sum = deterrence + suppression + b_loss
-    exact = (
-        _welfare_from_chain(chain_1, "corrected").W
-        - _welfare_from_chain(chain_0, "corrected").W
-    )
+    exact = row1.W - row0.W
     return PolicyDecomposition(
         deterrence_gain=deterrence,
         suppression_loss=suppression,
@@ -291,25 +236,25 @@ def decomposition(params: ModelParams, tau_hat: float) -> PolicyDecomposition:
 def _point(
     params: ModelParams, tau_hat: float, convention: str
 ) -> tuple[SweepRow, WelfareReport]:
-    """Sweep row and welfare report from one evaluation of the chain.
+    """Sweep row and welfare report from one evaluation of the chain
+    tau_hat -> S -> gap -> beta* -> r -> R -> W.
 
     The caller has checked the preconditions.
     """
-    chain = _chain(params, tau_hat)
-    report = _welfare_from_chain(chain, convention)
-    row = SweepRow(
-        tau_hat,
-        chain.S,
-        chain.gap,
-        chain.p1.H,
-        chain.p1.r,
-        chain.R_H,
-        chain.R,
-        report.W_A,
-        report.W_B,
-        report.W,
-    )
-    return row, report
+    p, s, ev_l, ev_h, gap = policy_state(params, tau_hat)
+    p1 = period1_outcome(p, gap)
+    r = p1.r
+    r_h, r_pop = testing_rates(p, s, r)
+    w_high = r * (p.M + ev_h)
+    w_low = (1.0 - r) * (p.M - p.u + ev_l)
+    pe = partial_expectation(p.dist_y, rejection_cutoff(p))
+    w_disc = ((1.0 - r_pop) if convention == "corrected" else r_pop) * pe
+    w_acc = mean(p.dist_y) - pe
+    w_a = w_high + w_low
+    w_b = w_disc + w_acc
+    w = w_a + w_b
+    row = SweepRow(tau_hat, s, gap, p1.H, r, r_h, r_pop, w_a, w_b, w)
+    return row, WelfareReport(w_a, w_b, w, w_high, w_low, w_disc, w_acc)
 
 
 def evaluate_point(

@@ -70,8 +70,16 @@ class TestLoadConfig:
         knots.write_text("x,p\n0,0\n0.5,0.25\n2,1\n", encoding="utf-8")
         path = write_cfg(tmp_path, edited_cfg(dist_y="piecewise:y.csv"))
         cfg = cli.load_config(path)
-        assert cfg.params.dist_y.kind == "piecewise_linear_cdf"
+        assert cfg.params.dist_y.knots_x == (0.0, 0.5, 2.0)
         assert cfg.params.dist_y.knots_p == (0.0, 0.25, 1.0)
+
+    def test_two_knot_piecewise_is_the_uniform(self, tmp_path, capsys):
+        knots = tmp_path / "y.csv"
+        knots.write_text("x,p\n0,0\n2,1\n", encoding="utf-8")
+        path = write_cfg(tmp_path, edited_cfg(dist_y="piecewise:y.csv"))
+        assert cli.load_config(path).params == cli.load_config(PAPER_CFG).params
+        assert cli.main(["check", "--config", str(path)]) == 0
+        assert "dist_y = uniform(0,2)" in capsys.readouterr().out
 
     def test_missing_knot_file_rejected(self, tmp_path):
         path = write_cfg(tmp_path, edited_cfg(dist_y="piecewise:nope.csv"))

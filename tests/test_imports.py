@@ -1,13 +1,20 @@
-"""numpy is loaded by the pair simulation only.
+"""What the package's modules import and export.
 
-The analytic chain is pure Python, so `import stigmagame` and the check,
-evaluate, sweep, optimize and figures commands must not pay for importing
-numpy. One test runs those commands in a fresh interpreter and inspects
-sys.modules; the other reads the source, so a module-level numpy import is
-caught even on a path no command reaches.
+numpy is loaded by the pair simulation only. The analytic chain is pure
+Python, so `import stigmagame` and the check, evaluate, sweep, optimize and
+figures commands must not pay for importing numpy. One test runs those
+commands in a fresh interpreter and inspects sys.modules; another reads the
+source, so a module-level numpy import is caught even on a path no command
+reaches.
+
+Each module's `__all__` is its public surface: it names only what exists,
+and it lists every public function and class the module defines.
 """
 
 import ast
+import importlib
+import inspect
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -90,3 +97,24 @@ def test_only_the_kernel_imports_numpy_at_module_level():
     ]
     assert offenders == []
     assert found[kernel], "the scan no longer sees the kernel's own numpy import"
+
+
+def test_all_lists_exactly_the_public_definitions():
+    import stigmagame
+
+    report = {}
+    for info in pkgutil.iter_modules(stigmagame.__path__):
+        module = importlib.import_module(f"stigmagame.{info.name}")
+        listed = set(module.__all__)
+        defined = {
+            name
+            for name, obj in vars(module).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == module.__name__
+        }
+        unresolved = sorted(n for n in listed if not hasattr(module, n))
+        unlisted = sorted(defined - listed)
+        if unresolved or unlisted:
+            report[info.name] = {"unresolved": unresolved, "unlisted": unlisted}
+    assert report == {}

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from stigmagame import ModelParams, evaluate_point, piecewise_linear_cdf, uniform
 from stigmagame import _kernels, cli
 from stigmagame.coordination import high_risk_fraction
+from stigmagame.distributions import cdf, density
 
 from conftest import PAPER_CFG, ppf, ppf_reference, quadrature_r
 
@@ -113,6 +114,18 @@ def test_inverse_cdf_is_bit_identical_to_search(spec, seed):
     want = ppf_reference(spec, u).view(np.uint64)
     bad = np.flatnonzero(got != want)
     assert bad.size == 0, (u[bad[:5]].tolist(), got[bad[:5]], want[bad[:5]])
+
+
+@PROPERTY
+@given(lo=st.floats(-1e6, 1e6), width=st.floats(1e-6, 1e6), data=st.data())
+def test_uniform_cdf_and_density_are_the_closed_forms(lo, width, data):
+    """A uniform is the two-knot piecewise-linear CDF; the general knot
+    formulas give its closed forms bit for bit on the closed support."""
+    hi = lo + width
+    x = data.draw(st.floats(lo, hi))
+    spec = uniform(lo, hi)
+    assert cdf(spec, x) == (x - lo) / (hi - lo)
+    assert density(spec, x) == 1.0 / (hi - lo)
 
 
 @st.composite

@@ -11,7 +11,6 @@ from stigmagame import (
     best_response_test,
     check_assumptions,
     continuation_values,
-    period2_outcome,
     pointwise_continuation,
     stigma_level,
     testing_rates,
@@ -269,15 +268,3 @@ class TestAssumptionReport:
         assert not rep.a3_holds
         assert rep.h_bar == paper_params.theta_H
 
-
-class TestPeriod2Outcome:
-    def test_bundle_consistency(self, paper_params):
-        out = period2_outcome(paper_params, R_AT_HALF)
-        assert out.S == pytest.approx(0.5, abs=1e-15)
-        assert out.R == out.R_H * R_AT_HALF
-        assert out.belief_tested == paper_params.theta_H
-        lo, hi = out.belief_untested_range
-        assert lo == paper_params.theta_L
-        assert lo < out.h_bar < paper_params.theta_H
-        assert hi == out.h_bar
-        assert out.gap == out.EV_L - out.EV_H
