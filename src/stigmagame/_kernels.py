@@ -10,10 +10,14 @@ Draws come from a counter-based RNG (splitmix64 output function keyed on
 (beta_1, beta_2, y_a1, y_a2, y_b1, y_b2), so a pair's outputs depend only
 on the seed and its global index: the caller may run any contiguous range
 of pairs, in any chunking, and a smaller run is a prefix of a larger one.
+
+Intermediates go to per-thread scratch arrays (numpy out=) that later
+calls reuse, so a call allocates only the arrays it returns.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -40,17 +44,31 @@ def active_backend() -> str:
     return "numpy"
 
 
+_local = threading.local()
+
+
+def _rows(owner: str, dtype, count: int, n: int) -> np.ndarray:
+    """owner's count scratch rows of n dtype values in this thread, kept for
+    later calls and replaced only for a larger n; threads never share them."""
+    block = getattr(_local, owner, None)
+    if block is None or block.shape[1] < n:
+        block = np.empty((count, n), dtype)
+        setattr(_local, owner, block)
+    return block[:, :n]
+
+
 class InverseCdf(NamedTuple):
     """A distribution's inverse-CDF guide table (Chen & Asau 1974; Devroye
     1986, III.2.4). segments: rows x0, p0, dx, safe per segment. Bucket j of
     B = len(lo) - 1 holds u in [j/B, (j+1)/B) (bucket B: u = 1.0), starts in
     segment lo[j] and steps once when u >= step[j]; slow (None if empty) flags
-    buckets with more than one knot boundary, where that step may fall short."""
+    buckets with more than one knot boundary, where that step may fall short.
+    One segment (every uniform) has no guide: lo, step and slow are None."""
 
     ps: np.ndarray
     segments: np.ndarray
-    lo: np.ndarray
-    step: np.ndarray
+    lo: np.ndarray | None
+    step: np.ndarray | None
     slow: np.ndarray | None
 
 
@@ -60,44 +78,65 @@ def knot_arrays(spec: DistributionSpec) -> InverseCdf:
     xs = np.asarray(spec.knots_x, dtype=np.float64)
     ps = np.asarray(spec.knots_p, dtype=np.float64)
     last, den = len(ps) - 2, ps[1:] - ps[:-1]
+    # a segment without mass gets dx = -0.0, see ppf_from_knots
+    dx = np.where(den > 0.0, xs[1:] - xs[:-1], -0.0)
+    segments = np.array([xs[:-1], ps[:-1], dx, np.where(den > 0.0, den, 1.0)])
+    if not last:
+        return InverseCdf(ps, segments, None, None, None)
     buckets = 1 << (4 * last + 3).bit_length()
     edges = np.arange(buckets + 1) / buckets
     lo = np.minimum(np.searchsorted(ps, edges, side="right") - 1, last)
     slow = np.searchsorted(ps, edges[1:], side="left") - 1 - lo[:-1] > 1
-    # a segment without mass gets dx = -0.0, see ppf_from_knots
-    dx = np.where(den > 0.0, xs[1:] - xs[:-1], -0.0)
-    segments = np.array([xs[:-1], ps[:-1], dx, np.where(den > 0.0, den, 1.0)])
     step = np.append(ps[1:-1], np.inf)[lo]
     return InverseCdf(ps, segments, lo, step, np.append(slow, False) if slow.any() else None)
 
 
-def ppf_from_knots(u, table: InverseCdf):
-    """Inverse CDF for u in [0, 1], vectorized: a draw takes its bucket's
-    segment and at most one step; only draws in slow buckets search. Every
-    value, u = 1.0 included, equals the search formula bit for bit: segment
-    k = clip(searchsorted(ps, u, "right") - 1, 0, n - 2), then x0 + (u - p0)
-    * (x1 - x0) / (p1 - p0), or x0 if the segment has no mass. That happens
-    only at u = 1.0 = p0, where dx = -0.0 gives x0 + (-0.0) = x0 exactly,
-    x0 = -0.0 included. One segment (every uniform) needs no table."""
+def ppf_from_knots(u, table: InverseCdf, out=None):
+    """Inverse CDF for u in [0, 1], vectorized, into out (a float64 array of
+    u's size) or a new array: a draw takes its bucket's segment and at most
+    one step; only draws in slow buckets search. Every value, u = 1.0
+    included, equals the search formula bit for bit: segment k = clip(
+    searchsorted(ps, u, "right") - 1, 0, n - 2), then x0 + (u - p0) * (x1 -
+    x0) / (p1 - p0), or x0 if the segment has no mass. That happens only at
+    u = 1.0 = p0, where dx = -0.0 gives x0 + (-0.0) = x0 exactly, x0 = -0.0
+    included."""
     t, v = table, np.asarray(u, dtype=np.float64).reshape(-1)
-    k = [0]
-    if t.segments.shape[1] > 1:
-        j = (v * (len(t.lo) - 1)).astype(np.intp)
-        k = t.lo[j] + (t.step[j] <= v)
+    if t.lo is None:  # one segment (every uniform): no guide
+        def column(row):  # x0, p0, dx, safe
+            return t.segments[row, 0]
+    else:
+        (g,), (flag,) = _rows("ppf_f64", float, 1, v.size), _rows("ppf_bool", bool, 1, v.size)
+        j, k = _rows("ppf_intp", np.intp, 2, v.size)
+        np.copyto(j, np.multiply(v, len(t.lo) - 1, out=g), casting="unsafe")
+        # indices are in range; mode="raise" would stage out in a copy
+        np.take(t.lo, j, out=k, mode="clip")
+        np.add(k, np.less_equal(np.take(t.step, j, out=g, mode="clip"), v, out=flag), out=k)
         if t.slow is not None:
-            s = np.flatnonzero(t.slow[j])
+            s = np.flatnonzero(np.take(t.slow, j, out=flag, mode="clip"))
             k[s] = np.searchsorted(t.ps, v[s], side="right") - 1
-    x0, p0, dx, safe = np.take(t.segments, k, axis=1)
-    return (x0 + (v - p0) * dx / safe).reshape(np.shape(u))
+
+        def column(row):
+            return np.take(t.segments[row], k, out=g, mode="clip")
+    x = np.subtract(v, column(1), out=np.empty_like(v) if out is None else out)
+    np.multiply(x, column(2), out=x)
+    np.divide(x, column(3), out=x)
+    np.add(column(0), x, out=x)
+    return x.reshape(np.shape(u))
 
 
-def _unit_array(seed: np.uint64, counters: np.ndarray) -> np.ndarray:
-    """Uniform [0, 1) doubles from uint64 counters (splitmix64 output fn)."""
-    z = seed + (counters + _ONE) * _GOLDEN
-    z = (z ^ (z >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    z = z ^ (z >> _S31)
-    return (z >> _S11) * _INV53
+def _unit_array(seed: np.uint64, counters: np.ndarray, out=None):
+    """Uniform [0, 1) doubles from uint64 counters (splitmix64 output fn),
+    into out (float64, counters' size; scratch until then) or a new array."""
+    out = np.empty(counters.size) if out is None else out
+    (z,), shift = _rows("rng", np.uint64, 1, counters.size), out.view(np.uint64)
+    np.multiply(np.add(counters, _ONE, out=z), _GOLDEN, out=z)
+    np.add(seed, z, out=z)
+    for s, mix in ((_S30, _MIX1), (_S27, _MIX2)):
+        np.bitwise_xor(z, np.right_shift(z, s, out=shift), out=z)
+        np.multiply(z, mix, out=z)
+    np.bitwise_xor(z, np.right_shift(z, _S31, out=shift), out=z)
+    np.right_shift(z, _S11, out=z)
+    return np.multiply(z, _INV53, out=out)
 
 
 def simulate_pairs(
@@ -116,51 +155,57 @@ def simulate_pairs(
     y_cdf the knot_arrays tables of its two distributions. beta_star is the
     hot threshold; literal_b selects the paper_literal welfare of B.
     Returns (w, unsafe, nhot, ntest, ndisc, nlowtest, nuntestrej): pair
-    welfare as float64, then uint8 flags and per-pair counts (0-2).
+    welfare as float64, then uint8 flags and per-pair counts (0-2), each new.
     """
-    p, stigma = state.params, state.S
+    p, stigma, n = state.params, state.S, n_pairs
     cutoff = rejection_cutoff(p)
-    s = np.uint64(seed)
-    base = (np.arange(n_pairs, dtype=np.uint64) + np.uint64(first_pair)) * _SIX
-    b1 = ppf_from_knots(_unit_array(s, base), beta_cdf)
-    b2 = ppf_from_knots(_unit_array(s, base + np.uint64(1)), beta_cdf)
-    ya1 = ppf_from_knots(_unit_array(s, base + np.uint64(2)), y_cdf)
-    ya2 = ppf_from_knots(_unit_array(s, base + np.uint64(3)), y_cdf)
-    yb1 = ppf_from_knots(_unit_array(s, base + np.uint64(4)), y_cdf)
-    yb2 = ppf_from_knots(_unit_array(s, base + np.uint64(5)), y_cdf)
+    six_i = getattr(_local, "six_i", None)  # 6i for i < n, kept across calls
+    if six_i is None or len(six_i) < n:
+        six_i = _local.six_i = np.arange(n, dtype=np.uint64) * _SIX
+    tmp, b1, b2, ya1, ya2, yb1, yb2, net = _rows("f64", float, 8, n)
+    hot1, hot2, unsafe, t1, t2, d1, d2, m1, m2, e1, e2 = _rows("bool", bool, 11, n)
 
-    hot1 = b1 < beta_star
-    hot2 = b2 < beta_star
-    unsafe = (hot1 & hot2) | ((hot1 ^ hot2) & (b1 + b2 < 2.0 * beta_star))
-    theta = np.where(unsafe, p.theta_H, p.theta_L)
-    pay1 = np.where(unsafe, p.M, p.M - p.u)
+    for k, x in enumerate((b1, b2, ya1, ya2, yb1, yb2)):  # x holds the counters until drawn
+        counters = np.add(six_i[:n], np.uint64(6 * first_pair + k), out=x.view(np.uint64))
+        u = _unit_array(np.uint64(seed), counters, out=tmp)
+        ppf_from_knots(u, beta_cdf if k < 2 else y_cdf, out=x)
 
-    net = theta * p.v - p.c
-    t1 = net - stigma * ya1 > 0.0
-    t2 = net - stigma * ya2 > 0.0
-    d1 = yb1 < cutoff
-    d2 = yb2 < cutoff
-    m1 = ~(d1 & t1)
-    m2 = ~(d2 & t2)
+    np.less(b1, beta_star, out=hot1)
+    np.less(b2, beta_star, out=hot2)
+    # (hot1 & hot2) | ((hot1 ^ hot2) & (b1 + b2 < 2 beta*))
+    np.less(np.add(b1, b2, out=tmp), 2.0 * beta_star, out=unsafe)
+    np.logical_and(unsafe, np.logical_xor(hot1, hot2, out=e1), out=unsafe)
+    np.logical_or(unsafe, np.logical_and(hot1, hot2, out=e1), out=unsafe)
+    theta, pay1 = b1, b2  # in the beta draws' rows, no longer needed
+    np.copyto(theta, p.theta_L)
+    np.copyto(theta, p.theta_H, where=unsafe)
+    np.copyto(pay1, p.M - p.u)
+    np.copyto(pay1, p.M, where=unsafe)
 
-    t1f = t1.astype(np.float64)
-    t2f = t2.astype(np.float64)
-    m1f = m1.astype(np.float64)
-    m2f = m2.astype(np.float64)
-    ua1 = pay1 + t1f * net - theta * p.c_h + m1f * ya1
-    ua2 = pay1 + t2f * net - theta * p.c_h + m2f * ya2
-    if literal_b:
-        ub1 = np.where(d1, t1f, 1.0) * yb1
-        ub2 = np.where(d2, t2f, 1.0) * yb2
-    else:
-        ub1 = m1f * yb1
-        ub2 = m2f * yb2
-    w = 0.5 * (ua1 + ua2 + ub1 + ub2)
+    np.subtract(np.multiply(theta, p.v, out=net), p.c, out=net)
+    w, ua2 = np.empty(n), ya1  # w holds ua1 until ua2 is added; ya1 is done by then
+    for t, m, d, ya, yb, ua in ((t1, m1, d1, ya1, yb1, w), (t2, m2, d2, ya2, yb2, ua2)):
+        # t: tests, net - S y_a > 0; d: y_b below the cutoff; m: not (d and t)
+        np.greater(np.subtract(net, np.multiply(stigma, ya, out=tmp), out=tmp), 0.0, out=t)
+        np.less(yb, cutoff, out=d)
+        np.logical_not(np.logical_and(d, t, out=m), out=m)
+        # ua = pay1 + t net - theta c_h + m y_a
+        np.add(pay1, np.multiply(t, net, out=ua), out=ua)
+        np.subtract(ua, np.multiply(theta, p.c_h, out=tmp), out=ua)
+        np.add(ua, np.multiply(m, ya, out=tmp), out=ua)
 
-    nhot = hot1.astype(np.uint8) + hot2.astype(np.uint8)
-    ntest = t1.astype(np.uint8) + t2.astype(np.uint8)
-    ndisc = d1.astype(np.uint8) + d2.astype(np.uint8)
-    safe_mask = ~unsafe
-    nlowtest = (safe_mask & t1).astype(np.uint8) + (safe_mask & t2).astype(np.uint8)
-    nuntestrej = (~t1 & ~m1).astype(np.uint8) + (~t2 & ~m2).astype(np.uint8)
-    return w, unsafe.astype(np.uint8), nhot, ntest, ndisc, nlowtest, nuntestrej
+    # w = 0.5 (ua1 + ua2 + ub1 + ub2); ub = m y_b, or (t if d else 1) y_b literally
+    np.add(w, ua2, out=w)
+    for t, m, d, yb in ((t1, m1, d1, yb1), (t2, m2, d2, yb2)):
+        accepts = np.logical_or(np.logical_not(d, out=e1), t, out=e1) if literal_b else m
+        np.add(w, np.multiply(accepts, yb, out=tmp), out=w)
+    np.multiply(w, 0.5, out=w)
+
+    def count(a, b):  # per-pair count of two bool rows, as new uint8
+        return np.add(a.view(np.uint8), b.view(np.uint8))
+
+    nlowtest = count(np.greater(t1, unsafe, out=e1), np.greater(t2, unsafe, out=e2))  # t & ~unsafe
+    nuntestrej = count(np.logical_not(np.logical_or(t1, m1, out=e1), out=e1),  # ~t & ~m
+                       np.logical_not(np.logical_or(t2, m2, out=e2), out=e2))
+    return (w, unsafe.view(np.uint8).copy(), count(hot1, hot2), count(t1, t2),
+            count(d1, d2), nlowtest, nuntestrej)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "DistributionSpec",
@@ -84,6 +85,11 @@ class DistributionSpec:
     def support_hi(self) -> float:
         return self.knots_x[-1]
 
+    @cached_property
+    def mean(self) -> float:
+        """Expected value, computed once: the chain asks for E[y] at every τ."""
+        return partial_expectation(self, self.knots_x[-1])
+
 
 def uniform(lo: float, hi: float) -> DistributionSpec:
     """Uniform distribution on [lo, hi)."""
@@ -146,9 +152,7 @@ def partial_expectation(spec: DistributionSpec, t: float) -> float:
 
 def mean(spec: DistributionSpec) -> float:
     """Expected value; exact for a piecewise-linear CDF."""
-    if math.isinf(spec.support_hi):
-        raise ValueError("mean undefined")
-    return partial_expectation(spec, spec.support_hi)
+    return spec.mean
 
 
 def integrate(

@@ -146,11 +146,12 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
             disclosures=int(np.sum(ndisc)),
             untested_rejections=int(np.sum(nrej)),
         )
-        # Chan, Golub & LeVeque (1979): add the chunk's centred sum of
-        # squares plus the shift between its mean and the running mean
+        # Chan, Golub & LeVeque (1979): add the chunk's centred sum of squares
+        # (in place on w, a new array) plus the shift between the two means
         w_sum = float(np.sum(w))
-        dev = w - w_sum / m
-        w_m2 += float(np.sum(dev * dev))
+        w -= w_sum / m
+        w *= w
+        w_m2 += float(np.sum(w))
         if first:
             delta = w_sum / m - math.fsum(w_sums) / first
             w_m2 += delta * delta * first * m / (first + m)

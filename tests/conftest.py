@@ -10,6 +10,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from stigmagame import ModelParams, piecewise_linear_cdf, uniform
 from stigmagame._kernels import knot_arrays, ppf_from_knots
 from stigmagame.distributions import cdf, density, integrate
+from stigmagame.signaling import rejection_cutoff
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PAPER_CFG = REPO_ROOT / "paper.cfg"
@@ -66,6 +67,66 @@ def ppf_reference(spec, u) -> np.ndarray:
     den = ps[k + 1] - ps[k]
     x = xs[k] + (u - ps[k]) * (xs[k + 1] - xs[k]) / np.where(den > 0.0, den, 1.0)
     return np.where(den > 0.0, x, xs[k])
+
+
+def unit_reference(seed: int, counters: np.ndarray) -> np.ndarray:
+    """splitmix64's output function keyed on (seed, counter), as uniform
+    [0, 1) doubles: the kernel's RNG written as one expression per step."""
+    z = np.uint64(seed) + (counters + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def simulate_pairs_reference(seed, first_pair, n_pairs, state, beta_star, literal_b):
+    """The pair kernel in expression form, every intermediate a new array,
+    drawing through ppf_reference: the oracle that _kernels.simulate_pairs
+    (same arguments, plus the two knot_arrays tables) must equal byte for
+    byte in all seven outputs."""
+    p, stigma = state.params, state.S
+    cutoff = rejection_cutoff(p)
+    base = (np.arange(n_pairs, dtype=np.uint64) + np.uint64(first_pair)) * np.uint64(6)
+    b1, b2, ya1, ya2, yb1, yb2 = (
+        ppf_reference(p.dist_beta if k < 2 else p.dist_y, unit_reference(seed, base + np.uint64(k)))
+        for k in range(6)
+    )
+
+    hot1 = b1 < beta_star
+    hot2 = b2 < beta_star
+    unsafe = (hot1 & hot2) | ((hot1 ^ hot2) & (b1 + b2 < 2.0 * beta_star))
+    theta = np.where(unsafe, p.theta_H, p.theta_L)
+    pay1 = np.where(unsafe, p.M, p.M - p.u)
+
+    net = theta * p.v - p.c
+    t1 = net - stigma * ya1 > 0.0
+    t2 = net - stigma * ya2 > 0.0
+    d1 = yb1 < cutoff
+    d2 = yb2 < cutoff
+    m1 = ~(d1 & t1)
+    m2 = ~(d2 & t2)
+
+    t1f = t1.astype(np.float64)
+    t2f = t2.astype(np.float64)
+    m1f = m1.astype(np.float64)
+    m2f = m2.astype(np.float64)
+    ua1 = pay1 + t1f * net - theta * p.c_h + m1f * ya1
+    ua2 = pay1 + t2f * net - theta * p.c_h + m2f * ya2
+    if literal_b:
+        ub1 = np.where(d1, t1f, 1.0) * yb1
+        ub2 = np.where(d2, t2f, 1.0) * yb2
+    else:
+        ub1 = m1f * yb1
+        ub2 = m2f * yb2
+    w = 0.5 * (ua1 + ua2 + ub1 + ub2)
+
+    nhot = hot1.astype(np.uint8) + hot2.astype(np.uint8)
+    ntest = t1.astype(np.uint8) + t2.astype(np.uint8)
+    ndisc = d1.astype(np.uint8) + d2.astype(np.uint8)
+    safe_mask = ~unsafe
+    nlowtest = (safe_mask & t1).astype(np.uint8) + (safe_mask & t2).astype(np.uint8)
+    nuntestrej = (~t1 & ~m1).astype(np.uint8) + (~t2 & ~m2).astype(np.uint8)
+    return w, unsafe.astype(np.uint8), nhot, ntest, ndisc, nlowtest, nuntestrej
 
 
 def sample(spec, stream: np.random.Generator, size=None):

@@ -1,5 +1,9 @@
 import math
+import subprocess
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -15,9 +19,11 @@ from stigmagame import (
 )
 from stigmagame import _kernels
 from stigmagame.cli import load_config
+from stigmagame.coordination import hot_threshold
 from stigmagame.montecarlo import CHUNK, PairCounts
+from stigmagame.signaling import policy_state
 
-from conftest import PIECEWISE_CFG
+from conftest import PAPER_CFG, PIECEWISE_CFG, simulate_pairs_reference, src_env
 
 class TestConfigValidation:
     def test_zero_pairs_rejected(self):
@@ -162,17 +168,93 @@ class TestStreaming:
             assert np.array_equal(b[n:], c)
 
     def test_peak_memory_does_not_grow_with_pairs(self, paper_params):
+        # each run in a new thread, so that each peak includes allocating
+        # that thread's kernel workspace
         mib = 2**20
         peaks = []
         for n in (2**20, 2**21):
+            cfg = SimConfig(n_pairs=n, seed=2, tau_hat=0.5)
             tracemalloc.start()
             try:
-                simulate(paper_params, SimConfig(n_pairs=n, seed=2, tau_hat=0.5))
+                with ThreadPoolExecutor(max_workers=1) as pool:
+                    pool.submit(simulate, paper_params, cfg).result(timeout=60)
                 peaks.append(tracemalloc.get_traced_memory()[1] / mib)
             finally:
                 tracemalloc.stop()
         assert peaks[0] < 24.0
         assert abs(peaks[1] - peaks[0]) < 2.0
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 0.85, 1.0])
+    @pytest.mark.parametrize("convention", ["corrected", "paper_literal"])
+    @pytest.mark.parametrize("config", [PAPER_CFG, PIECEWISE_CFG], ids=["paper", "piecewise"])
+    def test_kernel_equals_reference(self, config, convention, tau):
+        # largest call first, so a stale workspace row would show in the
+        # smaller ones; all results are held until the end, so one that a
+        # later call overwrote would show too
+        state = policy_state(load_config(config).params, tau)
+        p = state.params
+        model = (state, hot_threshold(p.u, state.gap), convention == "paper_literal")
+        tables = [_kernels.knot_arrays(d) for d in (p.dist_beta, p.dist_y)]
+        ranges = [(0, 3 * CHUNK + 5), (7, CHUNK), (12345, 1000), (0, 1)]
+        got = [_kernels.simulate_pairs(97, first, n, *model, *tables) for first, n in ranges]
+        for (first, n), out in zip(ranges, got):
+            ref = simulate_pairs_reference(97, first, n, *model)
+            assert [a.dtype for a in out] == [np.float64] + [np.uint8] * 6
+            for name, a, b in zip(("w", "unsafe", "nhot", "ntest", "ndisc", "nlow", "nrej"), out, ref):
+                assert a.tobytes() == b.tobytes(), (first, n, name)
+
+    def test_concurrent_threads_match_serial(self):
+        # more threads than cores, switching often; results as when run one
+        # at a time, so no two threads write the same buffers
+        jobs = [
+            (load_config(cfg).params, SimConfig(n_pairs=CHUNK + 3 * seed, seed=seed, tau_hat=0.5))
+            for seed, cfg in enumerate([PAPER_CFG, PIECEWISE_CFG] * 3, start=1)
+        ]
+        serial = [simulate(*job) for job in jobs]
+        start = threading.Barrier(len(jobs))
+
+        def run(job):
+            start.wait(timeout=30)
+            return [simulate(*job) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                results = [f.result(timeout=120) for f in [pool.submit(run, j) for j in jobs]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[want] * 3 for want in serial]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt is Linux's")
+    def test_repeated_calls_do_not_page_fault(self):
+        # every intermediate lives in the reused workspace; what may fault is
+        # the returned arrays (14 B/pair) and the reductions' masks. A fresh
+        # interpreter, because freeing a large array raises malloc's mmap
+        # threshold for the rest of the process, which hides the faults
+        proc = subprocess.run(
+            [sys.executable, "-c", FAULTS, str(PAPER_CFG), str(CHUNK)],
+            env=src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) / 10 <= 1024
+
+
+# minor page faults of ten simulations after one warm-up
+FAULTS = """
+import resource, sys
+from stigmagame import SimConfig, simulate
+from stigmagame.cli import load_config
+params = load_config(sys.argv[1]).params
+cfg = SimConfig(n_pairs=int(sys.argv[2]), seed=3, tau_hat=0.5)
+simulate(params, cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    simulate(params, cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
 
 class TestAgainstAnalyticChain:

@@ -226,6 +226,24 @@ class TestSweep:
         figure_tables(paper_params, "corrected", len(grid))
         assert len(calls) == len(grid)
 
+    def test_mean_of_y_is_computed_once(self, paper_params, monkeypatch):
+        # E[y] does not depend on tau: one pass over the knots per spec, then
+        # two truncated moments per point (the testing bonus and B's payoff)
+        calls = []
+        for short in ("distributions", "signaling", "welfare"):
+            module = sys.modules[f"stigmagame.{short}"]
+
+            def counting(spec, t, original=module.partial_expectation):
+                calls.append(t)
+                return original(spec, t)
+
+            monkeypatch.setattr(module, "partial_expectation", counting)
+        params = replace(paper_params, dist_y=piecewise_linear_cdf([(0.0, 0.0), (2.0, 1.0)]))
+        grid = [i / 16 for i in range(17)]
+        rows = sweep(params, grid)
+        assert len(calls) == 2 * len(grid) + 1
+        assert rows == sweep(paper_params, grid)
+
     def test_failed_row_identifies_tau(self, paper_params, monkeypatch):
         module = sys.modules["stigmagame.welfare"]
         original = module.period1_outcome
