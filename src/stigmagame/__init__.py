@@ -15,8 +15,6 @@ from .signaling import (
     AssumptionReport,
     AssumptionViolation,
     ModelParams,
-    best_response_interact,
-    best_response_test,
     check_assumptions,
     continuation_values,
     pointwise_continuation,
@@ -29,7 +27,6 @@ from .coordination import (
     high_risk_fraction,
     hot_fraction,
     hot_threshold,
-    pair_outcome,
     period1_outcome,
 )
 from .welfare import (

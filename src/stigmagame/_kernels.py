@@ -27,15 +27,13 @@ from .signaling import PolicyState, rejection_cutoff
 
 __all__ = ["InverseCdf", "active_backend", "knot_arrays", "ppf_from_knots", "simulate_pairs"]
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's increment
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
-_ONE = np.uint64(1)
-_SIX = np.uint64(6)
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 
 
@@ -124,19 +122,26 @@ def ppf_from_knots(u, table: InverseCdf, out=None):
     return x.reshape(np.shape(u))
 
 
-def _unit_array(seed: np.uint64, counters: np.ndarray, out=None):
-    """Uniform [0, 1) doubles from uint64 counters (splitmix64 output fn),
-    into out (float64, counters' size; scratch until then) or a new array."""
-    out = np.empty(counters.size) if out is None else out
-    (z,), shift = _rows("rng", np.uint64, 1, counters.size), out.view(np.uint64)
-    np.multiply(np.add(counters, _ONE, out=z), _GOLDEN, out=z)
-    np.add(seed, z, out=z)
+def _unit_array(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Uniform [0, 1) doubles into out (float64, z's size): splitmix64's
+    output function of the keyed states z = seed + (counter + 1) * GOLDEN
+    mod 2**64 (uint64), which it overwrites. out is its shift scratch until
+    the last pass writes the doubles."""
+    shift = out.view(np.uint64)
     for s, mix in ((_S30, _MIX1), (_S27, _MIX2)):
         np.bitwise_xor(z, np.right_shift(z, s, out=shift), out=z)
         np.multiply(z, mix, out=z)
     np.bitwise_xor(z, np.right_shift(z, _S31, out=shift), out=z)
     np.right_shift(z, _S11, out=z)
-    return np.multiply(z, _INV53, out=out)
+    # z < 2**53 now, so its int64 view converts the same and faster
+    return np.multiply(z.view(np.int64), _INV53, out=out)
+
+
+def _floats(flags: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """flags as 1.0 and 0.0 in out: a copy and a float product cost less than
+    numpy's bool-by-float loop, with the same bits."""
+    np.copyto(out, flags)
+    return out
 
 
 def simulate_pairs(
@@ -154,58 +159,63 @@ def simulate_pairs(
     state supplies the stigma level S and the parameters, beta_cdf and
     y_cdf the knot_arrays tables of its two distributions. beta_star is the
     hot threshold; literal_b selects the paper_literal welfare of B.
-    Returns (w, unsafe, nhot, ntest, ndisc, nlowtest, nuntestrej): pair
-    welfare as float64, then uint8 flags and per-pair counts (0-2), each new.
+    Returns (w, code), both new: pair welfare as float64, and as uint8 the
+    pair's outcome code unsafe + 2 nhot + 6 ntest + 18 ndisc (0-53), where
+    unsafe is 1 for a pair that plays unsafe and nhot, ntest and ndisc count
+    its hot players, testing A players and discriminating B players (0-2).
     """
     p, stigma, n = state.params, state.S, n_pairs
     cutoff = rejection_cutoff(p)
-    six_i = getattr(_local, "six_i", None)  # 6i for i < n, kept across calls
-    if six_i is None or len(six_i) < n:
-        six_i = _local.six_i = np.arange(n, dtype=np.uint64) * _SIX
+    golden = getattr(_local, "golden", None)  # 6 i GOLDEN for i < n, kept across calls
+    if golden is None or len(golden) < n:
+        golden = _local.golden = np.arange(n, dtype=np.uint64) * np.uint64(6 * _GOLDEN % 2**64)
     tmp, b1, b2, ya1, ya2, yb1, yb2, net = _rows("f64", float, 8, n)
-    hot1, hot2, unsafe, t1, t2, d1, d2, m1, m2, e1, e2 = _rows("bool", bool, 11, n)
+    hot1, hot2, unsafe, t1, t2, d1, d2, m1, m2, e = _rows("bool", bool, 10, n)
 
-    for k, x in enumerate((b1, b2, ya1, ya2, yb1, yb2)):  # x holds the counters until drawn
-        counters = np.add(six_i[:n], np.uint64(6 * first_pair + k), out=x.view(np.uint64))
-        u = _unit_array(np.uint64(seed), counters, out=tmp)
+    for k, x in enumerate((b1, b2, ya1, ya2, yb1, yb2)):  # x holds the RNG states until drawn
+        # counter 6 (first_pair + i) + k keyed as seed + (counter + 1) GOLDEN, mod 2**64
+        key = np.uint64(((6 * first_pair + k + 1) * _GOLDEN + seed) % 2**64)
+        u = _unit_array(np.add(golden[:n], key, out=x.view(np.uint64)), out=tmp)
         ppf_from_knots(u, beta_cdf if k < 2 else y_cdf, out=x)
 
     np.less(b1, beta_star, out=hot1)
     np.less(b2, beta_star, out=hot2)
     # (hot1 & hot2) | ((hot1 ^ hot2) & (b1 + b2 < 2 beta*))
     np.less(np.add(b1, b2, out=tmp), 2.0 * beta_star, out=unsafe)
-    np.logical_and(unsafe, np.logical_xor(hot1, hot2, out=e1), out=unsafe)
-    np.logical_or(unsafe, np.logical_and(hot1, hot2, out=e1), out=unsafe)
-    theta, pay1 = b1, b2  # in the beta draws' rows, no longer needed
-    np.copyto(theta, p.theta_L)
-    np.copyto(theta, p.theta_H, where=unsafe)
-    np.copyto(pay1, p.M - p.u)
-    np.copyto(pay1, p.M, where=unsafe)
+    np.logical_and(unsafe, np.logical_xor(hot1, hot2, out=e), out=unsafe)
+    np.logical_or(unsafe, np.logical_and(hot1, hot2, out=e), out=unsafe)
 
-    np.subtract(np.multiply(theta, p.v, out=net), p.c, out=net)
+    # the net gain from testing theta v - c, and ua = pay1 + t net - theta c_h
+    # + m y_a less its last term, as tables by 2 unsafe + t (the gain does not
+    # depend on t), each value in the per-pair expression's operation order
+    theta, pay1 = (p.theta_L, p.theta_H), (p.M - p.u, p.M)
+    gain = [theta[i // 2] * p.v - p.c for i in range(4)]
+    base = [pay1[i // 2] + (i % 2) * gain[i] - theta[i // 2] * p.c_h for i in range(4)]
+    gain, base = np.array(gain), np.array(base)
+    row, index = b1.view(np.intp), b2.view(np.intp)  # in the beta draws' rows, no longer needed
+    np.copyto(row, unsafe)
+    np.add(row, row, out=row)
+    np.take(gain, row, out=net, mode="clip")  # in range; "raise" would stage out in a copy
     w, ua2 = np.empty(n), ya1  # w holds ua1 until ua2 is added; ya1 is done by then
     for t, m, d, ya, yb, ua in ((t1, m1, d1, ya1, yb1, w), (t2, m2, d2, ya2, yb2, ua2)):
         # t: tests, net - S y_a > 0; d: y_b below the cutoff; m: not (d and t)
         np.greater(np.subtract(net, np.multiply(stigma, ya, out=tmp), out=tmp), 0.0, out=t)
         np.less(yb, cutoff, out=d)
         np.logical_not(np.logical_and(d, t, out=m), out=m)
-        # ua = pay1 + t net - theta c_h + m y_a
-        np.add(pay1, np.multiply(t, net, out=ua), out=ua)
-        np.subtract(ua, np.multiply(theta, p.c_h, out=tmp), out=ua)
-        np.add(ua, np.multiply(m, ya, out=tmp), out=ua)
+        np.take(base, np.add(row, t, out=index), out=ua, mode="clip")
+        np.add(ua, np.multiply(_floats(m, tmp), ya, out=tmp), out=ua)
 
     # w = 0.5 (ua1 + ua2 + ub1 + ub2); ub = m y_b, or (t if d else 1) y_b literally
     np.add(w, ua2, out=w)
     for t, m, d, yb in ((t1, m1, d1, yb1), (t2, m2, d2, yb2)):
-        accepts = np.logical_or(np.logical_not(d, out=e1), t, out=e1) if literal_b else m
-        np.add(w, np.multiply(accepts, yb, out=tmp), out=w)
+        accepts = np.logical_or(np.logical_not(d, out=e), t, out=e) if literal_b else m
+        np.add(w, np.multiply(_floats(accepts, tmp), yb, out=tmp), out=w)
     np.multiply(w, 0.5, out=w)
 
-    def count(a, b):  # per-pair count of two bool rows, as new uint8
-        return np.add(a.view(np.uint8), b.view(np.uint8))
-
-    nlowtest = count(np.greater(t1, unsafe, out=e1), np.greater(t2, unsafe, out=e2))  # t & ~unsafe
-    nuntestrej = count(np.logical_not(np.logical_or(t1, m1, out=e1), out=e1),  # ~t & ~m
-                       np.logical_not(np.logical_or(t2, m2, out=e2), out=e2))
-    return (w, unsafe.view(np.uint8).copy(), count(hot1, hot2), count(t1, t2),
-            count(d1, d2), nlowtest, nuntestrej)
+    # code = ((ndisc 3 + ntest) 3 + nhot) 2 + unsafe, each count a sum of two bool rows
+    code = np.add(d1.view(np.uint8), d2.view(np.uint8))
+    for radix, flags in ((3, (t1, t2)), (3, (hot1, hot2)), (2, (unsafe,))):
+        np.multiply(code, radix, out=code)
+        for flag in flags:
+            np.add(code, flag.view(np.uint8), out=code)
+    return w, code

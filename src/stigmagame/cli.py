@@ -2,18 +2,19 @@
 
 Commands: check | evaluate | sweep | optimize | simulate | figures.
 Config files are flat `key = value` text (UTF-8, # comments). Exit codes:
-0 success, 2 config error (including an assumption-1 violation, and
-tau_true != 0 for the welfare commands), 3 assumption-3 failure (the
-welfare commands, and check under --strict), 4 numerical failure inside
-the chain. `--tau` replaces tau_hat for every command. All CSV output
-uses a fixed column order with 12-significant-digit floats, so repeated
-runs with the same config are byte-identical.
+0 success, 2 config error (including an assumption-1 violation,
+tau_true != 0 and a valuation or present-bias support below 0), 3
+assumption-3 failure (the welfare commands, and check under --strict), 4
+numerical failure inside the chain. `--tau` replaces tau_hat for every
+command. All CSV output uses a fixed column order with 12-significant-digit
+floats, so repeated runs with the same config are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import re
 import sys
@@ -316,7 +317,10 @@ def run(command: str, cfg: RunConfig, svg: bool = False) -> int:
     raise ValueError(f"unknown command {command!r}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first main() call (not at
+    import) and reused: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="stigmagame",
         description="Testing-stigma policy analysis: equilibrium chain, "
@@ -383,9 +387,8 @@ def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
@@ -414,7 +417,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
-        # e.g. tau_true != 0 rejected by the welfare preconditions
+        # a library precondition that the config and flag checks did not cover
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

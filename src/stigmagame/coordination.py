@@ -22,7 +22,6 @@ __all__ = [
     "Period1Outcome",
     "hot_threshold",
     "hot_fraction",
-    "pair_outcome",
     "high_risk_fraction",
     "period1_outcome",
 ]
@@ -53,22 +52,6 @@ def hot_fraction(dist_beta: DistributionSpec, beta_star: float) -> float:
     if beta_star < 0.0:
         raise ValueError(f"beta_star must be >= 0, got {beta_star!r}")
     return cdf(dist_beta, min(beta_star, 1.0))
-
-
-def pair_outcome(beta_1: float, beta_2: float, beta_star: float) -> str:
-    """Equilibrium a matched pair coordinates on: "safe" or "unsafe".
-
-    A player exactly at beta_star counts as cold, and a mixed pair exactly
-    at the joint threshold plays safe; both ties are measure-zero and fixed
-    for determinism.
-    """
-    hot_1 = beta_1 < beta_star
-    hot_2 = beta_2 < beta_star
-    if hot_1 and hot_2:
-        return "unsafe"
-    if not hot_1 and not hot_2:
-        return "safe"
-    return "unsafe" if beta_1 + beta_2 < 2.0 * beta_star else "safe"
 
 
 def high_risk_fraction(dist_beta: DistributionSpec, beta_star: float) -> float:

@@ -13,15 +13,15 @@ Matching is one B partner per A player.
 Results are deterministic for a fixed (params, seed, n_pairs): pairs own
 counter-derived substreams, keyed on their global index. The pairs stream
 through the kernel in fixed chunks of CHUNK, each reduced at once to
-sufficient statistics (exact integer counts, and the welfare sum and
-centred sum of squares), merged in chunk order. Memory therefore does not
-grow with n_pairs, and a smaller run is a prefix of a larger one.
+sufficient statistics (pairs per outcome code by one np.bincount, and
+the welfare sum and centred sum of squares), merged in chunk order.
+Memory therefore does not grow with n_pairs, and a smaller run is a
+prefix of a larger one.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -44,6 +44,12 @@ __all__ = [
 ]
 
 CHUNK = 2**16  # pairs per kernel call; bounds the per-pair arrays held at once
+CODES = 54  # pair outcome codes unsafe + 2 nhot + 6 ntest + 18 ndisc of the kernel
+
+
+def _decode(code: int) -> tuple[int, int, int, int]:
+    """(unsafe, nhot, ntest, ndisc) of a pair outcome code."""
+    return code % 2, code // 2 % 3, code // 6 % 3, code // 18
 
 
 @dataclass(frozen=True)
@@ -98,8 +104,6 @@ class SimResult:
     hat: Estimates
     stderr: Estimates
     counts: PairCounts
-    low_risk_tests: int
-    untested_rejections: int
 
 
 def _binom_se(p: float, n: int) -> float:
@@ -115,37 +119,18 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
 
     from . import _kernels
 
-    def count(mask) -> int:
-        return int(np.count_nonzero(mask))
-
     state = policy_state(params, config.tau_hat)
     beta_star = hot_threshold(state.params.u, state.gap)
     literal_b = config.convention == "paper_literal"
     cdfs = [_kernels.knot_arrays(d) for d in (state.params.dist_beta, state.params.dist_y)]
 
     n = config.n_pairs
-    tally = Counter()
+    tally = np.zeros(CODES, dtype=np.int64)  # pairs per outcome code
     w_sums = []
     w_m2 = 0.0
     for first in range(0, n, CHUNK):
         m = min(CHUNK, n - first)
-        w, unsafe, nhot, ntest, ndisc, nlow, nrej = _kernels.simulate_pairs(
-            config.seed, first, m, state, beta_star, literal_b, *cdfs
-        )
-        unsafe_b = unsafe.astype(bool)
-        mixed = nhot == 1
-        tally.update(
-            hot_hot=count(nhot == 2),
-            cold_cold=count(nhot == 0),
-            hot_cold_unsafe=count(mixed & unsafe_b),
-            hot_cold_safe=count(mixed & ~unsafe_b),
-            unsafe=count(unsafe_b),
-            one_test=count(ntest == 1),
-            two_tests=count(ntest == 2),
-            low_tests=int(np.sum(nlow)),
-            disclosures=int(np.sum(ndisc)),
-            untested_rejections=int(np.sum(nrej)),
-        )
+        w, code = _kernels.simulate_pairs(config.seed, first, m, state, beta_star, literal_b, *cdfs)
         # Chan, Golub & LeVeque (1979): add the chunk's centred sum of squares
         # (in place on w, a new array) plus the shift between the two means
         w_sum = float(np.sum(w))
@@ -156,18 +141,34 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
             delta = w_sum / m - math.fsum(w_sums) / first
             w_m2 += delta * delta * first * m / (first + m)
         w_sums.append(w_sum)
+        # np.bincount counts intp; the codes take w's spent bytes as intp, not
+        # a new 8 B/pair copy that would page-fault on every call
+        codes = w.view(np.intp)
+        np.copyto(codes, code)
+        tally += np.bincount(codes, minlength=CODES)
+
+    # exact integer counts: pairs by nhot and by ntest, unsafe pairs (also
+    # the mixed ones among them) and discriminating B players
+    by_hot, by_tests = [0, 0, 0], [0, 0, 0]
+    n_unsafe = mixed_unsafe = disclosures = 0
+    for c, pairs in enumerate(tally.tolist()):
+        unsafe, nhot, ntest, ndisc = _decode(c)
+        by_hot[nhot] += pairs
+        by_tests[ntest] += pairs
+        n_unsafe += unsafe * pairs
+        mixed_unsafe += unsafe * (nhot == 1) * pairs
+        disclosures += ndisc * pairs
 
     agents = 2 * n
-    n_unsafe = tally["unsafe"]
     r_hat = n_unsafe / n
-    one, two = tally["one_test"], tally["two_tests"]
+    one, two = by_tests[1], by_tests[2]
     tests_total = one + 2 * two
-    low_tests = tally["low_tests"]
     r_pop_hat = tests_total / agents
+    # only high-risk players test (assumption 1 with y >= 0), and those are
+    # the players of unsafe pairs
     n_high_agents = 2 * n_unsafe
-    high_tests = tests_total - low_tests
-    r_h_hat = high_tests / n_high_agents if n_high_agents else math.nan
-    s_hat = tally["disclosures"] / agents
+    r_h_hat = tests_total / n_high_agents if n_high_agents else math.nan
+    s_hat = disclosures / agents
     w_hat = math.fsum(w_sums) / n
 
     if n > 1:
@@ -189,13 +190,11 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
             W=se_w,
         ),
         counts=PairCounts(
-            hot_hot=tally["hot_hot"],
-            cold_cold=tally["cold_cold"],
-            hot_cold_unsafe=tally["hot_cold_unsafe"],
-            hot_cold_safe=tally["hot_cold_safe"],
+            hot_hot=by_hot[2],
+            cold_cold=by_hot[0],
+            hot_cold_unsafe=mixed_unsafe,
+            hot_cold_safe=by_hot[1] - mixed_unsafe,
         ),
-        low_risk_tests=low_tests,
-        untested_rejections=tally["untested_rejections"],
     )
 
 

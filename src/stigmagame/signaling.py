@@ -27,8 +27,6 @@ __all__ = [
     "stigma_level",
     "testing_threshold",
     "testing_rates",
-    "best_response_test",
-    "best_response_interact",
     "continuation_values",
     "policy_state",
     "pointwise_continuation",
@@ -46,6 +44,9 @@ class AssumptionViolation(ValueError):
         super().__init__(f"{assumption} violated: {message}")
 
 
+_NON_NEGATIVE = ("v", "c", "c_h", "z", "u", "M")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Exogenous scalars plus the two population distributions.
@@ -55,8 +56,9 @@ class ModelParams:
     c_h: infection cost (choice-irrelevant); z: partner's health cost if
     infected; u: period-1 payoff premium of the unsafe choice; M: period-1
     payoff of successful coordination; tau_hat: perceived transmission risk
-    (the policy instrument); tau_true: actual transmission risk.
-    dist_beta governs present bias, dist_y interaction valuations.
+    (the policy instrument); tau_true: actual transmission risk, which the
+    analysis takes to be 0. dist_beta governs present bias, dist_y
+    interaction valuations; both supports start at 0 or above.
     """
 
     theta_L: float
@@ -78,14 +80,23 @@ class ModelParams:
                 f"need 0 < theta_L < theta_H < 1, got "
                 f"({self.theta_L!r}, {self.theta_H!r})"
             )
-        for name in ("v", "c", "c_h", "z", "u", "M"):
-            val = getattr(self, name)
-            if not (math.isfinite(val) and val >= 0.0):
+        values = (self.v, self.c, self.c_h, self.z, self.u, self.M)
+        for val in values:
+            if not 0.0 <= val < math.inf:
+                name = _NON_NEGATIVE[values.index(val)]
                 raise ValueError(f"{name} must be finite and >= 0, got {val!r}")
-        for name in ("tau_hat", "tau_true"):
-            val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {val!r}")
+        if not 0.0 <= self.tau_hat <= 1.0:
+            raise ValueError(f"tau_hat must lie in [0, 1], got {self.tau_hat!r}")
+        if self.tau_true != 0.0:
+            raise ValueError(
+                f"tau_true must be 0 (the analysis assumes no actual transmission "
+                f"risk), got {self.tau_true!r}"
+            )
+        # the closed forms take valuations and present bias to be non-negative
+        if not min(self.dist_beta.knots_x[0], self.dist_y.knots_x[0]) >= 0.0:
+            name = "dist_beta" if self.dist_beta.knots_x[0] < 0.0 else "dist_y"
+            lo = getattr(self, name).support_lo
+            raise ValueError(f"{name} support must start at 0 or above, got {lo!r}")
         # testing must be worthwhile for high risk only; checked here rather
         # than silently assumed downstream
         if not self.theta_L * self.v < self.c:
@@ -145,21 +156,6 @@ def testing_rates(params: ModelParams, S: float, r: float) -> tuple[float, float
     y_star = testing_threshold(params, S)
     r_h = 1.0 if math.isinf(y_star) else cdf(params.dist_y, y_star)
     return r_h, r * r_h
-
-
-def best_response_test(theta_a: float, y_a: float, S: float, params: ModelParams) -> int:
-    """1 iff testing beats abstaining: theta_a*v - c - S*y_a > 0 (strict)."""
-    return 1 if theta_a * params.v - params.c - S * y_a > 0.0 else 0
-
-
-def best_response_interact(t_a: int, y_b: float, params: ModelParams) -> int:
-    """B accepts any untested partner; a tested one only above the cutoff.
-
-    Indifference at the cutoff resolves to acceptance.
-    """
-    if t_a == 0:
-        return 1
-    return 1 if y_b >= rejection_cutoff(params) else 0
 
 
 def continuation_values(params: ModelParams, S: float) -> tuple[float, float, float]:

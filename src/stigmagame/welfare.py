@@ -147,10 +147,6 @@ def _require_preconditions(params: ModelParams, convention: str) -> None:
     Public entry points call this once, before any chain evaluation.
     """
     _check_convention(convention)
-    if params.tau_true != 0.0:
-        raise ValueError(
-            f"welfare analysis assumes tau_true = 0, got {params.tau_true!r}"
-        )
     gap0 = assumption3_margin(params)
     if gap0 <= 0.0:
         raise AssumptionViolation(

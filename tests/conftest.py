@@ -83,7 +83,7 @@ def simulate_pairs_reference(seed, first_pair, n_pairs, state, beta_star, litera
     """The pair kernel in expression form, every intermediate a new array,
     drawing through ppf_reference: the oracle that _kernels.simulate_pairs
     (same arguments, plus the two knot_arrays tables) must equal byte for
-    byte in all seven outputs."""
+    byte in both outputs, w and the outcome code."""
     p, stigma = state.params, state.S
     cutoff = rejection_cutoff(p)
     base = (np.arange(n_pairs, dtype=np.uint64) + np.uint64(first_pair)) * np.uint64(6)
@@ -123,10 +123,39 @@ def simulate_pairs_reference(seed, first_pair, n_pairs, state, beta_star, litera
     nhot = hot1.astype(np.uint8) + hot2.astype(np.uint8)
     ntest = t1.astype(np.uint8) + t2.astype(np.uint8)
     ndisc = d1.astype(np.uint8) + d2.astype(np.uint8)
-    safe_mask = ~unsafe
-    nlowtest = (safe_mask & t1).astype(np.uint8) + (safe_mask & t2).astype(np.uint8)
-    nuntestrej = (~t1 & ~m1).astype(np.uint8) + (~t2 & ~m2).astype(np.uint8)
-    return w, unsafe.astype(np.uint8), nhot, ntest, ndisc, nlowtest, nuntestrej
+    code = unsafe.astype(np.uint8) + 2 * nhot + 6 * ntest + 18 * ndisc
+    return w, code
+
+
+def pair_outcome(beta_1: float, beta_2: float, beta_star: float) -> str:
+    """Equilibrium a matched pair coordinates on: "safe" or "unsafe".
+
+    A player exactly at beta_star counts as cold, and a mixed pair exactly
+    at the joint threshold plays safe; both ties are measure-zero and fixed
+    for determinism.
+    """
+    hot_1 = beta_1 < beta_star
+    hot_2 = beta_2 < beta_star
+    if hot_1 and hot_2:
+        return "unsafe"
+    if not hot_1 and not hot_2:
+        return "safe"
+    return "unsafe" if beta_1 + beta_2 < 2.0 * beta_star else "safe"
+
+
+def best_response_test(theta_a: float, y_a: float, S: float, params: ModelParams) -> int:
+    """1 iff testing beats abstaining: theta_a*v - c - S*y_a > 0 (strict)."""
+    return 1 if theta_a * params.v - params.c - S * y_a > 0.0 else 0
+
+
+def best_response_interact(t_a: int, y_b: float, params: ModelParams) -> int:
+    """B accepts any untested partner; a tested one only above the cutoff.
+
+    Indifference at the cutoff resolves to acceptance.
+    """
+    if t_a == 0:
+        return 1
+    return 1 if y_b >= rejection_cutoff(params) else 0
 
 
 def sample(spec, stream: np.random.Generator, size=None):

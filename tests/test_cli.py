@@ -7,9 +7,10 @@ import pytest
 
 from stigmagame import cli
 
-from conftest import PAPER_CFG, src_env
+from conftest import PAPER_CFG, REPO_ROOT, src_env
 
 GOOD_CFG = PAPER_CFG.read_text(encoding="utf-8")
+DATA = REPO_ROOT / "tests" / "data"
 
 
 def write_cfg(tmp_path, text, name="model.cfg"):
@@ -149,6 +150,15 @@ class TestExitCodes:
         assert rc == 2
         assert "finite squares" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["check", "evaluate", "simulate"])
+    @pytest.mark.parametrize("config", ["negative_y.cfg", "negative_beta.cfg"])
+    def test_negative_support_exits_2(self, tmp_path, capsys, command, config):
+        # valuations or present bias below 0 lie outside the closed forms
+        argv = [command, "--config", str(DATA / config), "--out", str(tmp_path)]
+        assert cli.main(argv + ["--pairs", "1000"]) == 2
+        assert "support must start at 0 or above" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_flag_values(self, tmp_path):
         args = ["sweep", "--config", str(PAPER_CFG), "--out", str(tmp_path)]
@@ -405,8 +415,9 @@ class TestArtifacts:
 
 class TestExitCodeMatrix:
     # c_h = 0.3 fails assumption 3 (margin -0.07); tau_true = 0.2 is outside
-    # the welfare analysis. Every welfare-bearing command reports the same
-    # code for the same config, whatever point of the chain it reaches first.
+    # the analysis, a config error for every command. Every welfare-bearing
+    # command reports the same code for the same config, whatever point of
+    # the chain it reaches first.
     CONFIGS = {"a3": {"c_h": "0.3"}, "tau_true": {"tau_true": "0.2"}}
     EXPECTED = {
         ("evaluate", "a3"): 3,
@@ -421,7 +432,7 @@ class TestExitCodeMatrix:
         ("optimize", "tau_true"): 2,
         ("simulate", "tau_true"): 2,
         ("figures", "tau_true"): 2,
-        ("check", "tau_true"): 0,
+        ("check", "tau_true"): 2,
     }
 
     @pytest.mark.parametrize("command, config", sorted(EXPECTED))
@@ -465,3 +476,43 @@ class TestTauFlag:
         assert natural_09 == natural_05 == "# hot threshold natural = 0.285714285714"
         assert policy_05 == "# hot threshold policy  = 0.175824175824"
         assert policy_09 == "# hot threshold policy  = 0.171632896305"
+
+
+def fresh_main(argv, cwd):
+    """main(argv) in a new interpreter: (exit code, stdout, stderr)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "stigmagame.cli", *argv], cwd=cwd,
+        env=dict(src_env(), COLUMNS="80"), capture_output=True, text=True, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    # main() builds the parser once per process and reuses it, so each call
+    # must behave as the first call of a fresh process would
+
+    def test_bad_argv_then_valid_argv(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        bad = ["simulate", "--config", str(PAPER_CFG), "--pairs", "many", "--out", "out"]
+        good = ["simulate", "--config", str(PAPER_CFG), "--pairs", "3000", "--seed", "5",
+                "--out", "out"]
+        runs = []
+        for argv in (bad, good):
+            runs.append((cli.main(argv), *capsys.readouterr()))
+        sim = (tmp_path / "out" / "sim.csv").read_bytes()
+        assert [run[0] for run in runs] == [2, 0]
+        assert runs == [fresh_main(bad, tmp_path), fresh_main(good, tmp_path)]
+        assert (tmp_path / "out" / "sim.csv").read_bytes() == sim
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"], ["figures", "-h"]])
+    def test_help_text_is_unchanged(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            texts.append(capsys.readouterr().out)
+        code, out, err = fresh_main(argv, tmp_path)
+        assert (code, err) == (0, "")
+        assert texts == [out, out]
+        assert "usage: stigmagame" in out

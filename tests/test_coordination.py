@@ -9,14 +9,19 @@ from stigmagame import (
     high_risk_fraction,
     hot_fraction,
     hot_threshold,
-    pair_outcome,
     period1_outcome,
     piecewise_linear_cdf,
     stigma_level,
     uniform,
 )
 
-from conftest import quadrature_r, random_piecewise_beta, random_valid_params, sample
+from conftest import (
+    pair_outcome,
+    quadrature_r,
+    random_piecewise_beta,
+    random_valid_params,
+    sample,
+)
 
 BETA01 = uniform(0.0, 1.0)
 

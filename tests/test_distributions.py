@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from stigmagame import _kernels
 from stigmagame.distributions import (
     QuadratureError,
     cdf,
@@ -15,7 +14,7 @@ from stigmagame.distributions import (
     uniform,
 )
 
-from conftest import ppf, ppf_reference, sample
+from conftest import ppf, ppf_reference, sample, unit_reference
 
 PW = piecewise_linear_cdf([(0.0, 0.0), (1.0, 0.5), (2.0, 1.0)])
 
@@ -194,7 +193,7 @@ class TestSampling:
     def test_two_knot_shortcut_is_bit_identical(self, spec):
         counters = np.arange(100_000, dtype=np.uint64)
         u = np.concatenate(
-            [[0.0, 1.0 - 2.0**-53], _kernels._unit_array(np.uint64(17), counters)]
+            [[0.0, 1.0 - 2.0**-53], unit_reference(17, counters)]
         )
         assert len(spec.knots_x) == 2
         got = ppf(spec, u)

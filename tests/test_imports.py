@@ -5,7 +5,8 @@ Python, so `import stigmagame` and the check, evaluate, sweep, optimize and
 figures commands must not pay for importing numpy. One test runs those
 commands in a fresh interpreter and inspects sys.modules; another reads the
 source, so a module-level numpy import is caught even on a path no command
-reaches.
+reaches. Importing the CLI builds no argparse parser either; main() builds
+it once per process.
 
 Each module's `__all__` is its public surface: it names only what exists,
 and it lists every public function and class the module defines.
@@ -58,6 +59,39 @@ def test_numpy_loads_only_when_a_simulation_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == ["False", "True"]
+
+
+PARSERS = """
+import argparse, contextlib, io, sys
+built = []
+init = argparse.ArgumentParser.__init__
+
+
+def counting(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+
+
+argparse.ArgumentParser.__init__ = counting
+from stigmagame import cli
+counts = [len(built)]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["check", "--config", sys.argv[1]]) == 0
+    counts.append(len(built))
+print(*counts)
+"""
+
+
+def test_cli_builds_its_parser_on_first_use_only():
+    # importing the CLI (the set-up path) builds no parser; the first main()
+    # builds the parser and its six subcommand parsers, later calls reuse them
+    proc = subprocess.run(
+        [sys.executable, "-c", PARSERS, str(PAPER_CFG)],
+        env=src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["0", "7", "7"]
 
 
 def _module_level(node):

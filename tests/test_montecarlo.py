@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -20,10 +21,17 @@ from stigmagame import (
 from stigmagame import _kernels
 from stigmagame.cli import load_config
 from stigmagame.coordination import hot_threshold
-from stigmagame.montecarlo import CHUNK, PairCounts
-from stigmagame.signaling import policy_state
+from stigmagame.montecarlo import CHUNK, CODES, PairCounts, _decode
+from stigmagame.signaling import policy_state, rejection_cutoff
 
-from conftest import PAPER_CFG, PIECEWISE_CFG, simulate_pairs_reference, src_env
+from conftest import (
+    PAPER_CFG,
+    PIECEWISE_CFG,
+    best_response_interact,
+    best_response_test,
+    simulate_pairs_reference,
+    src_env,
+)
 
 class TestConfigValidation:
     def test_zero_pairs_rejected(self):
@@ -52,28 +60,27 @@ class TestDeterminism:
 
 # SimResult of the 33-knot piecewise beta and y config at seed 41 and
 # 3 * CHUNK + 5 pairs: hat and stderr as hex floats, then hot_hot,
-# cold_cold, hot_cold_unsafe, hot_cold_safe, low_risk_tests and
-# untested_rejections
+# cold_cold, hot_cold_unsafe and hot_cold_safe
 PIECEWISE_GOLDEN = {
     ("corrected", 0.3): (
         ("0x1.7ac0336a54f97p-3", "0x1.2950bb241d6e8p-4", "0x1.91ea21d63185ep-2", "0x1.54231e70229a7p-2", "0x1.5a4faeaf02562p+1"),
         ("0x1.cb0fd6026f4efp-11", "0x1.f7e0b67621e6ep-12", "0x1.daad86608f43ep-10", "0x1.89c93ed9571dfp-11", "0x1.5e8e264ff0396p-10"),
-        (18626, 94353, 17735, 65899, 0, 0),
+        (18626, 94353, 17735, 65899),
     ),
     ("corrected", 0.85): (
         ("0x1.2273713f98960p-3", "0x1.963d5aef131c3p-6", "0x1.660e074571bbap-3", "0x1.c097145988c02p-1", "0x1.593174607be86p+1"),
         ("0x1.9c8001725619ap-11", "0x1.17efba506d098p-12", "0x1.a5a08836732e2p-10", "0x1.136957a943588p-11", "0x1.653117c9d8ca9p-10"),
-        (13938, 105856, 13946, 62873, 0, 0),
+        (13938, 105856, 13946, 62873),
     ),
     ("paper_literal", 0.3): (
         ("0x1.7ac0336a54f97p-3", "0x1.2950bb241d6e8p-4", "0x1.91ea21d63185ep-2", "0x1.54231e70229a7p-2", "0x1.50015bfaf5031p+1"),
         ("0x1.cb0fd6026f4efp-11", "0x1.f7e0b67621e6ep-12", "0x1.daad86608f43ep-10", "0x1.89c93ed9571dfp-11", "0x1.7481719d78cddp-10"),
-        (18626, 94353, 17735, 65899, 0, 0),
+        (18626, 94353, 17735, 65899),
     ),
     ("paper_literal", 0.85): (
         ("0x1.2273713f98960p-3", "0x1.963d5aef131c3p-6", "0x1.660e074571bbap-3", "0x1.c097145988c02p-1", "0x1.ff3cbe235d8e5p+0"),
         ("0x1.9c8001725619ap-11", "0x1.17efba506d098p-12", "0x1.a5a08836732e2p-10", "0x1.136957a943588p-11", "0x1.57c32594d8d60p-10"),
-        (13938, 105856, 13946, 62873, 0, 0),
+        (13938, 105856, 13946, 62873),
     ),
 }
 
@@ -86,8 +93,7 @@ def test_piecewise_results_are_pinned(convention, tau):
     assert tuple(x.hex() for x in res.hat) == hat
     assert tuple(x.hex() for x in res.stderr) == stderr
     c = res.counts
-    assert (c.hot_hot, c.cold_cold, c.hot_cold_unsafe, c.hot_cold_safe,
-            res.low_risk_tests, res.untested_rejections) == counts
+    assert (c.hot_hot, c.cold_cold, c.hot_cold_unsafe, c.hot_cold_safe) == counts
 
 
 def run_recording_kernel(monkeypatch, params, cfg):
@@ -105,13 +111,19 @@ def run_recording_kernel(monkeypatch, params, cfg):
     return res, calls
 
 
-def whole_array_stats(w, unsafe, nhot, ntest, ndisc, nlow, nrej):
+def decoded(code):
+    """Per-pair (unsafe, nhot, ntest, ndisc) arrays of outcome codes."""
+    code = code.astype(np.int64)
+    return code % 2, code // 2 % 3, code // 6 % 3, code // 18
+
+
+def whole_array_stats(w, code):
     """The reductions over per-pair arrays of the whole run at once."""
     n = len(w)
+    unsafe, nhot, ntest, ndisc = decoded(code)
     unsafe_b = unsafe.astype(bool)
     mixed = nhot == 1
     tests = int(np.sum(ntest))
-    low = int(np.sum(nlow))
     return {
         "counts": PairCounts(
             hot_hot=int(np.sum(nhot == 2)),
@@ -122,12 +134,10 @@ def whole_array_stats(w, unsafe, nhot, ntest, ndisc, nlow, nrej):
         "hat": Estimates(
             r=int(np.sum(unsafe_b)) / n,
             R=tests / (2 * n),
-            R_H=(tests - low) / (2 * int(np.sum(unsafe_b))),
+            R_H=tests / (2 * int(np.sum(unsafe_b))),
             S=int(np.sum(ndisc)) / (2 * n),
             W=float(np.sum(w)) / n,
         ),
-        "low_risk_tests": low,
-        "untested_rejections": int(np.sum(nrej)),
         "se_W": float(np.std(w, ddof=1)) / math.sqrt(n),
         "se_R": float(np.std(ntest * 0.5, ddof=1)) / math.sqrt(n),
     }
@@ -149,8 +159,6 @@ class TestStreaming:
         assert {type(c) for c in vars(res.counts).values()} == {int}
         for key in ("r", "R", "R_H", "S"):
             assert getattr(res.hat, key) == getattr(ref["hat"], key), key
-        for key in ("low_risk_tests", "untested_rejections"):
-            assert getattr(res, key) == ref[key], key
         assert res.hat.W == pytest.approx(ref["hat"].W, rel=1e-12, abs=0.0)
         assert res.stderr.W == pytest.approx(ref["se_W"], rel=1e-12, abs=0.0)
         assert res.stderr.R == pytest.approx(ref["se_R"], rel=1e-12, abs=0.0)
@@ -201,9 +209,35 @@ class TestWorkspace:
         got = [_kernels.simulate_pairs(97, first, n, *model, *tables) for first, n in ranges]
         for (first, n), out in zip(ranges, got):
             ref = simulate_pairs_reference(97, first, n, *model)
-            assert [a.dtype for a in out] == [np.float64] + [np.uint8] * 6
-            for name, a, b in zip(("w", "unsafe", "nhot", "ntest", "ndisc", "nlow", "nrej"), out, ref):
+            assert [a.dtype for a in out] == [np.float64, np.uint8]
+            for name, a, b in zip(("w", "code"), out, ref):
                 assert a.tobytes() == b.tobytes(), (first, n, name)
+
+    @pytest.mark.parametrize("first", [2**61 - 3, 2**61 + 12345])
+    def test_rng_keys_wrap_like_the_reference(self, first):
+        # the kernel keys a draw with one add of the scalar ((6 first + k + 1)
+        # GOLDEN + seed) mod 2**64 to its cached 6 i GOLDEN; at seed 2**64 - 1
+        # and counters near 6 * 2**61 every key wraps, and the outputs must
+        # still be those of unit_reference's uint64 arithmetic
+        seed = 2**64 - 1
+        state = policy_state(load_config(PIECEWISE_CFG).params, 0.5)
+        p = state.params
+        model = (state, hot_threshold(p.u, state.gap), False)
+        tables = [_kernels.knot_arrays(d) for d in (p.dist_beta, p.dist_y)]
+        got = _kernels.simulate_pairs(seed, first, 1000, *model, *tables)
+        want = simulate_pairs_reference(seed, first, 1000, *model)
+        for name, a, b in zip(("w", "code"), got, want):
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_outcome_codes_round_trip(self):
+        # each (unsafe, nhot, ntest, ndisc) has its own code below CODES, and
+        # montecarlo decodes it back
+        fields = list(itertools.product(range(2), range(3), range(3), range(3)))
+        codes = [u + 2 * h + 6 * t + 18 * d for u, h, t, d in fields]
+        assert sorted(codes) == list(range(CODES))
+        assert [_decode(c) for c in codes] == fields
+        per_pair = decoded(np.array(codes, np.uint8))
+        assert list(zip(*(a.tolist() for a in per_pair))) == fields
 
     def test_concurrent_threads_match_serial(self):
         # more threads than cores, switching often; results as when run one
@@ -231,8 +265,8 @@ class TestWorkspace:
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt is Linux's")
     def test_repeated_calls_do_not_page_fault(self):
         # every intermediate lives in the reused workspace; what may fault is
-        # the returned arrays (14 B/pair) and the reductions' masks. A fresh
-        # interpreter, because freeing a large array raises malloc's mmap
+        # the returned arrays (9 B/pair) and the reductions' temporaries. A
+        # fresh interpreter, because freeing a large array raises malloc's mmap
         # threshold for the rest of the process, which hides the faults
         proc = subprocess.run(
             [sys.executable, "-c", FAULTS, str(PAPER_CFG), str(CHUNK)],
@@ -270,7 +304,6 @@ class TestAgainstAnalyticChain:
     def test_zero_policy_exact_acceptance(self, paper_params):
         res = simulate(paper_params, SimConfig(n_pairs=20_000, seed=3, tau_hat=0.0))
         assert res.hat.S == 0.0
-        assert res.untested_rejections == 0
         assert res.hat.R_H == 1.0  # every high-risk player tests when S = 0
 
     def test_full_policy_full_stigma(self, paper_params):
@@ -278,18 +311,31 @@ class TestAgainstAnalyticChain:
         assert res.hat.S == 1.0
 
     def test_low_risk_players_never_test(self, paper_params):
+        # simulate counts every test as a high-risk one. The scalar rule:
+        # theta_L v - c < 0 (assumption 1) and S y >= 0, at the extremes
+        # S, y in {0, 1, the support's end}; and no simulated pair of
+        # low-risk players (a safe pair) tests
+        p = paper_params
+        for s in (0.0, 0.5, 1.0):
+            for y in (-0.0, 0.0, 1e-300, 1.0, p.dist_y.support_hi):
+                assert best_response_test(p.theta_L, y, s, p) == 0, (s, y)
+        state = policy_state(p, 0.6)
+        model = (state, hot_threshold(p.u, state.gap), False)
+        tables = [_kernels.knot_arrays(d) for d in (p.dist_beta, p.dist_y)]
         for seed in (1, 7, 42):
-            res = simulate(
-                paper_params, SimConfig(n_pairs=50_000, seed=seed, tau_hat=0.6)
-            )
-            assert res.low_risk_tests == 0
+            _, code = _kernels.simulate_pairs(seed, 0, 50_000, *model, *tables)
+            unsafe, _, ntest, _ = decoded(code)
+            assert ntest.any()
+            assert not np.any((ntest > 0) & (unsafe == 0))
 
     def test_untested_always_accepted(self, paper_params):
+        # the scalar rule the kernel's m = not (d and t) encodes: an untested
+        # partner is accepted at every valuation, below the cutoff too
         for tau in (0.3, 0.8):
-            res = simulate(
-                paper_params, SimConfig(n_pairs=50_000, seed=11, tau_hat=tau)
-            )
-            assert res.untested_rejections == 0
+            p = replace(paper_params, tau_hat=tau)
+            for y in (0.0, 0.5 * rejection_cutoff(p), rejection_cutoff(p), 2.0):
+                assert best_response_interact(0, y, p) == 1, (tau, y)
+            assert best_response_interact(1, 0.5 * rejection_cutoff(p), p) == 0
 
     def test_all_unsafe_regime_exact(self, paper_params):
         res = simulate(

@@ -16,11 +16,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stigmagame import ModelParams, evaluate_point, piecewise_linear_cdf, uniform
-from stigmagame import _kernels, cli
+from stigmagame import cli
 from stigmagame.coordination import high_risk_fraction
 from stigmagame.distributions import cdf, density
 
-from conftest import PAPER_CFG, ppf, ppf_reference, quadrature_r
+from conftest import PAPER_CFG, ppf, ppf_reference, quadrature_r, unit_reference
 
 PROPERTY = settings(
     derandomize=True,
@@ -107,7 +107,7 @@ def test_inverse_cdf_is_bit_identical_to_search(spec, seed):
         np.nextafter(ps, 2.0),
         edges,
         np.nextafter(edges, -1.0),
-        _kernels._unit_array(np.uint64(seed), counters),
+        unit_reference(seed, counters),
     ])
     u = np.clip(u, 0.0, 1.0)
     got = ppf(spec, u).view(np.uint64)

@@ -7,8 +7,6 @@ import pytest
 from stigmagame import (
     AssumptionViolation,
     ModelParams,
-    best_response_interact,
-    best_response_test,
     check_assumptions,
     continuation_values,
     pointwise_continuation,
@@ -19,7 +17,7 @@ from stigmagame import (
 )
 from stigmagame.coordination import period1_outcome
 
-from conftest import random_valid_params
+from conftest import best_response_interact, best_response_test, random_valid_params
 
 R_AT_HALF = 512.0 / 8281.0  # closed form 2*(0.1/0.56875)^2
 
@@ -41,6 +39,20 @@ class TestModelParams:
     def test_tau_range(self, paper_params):
         with pytest.raises(ValueError):
             replace(paper_params, tau_hat=1.5)
+
+    @pytest.mark.parametrize("name", ["dist_beta", "dist_y"])
+    def test_supports_start_at_zero_or_above(self, paper_params, name):
+        for lo in (-0.5, -1e-300):
+            with pytest.raises(ValueError, match=f"{name} support must start at 0 or above"):
+                replace(paper_params, **{name: uniform(lo, 1.0)})
+        for lo in (-0.0, 0.0, 0.25):
+            assert getattr(replace(paper_params, **{name: uniform(lo, 1.0)}), name).support_lo == lo
+
+    def test_tau_true_must_be_zero(self, paper_params):
+        for tau_true in (0.2, 1e-300, -0.1, math.nan):
+            with pytest.raises(ValueError, match="tau_true must be 0"):
+                replace(paper_params, tau_true=tau_true)
+        assert replace(paper_params, tau_true=-0.0).tau_true == 0.0
 
 
 class TestStigma:

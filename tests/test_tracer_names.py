@@ -54,9 +54,9 @@ def test_every_traced_name_resolves():
 @pytest.mark.parametrize("config", [PAPER_CFG, PIECEWISE_CFG], ids=["paper", "piecewise"])
 def test_tracer_counts_kernel_pairs_and_bytes(config):
     # the tracer's kernel hook reads args[2] as the pair count and sums each
-    # returned array's nbytes: 8 for the float64 welfare, 1 per uint8 array;
-    # its inverse-CDF hook counts the draws of args[0], also on the
-    # piecewise config's guide-table path
+    # returned array's nbytes: 8 for the float64 welfare, 1 for the uint8
+    # outcome code; its inverse-CDF hook counts the draws of args[0], also
+    # on the piecewise config's guide-table path
     for info in pkgutil.iter_modules(stigmagame.__path__):
         importlib.import_module(f"stigmagame.{info.name}")
     params = load_config(config).params
@@ -68,7 +68,7 @@ def test_tracer_counts_kernel_pairs_and_bytes(config):
     finally:
         tracer.uninstall()
     assert tracer.counts["kernels.pairs"] == n
-    assert tracer.counts["kernels.out_bytes"] == 14 * n
+    assert tracer.counts["kernels.out_bytes"] == 9 * n
     assert tracer.counts["distributions.ppf_values"] == 6 * n
     assert tracer.counts["kernels.simulate_pairs"] == 2
 

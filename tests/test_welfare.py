@@ -91,7 +91,8 @@ class TestWelfare:
             assert rep.W == pytest.approx(exp["W"], abs=1e-9)
 
     def test_nonzero_true_risk_rejected(self, paper_params):
-        with pytest.raises(ValueError):
+        # ModelParams rejects it, so no welfare call can receive it
+        with pytest.raises(ValueError, match="tau_true must be 0"):
             welfare(replace(paper_params, tau_true=0.2))
 
     def test_gap_assumption_enforced(self, paper_params):
@@ -264,9 +265,9 @@ class TestSweep:
         [({"c_h": 0.3}, AssumptionViolation), ({"tau_true": 0.2}, ValueError)],
     )
     def test_preconditions_fail_before_any_point(self, paper_params, change, error):
-        bad = replace(paper_params, **change)
+        # tau_true fails in ModelParams, before the sweep is called
         with pytest.raises(error):
-            sweep(bad, [0.0, 0.5, 1.0])
+            sweep(replace(paper_params, **change), [0.0, 0.5, 1.0])
 
 
 class TestOptimize:
