@@ -44,12 +44,10 @@ from .welfare import (
     welfare,
 )
 from .montecarlo import (
-    ConvergenceRow,
     Estimates,
     SimConfig,
     SimResult,
     analytic_targets,
-    convergence_report,
     simulate,
 )
 

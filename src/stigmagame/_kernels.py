@@ -156,16 +156,17 @@ def simulate_pairs(
 ):
     """Per-pair arrays for pairs first_pair .. first_pair + n_pairs - 1.
 
-    state supplies the stigma level S and the parameters, beta_cdf and
-    y_cdf the knot_arrays tables of its two distributions. beta_star is the
-    hot threshold; literal_b selects the paper_literal welfare of B.
+    state supplies the policy value tau_hat, the stigma level S and the
+    parameters, beta_cdf and y_cdf the knot_arrays tables of its two
+    distributions. beta_star is the hot threshold; literal_b selects the
+    paper_literal welfare of B.
     Returns (w, code), both new: pair welfare as float64, and as uint8 the
     pair's outcome code unsafe + 2 nhot + 6 ntest + 18 ndisc (0-53), where
     unsafe is 1 for a pair that plays unsafe and nhot, ntest and ndisc count
     its hot players, testing A players and discriminating B players (0-2).
     """
     p, stigma, n = state.params, state.S, n_pairs
-    cutoff = rejection_cutoff(p)
+    cutoff = rejection_cutoff(p, state.tau_hat)
     golden = getattr(_local, "golden", None)  # 6 i GOLDEN for i < n, kept across calls
     if golden is None or len(golden) < n:
         golden = _local.golden = np.arange(n, dtype=np.uint64) * np.uint64(6 * _GOLDEN % 2**64)

@@ -2,12 +2,13 @@
 
 Commands: check | evaluate | sweep | optimize | simulate | figures.
 Config files are flat `key = value` text (UTF-8, # comments). Exit codes:
-0 success, 2 config error (including an assumption-1 violation,
-tau_true != 0 and a valuation or present-bias support below 0), 3
-assumption-3 failure (the welfare commands, and check under --strict), 4
-numerical failure inside the chain. `--tau` replaces tau_hat for every
-command. All CSV output uses a fixed column order with 12-significant-digit
-floats, so repeated runs with the same config are byte-identical.
+0 success, 2 config error (including a config or knot file that is not
+UTF-8, an assumption-1 violation, tau_true != 0 and a valuation or
+present-bias support below 0), 3 assumption-3 failure (the welfare
+commands, and check under --strict), 4 numerical failure inside the chain.
+`--tau` replaces tau_hat for every command. All CSV output uses a fixed
+column order with 12-significant-digit floats, so repeated runs with the
+same config are byte-identical.
 """
 
 from __future__ import annotations
@@ -103,16 +104,19 @@ def _parse_dist(key: str, value: str, base_dir: Path) -> DistributionSpec:
         if not path.is_file():
             raise ConfigError(f"key '{key}': knot file not found: {path}")
         knots = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].strip().lower() == "x":
-                    continue
-                try:
-                    knots.append((float(row[0]), float(row[1])))
-                except (IndexError, ValueError):
-                    raise ConfigError(
-                        f"key '{key}': bad knot row {row!r} in {path}"
-                    )
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                for row in csv.reader(fh):
+                    if not row or row[0].strip().lower() == "x":
+                        continue
+                    try:
+                        knots.append((float(row[0]), float(row[1])))
+                    except (IndexError, ValueError):
+                        raise ConfigError(
+                            f"key '{key}': bad knot row {row!r} in {path}"
+                        )
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"key '{key}': knot file {path} is not UTF-8: {exc}")
         try:
             return piecewise_linear_cdf(knots)
         except ValueError as exc:
@@ -131,10 +135,12 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}")
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(
-        path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -394,10 +400,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         cfg = _merge_flags(cfg, args)
-    except AssumptionViolation as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
+    except (AssumptionViolation, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if cfg.strict:

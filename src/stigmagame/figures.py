@@ -52,7 +52,7 @@ def figure_tables(
     _require_preconditions(params, convention)
     y_lo, y_hi = params.dist_y.support_lo, params.dist_y.support_hi
     ys = _linspace(y_lo, y_hi, _CURVE_POINTS)
-    now = policy_state(params)
+    now = policy_state(params, params.tau_hat)
 
     fig1 = FigureTable(
         name="fig1",

@@ -22,7 +22,7 @@ prefix of a larger one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .coordination import hot_threshold
@@ -37,9 +37,7 @@ __all__ = [
     "SimResult",
     "PairCounts",
     "Estimates",
-    "ConvergenceRow",
     "simulate",
-    "convergence_report",
     "analytic_targets",
 ]
 
@@ -120,9 +118,9 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     from . import _kernels
 
     state = policy_state(params, config.tau_hat)
-    beta_star = hot_threshold(state.params.u, state.gap)
+    beta_star = hot_threshold(params.u, state.gap)
     literal_b = config.convention == "paper_literal"
-    cdfs = [_kernels.knot_arrays(d) for d in (state.params.dist_beta, state.params.dist_y)]
+    cdfs = [_kernels.knot_arrays(d) for d in (params.dist_beta, params.dist_y)]
 
     n = config.n_pairs
     tally = np.zeros(CODES, dtype=np.int64)  # pairs per outcome code
@@ -204,32 +202,3 @@ def analytic_targets(
     """Model-chain values the simulation estimates."""
     row = evaluate_point(params, tau_hat, convention)
     return Estimates(row.r, row.R, row.R_H, row.S, row.W)
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n_pairs: int
-    estimates: Estimates
-    stderrs: Estimates
-    gaps: Estimates
-    targets: Estimates
-
-
-def convergence_report(
-    params: ModelParams, config: SimConfig, batch_sizes
-) -> list[ConvergenceRow]:
-    """Re-run the simulation at increasing sizes against fixed targets.
-
-    Batches share the master seed, so smaller batches are prefixes of
-    larger ones and the estimate sequence converges along one sample path.
-    """
-    sizes = [int(b) for b in batch_sizes]
-    if any(b2 <= b1 for b1, b2 in zip(sizes, sizes[1:])):
-        raise ValueError("batch sizes must be strictly increasing")
-    targets = analytic_targets(params, config.tau_hat, config.convention)
-    rows = []
-    for size in sizes:
-        res = simulate(params, replace(config, n_pairs=size))
-        gaps = Estimates(*(abs(e - t) for e, t in zip(res.hat, targets)))
-        rows.append(ConvergenceRow(size, res.hat, res.stderr, gaps, targets))
-    return rows

@@ -13,7 +13,7 @@ All operations are pure functions of immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .distributions import DistributionSpec, cdf, mean, partial_expectation
@@ -55,8 +55,9 @@ class ModelParams:
     v: treatment benefit of a positive test; c: direct testing cost;
     c_h: infection cost (choice-irrelevant); z: partner's health cost if
     infected; u: period-1 payoff premium of the unsafe choice; M: period-1
-    payoff of successful coordination; tau_hat: perceived transmission risk
-    (the policy instrument); tau_true: actual transmission risk, which the
+    payoff of successful coordination; tau_hat: the configured perceived
+    transmission risk (the policy instrument; the chain takes the value it
+    evaluates as an argument); tau_true: actual transmission risk, which the
     analysis takes to be 0. dist_beta governs present bias, dist_y
     interaction valuations; both supports start at 0 or above.
     """
@@ -129,14 +130,14 @@ class AssumptionReport:
     h_bar: float
 
 
-def rejection_cutoff(params: ModelParams) -> float:
+def rejection_cutoff(params: ModelParams, tau_hat: float) -> float:
     """tau_hat*theta_H*z: B rejects a tested partner below this valuation."""
-    return params.tau_hat * params.theta_H * params.z
+    return tau_hat * params.theta_H * params.z
 
 
-def stigma_level(params: ModelParams) -> float:
+def stigma_level(params: ModelParams, tau_hat: float) -> float:
     """Mass of B players who reject a tested partner: G(tau_hat*theta_H*z)."""
-    return cdf(params.dist_y, rejection_cutoff(params))
+    return cdf(params.dist_y, rejection_cutoff(params, tau_hat))
 
 
 def testing_threshold(params: ModelParams, S: float) -> float:
@@ -178,25 +179,24 @@ def continuation_values(params: ModelParams, S: float) -> tuple[float, float, fl
 class PolicyState(NamedTuple):
     """The chain's prefix tau_hat -> S -> (EV_L, EV_H, gap) at one policy value.
 
-    params carries the policy value as its tau_hat.
+    params are the caller's, unchanged: the chain reads the policy value
+    from tau_hat, never from params.tau_hat.
     """
 
     params: ModelParams
+    tau_hat: float
     S: float
     EV_L: float
     EV_H: float
     gap: float
 
 
-def policy_state(params: ModelParams, tau_hat: float | None = None) -> PolicyState:
-    """Stigma and continuation values at tau_hat (default: params.tau_hat)."""
-    p = (
-        params
-        if tau_hat is None or tau_hat == params.tau_hat
-        else replace(params, tau_hat=tau_hat)
-    )
-    s = stigma_level(p)
-    return PolicyState(p, s, *continuation_values(p, s))
+def policy_state(params: ModelParams, tau_hat: float) -> PolicyState:
+    """Stigma and continuation values at the policy value tau_hat in [0, 1]."""
+    if not 0.0 <= tau_hat <= 1.0:
+        raise ValueError(f"tau_hat must lie in [0, 1], got {tau_hat!r}")
+    s = stigma_level(params, tau_hat)
+    return PolicyState(params, tau_hat, s, *continuation_values(params, s))
 
 
 def pointwise_continuation(params: ModelParams, S: float, y_a: float, risk: str) -> float:
@@ -240,7 +240,7 @@ def check_assumptions(params: ModelParams) -> AssumptionReport:
         params.theta_H * params.v - params.c,
     )
     a3_margin = assumption3_margin(params)
-    gap = policy_state(params).gap
+    gap = policy_state(params, params.tau_hat).gap
     if gap <= 0.0:
         r = 1.0
     else:

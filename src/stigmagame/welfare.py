@@ -215,7 +215,7 @@ def decomposition(params: ModelParams, tau_hat: float) -> PolicyDecomposition:
     # EV_H(tau_hat) - EV_H(0) is gap(0) - gap(tau_hat)
     deterrence = (row0.r - row1.r) * row1.gap
     suppression = row1.r * (row0.gap - row1.gap)
-    cutoff = rejection_cutoff(replace(params, tau_hat=tau_hat))
+    cutoff = rejection_cutoff(params, tau_hat)
     b_loss = -row1.R * partial_expectation(params.dist_y, cutoff)
     paper_sum = deterrence + suppression + b_loss
     exact = row1.W - row0.W
@@ -230,20 +230,20 @@ def decomposition(params: ModelParams, tau_hat: float) -> PolicyDecomposition:
 
 
 def _point(
-    params: ModelParams, tau_hat: float, convention: str
+    p: ModelParams, tau_hat: float, convention: str
 ) -> tuple[SweepRow, WelfareReport]:
     """Sweep row and welfare report from one evaluation of the chain
     tau_hat -> S -> gap -> beta* -> r -> R -> W.
 
-    The caller has checked the preconditions.
+    The caller has checked the preconditions; p.tau_hat is not read.
     """
-    p, s, ev_l, ev_h, gap = policy_state(params, tau_hat)
+    _, _, s, ev_l, ev_h, gap = policy_state(p, tau_hat)
     p1 = period1_outcome(p, gap)
     r = p1.r
     r_h, r_pop = testing_rates(p, s, r)
     w_high = r * (p.M + ev_h)
     w_low = (1.0 - r) * (p.M - p.u + ev_l)
-    pe = partial_expectation(p.dist_y, rejection_cutoff(p))
+    pe = partial_expectation(p.dist_y, rejection_cutoff(p, tau_hat))
     w_disc = ((1.0 - r_pop) if convention == "corrected" else r_pop) * pe
     w_acc = mean(p.dist_y) - pe
     w_a = w_high + w_low

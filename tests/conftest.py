@@ -85,7 +85,7 @@ def simulate_pairs_reference(seed, first_pair, n_pairs, state, beta_star, litera
     (same arguments, plus the two knot_arrays tables) must equal byte for
     byte in both outputs, w and the outcome code."""
     p, stigma = state.params, state.S
-    cutoff = rejection_cutoff(p)
+    cutoff = rejection_cutoff(p, state.tau_hat)
     base = (np.arange(n_pairs, dtype=np.uint64) + np.uint64(first_pair)) * np.uint64(6)
     b1, b2, ya1, ya2, yb1, yb2 = (
         ppf_reference(p.dist_beta if k < 2 else p.dist_y, unit_reference(seed, base + np.uint64(k)))
@@ -148,14 +148,15 @@ def best_response_test(theta_a: float, y_a: float, S: float, params: ModelParams
     return 1 if theta_a * params.v - params.c - S * y_a > 0.0 else 0
 
 
-def best_response_interact(t_a: int, y_b: float, params: ModelParams) -> int:
-    """B accepts any untested partner; a tested one only above the cutoff.
+def best_response_interact(t_a: int, y_b: float, params: ModelParams, tau_hat: float) -> int:
+    """B accepts any untested partner; a tested one only above the cutoff at
+    the policy value tau_hat.
 
     Indifference at the cutoff resolves to acceptance.
     """
     if t_a == 0:
         return 1
-    return 1 if y_b >= rejection_cutoff(params) else 0
+    return 1 if y_b >= rejection_cutoff(params, tau_hat) else 0
 
 
 def sample(spec, stream: np.random.Generator, size=None):

@@ -2,7 +2,6 @@
 single PASS/FAIL line (run with `pytest -s tests/test_acceptance.py`)."""
 
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -70,11 +69,10 @@ def test_criterion_2_monotonicity_suite():
         p = random_valid_params(rng)
         prev_s, prev_rh, prev_gap, prev_r = -1.0, 2.0, -1.0, 2.0
         for tau in taus:
-            pt = replace(p, tau_hat=tau)
-            s = stigma_level(pt)
-            _, _, gap = continuation_values(pt, s)
-            r = period1_outcome(pt, gap).r
-            r_h, _ = testing_rates(pt, s, r)
+            s = stigma_level(p, tau)
+            _, _, gap = continuation_values(p, s)
+            r = period1_outcome(p, gap).r
+            r_h, _ = testing_rates(p, s, r)
             if s < prev_s - 1e-10 or r_h > prev_rh + 1e-10:
                 violations += 1
             if gap < prev_gap - 1e-10 or r > prev_r + 1e-10:

@@ -110,6 +110,19 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["check", "--config", str(tmp_path / "ghost.cfg")]) == 2
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(GOOD_CFG.encode("utf-8") + b"# \xff\n")
+        assert cli.main(["check", "--config", str(path)]) == 2
+        assert f"config file {path} is not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_knot_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "beta.csv").write_bytes(b"x,p\n0,0\n1,1 # \xff\n")
+        path = write_cfg(tmp_path, edited_cfg(dist_beta="piecewise:beta.csv"))
+        assert cli.main(["check", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"key 'dist_beta': knot file {tmp_path / 'beta.csv'} is not UTF-8" in err
+
     def test_assumption1_message_names_it(self, tmp_path, capsys):
         path = write_cfg(tmp_path, edited_cfg(c="0.1"))
         assert cli.main(["check", "--config", str(path)]) == 2

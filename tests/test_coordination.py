@@ -176,15 +176,15 @@ class TestHighRiskFraction:
 
 class TestPeriod1Outcome:
     def test_paper_zero_stigma(self, paper_params):
-        out = period1_outcome(replace(paper_params, tau_hat=0.0), 0.35)
+        out = period1_outcome(paper_params, 0.35)
         assert out.regime == "interior"
         assert out.beta_star == pytest.approx(2.0 / 7.0, abs=1e-12)
         assert out.H == pytest.approx(2.0 / 7.0, abs=1e-12)
         assert out.r == pytest.approx(8.0 / 49.0, abs=1e-10)
 
     def test_paper_full_stigma(self, paper_params):
-        p = replace(paper_params, tau_hat=1.0)
-        _, _, gap = continuation_values(p, stigma_level(p))
+        p = paper_params
+        _, _, gap = continuation_values(p, stigma_level(p, 1.0))
         out = period1_outcome(p, gap)
         assert gap == pytest.approx(0.584375, abs=1e-12)
         assert out.beta_star == pytest.approx(0.1 / 0.584375, abs=1e-12)
@@ -209,9 +209,9 @@ class TestOutcomeBounds:
         rng = np.random.default_rng(20240810)
         for _ in range(30):
             p = random_valid_params(rng)
-            pt = replace(p, tau_hat=float(rng.uniform(0.0, 1.0)))
-            _, _, gap = continuation_values(pt, stigma_level(pt))
-            out = period1_outcome(pt, gap)
+            tau = float(rng.uniform(0.0, 1.0))
+            _, _, gap = continuation_values(p, stigma_level(p, tau))
+            out = period1_outcome(p, gap)
             assert out.H * out.H - 1e-10 <= out.r <= min(1.0, 2.0 * out.H) + 1e-10
 
 
@@ -223,8 +223,7 @@ class TestDeterrence:
             taus = np.sort(rng.uniform(0.0, 1.0, size=8))
             r_prev = 2.0
             for t in taus:
-                pt = replace(p, tau_hat=float(t))
-                _, _, gap = continuation_values(pt, stigma_level(pt))
-                r = period1_outcome(pt, gap).r
+                _, _, gap = continuation_values(p, stigma_level(p, float(t)))
+                r = period1_outcome(p, gap).r
                 assert r <= r_prev + 1e-10
                 r_prev = r

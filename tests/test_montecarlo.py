@@ -14,7 +14,6 @@ from stigmagame import (
     Estimates,
     SimConfig,
     analytic_targets,
-    convergence_report,
     evaluate_point,
     simulate,
 )
@@ -331,11 +330,12 @@ class TestAgainstAnalyticChain:
     def test_untested_always_accepted(self, paper_params):
         # the scalar rule the kernel's m = not (d and t) encodes: an untested
         # partner is accepted at every valuation, below the cutoff too
+        p = paper_params
         for tau in (0.3, 0.8):
-            p = replace(paper_params, tau_hat=tau)
-            for y in (0.0, 0.5 * rejection_cutoff(p), rejection_cutoff(p), 2.0):
-                assert best_response_interact(0, y, p) == 1, (tau, y)
-            assert best_response_interact(1, 0.5 * rejection_cutoff(p), p) == 0
+            cutoff = rejection_cutoff(p, tau)
+            for y in (0.0, 0.5 * cutoff, cutoff, 2.0):
+                assert best_response_interact(0, y, p, tau) == 1, (tau, y)
+            assert best_response_interact(1, 0.5 * cutoff, p, tau) == 0
 
     def test_all_unsafe_regime_exact(self, paper_params):
         res = simulate(
@@ -375,28 +375,29 @@ class TestTargets:
 
 
 class TestConvergence:
+    # smaller runs are prefixes of larger ones under one seed, so the
+    # estimates converge along one sample path to fixed analytic targets
     def test_errors_shrink_and_targets_fixed(self, paper_params):
-        cfg = SimConfig(n_pairs=1, seed=20240810, tau_hat=0.5)
-        rows = convergence_report(paper_params, cfg, [1_000, 10_000, 100_000])
-        ses = [row.stderrs.r for row in rows]
-        assert ses[0] > ses[1] > ses[2]
-        for row in rows:
-            assert row.targets == rows[0].targets
+        targets = analytic_targets(paper_params, 0.5)
+        ses = []
+        for n in (1_000, 10_000, 100_000):
+            res = simulate(paper_params, SimConfig(n_pairs=n, seed=20240810, tau_hat=0.5))
             for key in ("r", "R", "W"):
-                assert getattr(row.gaps, key) <= 4.0 * getattr(row.stderrs, key)
-
-    def test_batch_sizes_must_increase(self, paper_params):
-        cfg = SimConfig(n_pairs=1, seed=1, tau_hat=0.5)
-        with pytest.raises(ValueError):
-            convergence_report(paper_params, cfg, [100, 100])
+                gap = abs(getattr(res.hat, key) - getattr(targets, key))
+                assert gap <= 4.0 * getattr(res.stderr, key), (n, key)
+            ses.append(res.stderr.r)
+        assert ses[0] > ses[1] > ses[2]
 
     def test_large_batches_usually_closer(self, paper_params):
         # root-N convergence along one sample path, replicated over seeds
+        target = analytic_targets(paper_params, 0.5).W
         closer = 0
         n_seeds = 50
         for seed in range(n_seeds):
-            cfg = SimConfig(n_pairs=1, seed=seed, tau_hat=0.5)
-            rows = convergence_report(paper_params, cfg, [1_000, 100_000])
-            if rows[1].gaps.W <= rows[0].gaps.W:
+            gaps = [
+                abs(simulate(paper_params, SimConfig(n_pairs=n, seed=seed, tau_hat=0.5)).hat.W - target)
+                for n in (1_000, 100_000)
+            ]
+            if gaps[1] <= gaps[0]:
                 closer += 1
         assert closer >= 0.9 * n_seeds

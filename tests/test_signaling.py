@@ -57,18 +57,18 @@ class TestModelParams:
 
 class TestStigma:
     def test_paper_point(self, paper_params):
-        assert stigma_level(paper_params) == pytest.approx(0.5, abs=1e-15)
+        assert stigma_level(paper_params, 0.5) == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_perceived_risk(self, paper_params):
-        assert stigma_level(replace(paper_params, tau_hat=0.0)) == 0.0
+        assert stigma_level(paper_params, 0.0) == 0.0
 
     def test_full_perceived_risk(self, paper_params):
         # cdf(uniform(0,2), 0.8*2.5) saturates at the support top
-        assert stigma_level(replace(paper_params, tau_hat=1.0)) == 1.0
+        assert stigma_level(paper_params, 1.0) == 1.0
 
     def test_monotone_in_tau(self, paper_params):
         taus = np.linspace(0.0, 1.0, 41)
-        vals = [stigma_level(replace(paper_params, tau_hat=float(t))) for t in taus]
+        vals = [stigma_level(paper_params, float(t)) for t in taus]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -129,13 +129,13 @@ class TestBestResponses:
             assert best_response_test(p.theta_L, y, s, p) == 0
 
     def test_untested_always_accepted(self, paper_params):
-        assert best_response_interact(0, 0.01, paper_params) == 1
+        assert best_response_interact(0, 0.01, paper_params, 0.5) == 1
 
     def test_tested_accepted_above_cutoff(self, paper_params):
-        assert best_response_interact(1, 1.5, paper_params) == 1
+        assert best_response_interact(1, 1.5, paper_params, 0.5) == 1
 
     def test_tested_rejected_below_cutoff(self, paper_params):
-        assert best_response_interact(1, 0.5, paper_params) == 0
+        assert best_response_interact(1, 0.5, paper_params, 0.5) == 0
 
     def test_infection_cost_never_enters_choices(self, paper_params):
         # c_h shifts continuation values but not decisions
@@ -149,8 +149,8 @@ class TestBestResponses:
             assert best_response_test(theta, y, s, paper_params) == best_response_test(
                 theta, y, s, other
             )
-            assert best_response_interact(t, y, paper_params) == best_response_interact(
-                t, y, other
+            assert best_response_interact(t, y, paper_params, 0.5) == best_response_interact(
+                t, y, other, 0.5
             )
 
 
@@ -237,11 +237,10 @@ class TestSuppression:
             taus = np.sort(rng.uniform(0.0, 1.0, size=8))
             s_prev, rh_prev = -1.0, 2.0
             for t in taus:
-                pt = replace(p, tau_hat=float(t))
-                s = stigma_level(pt)
-                _, _, gap = continuation_values(pt, s)
-                r = period1_outcome(pt, gap).r
-                r_h, _ = testing_rates(pt, s, r)
+                s = stigma_level(p, float(t))
+                _, _, gap = continuation_values(p, s)
+                r = period1_outcome(p, gap).r
+                r_h, _ = testing_rates(p, s, r)
                 assert s >= s_prev - 1e-10
                 assert r_h <= rh_prev + 1e-10
                 s_prev, rh_prev = s, r_h

@@ -7,17 +7,25 @@ import pytest
 
 from stigmagame import (
     AssumptionViolation,
+    ModelParams,
+    SimConfig,
+    check_assumptions,
     decomposition,
     evaluate_point,
     first_best_benchmark,
     optimize,
     piecewise_linear_cdf,
     present_bias_loss,
+    simulate,
     sweep,
     welfare,
 )
+from stigmagame.cli import load_config
 from stigmagame.figures import figure_tables
-from stigmagame.welfare import SweepError
+from stigmagame.signaling import policy_state
+from stigmagame.welfare import SweepError, tau_grid
+
+from conftest import PAPER_CFG, PIECEWISE_CFG
 
 
 def expected_chain(tau: float) -> dict:
@@ -247,14 +255,14 @@ class TestSweep:
 
     def test_failed_row_identifies_tau(self, paper_params, monkeypatch):
         module = sys.modules["stigmagame.welfare"]
-        original = module.period1_outcome
+        original = module.policy_state
 
-        def failing(p, gap):
-            if p.tau_hat == 0.25:
+        def failing(p, tau_hat):
+            if tau_hat == 0.25:
                 raise ArithmeticError("injected failure")
-            return original(p, gap)
+            return original(p, tau_hat)
 
-        monkeypatch.setattr(module, "period1_outcome", failing)
+        monkeypatch.setattr(module, "policy_state", failing)
         with pytest.raises(SweepError) as info:
             sweep(paper_params, [0.0, 0.25, 1.0])
         assert info.value.tau_hat == 0.25
@@ -268,6 +276,60 @@ class TestSweep:
         # tau_true fails in ModelParams, before the sweep is called
         with pytest.raises(error):
             sweep(replace(paper_params, **change), [0.0, 0.5, 1.0])
+
+
+class TestPolicyValue:
+    def test_params_are_built_once_per_command_at_most(self, paper_params, monkeypatch):
+        # the evaluated tau_hat is an argument of the chain, so no command
+        # copies (and re-validates) ModelParams per point; optimize makes its
+        # one M = 0 copy
+        original = ModelParams.__post_init__
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(ModelParams, "__post_init__", counting)
+        p, grid = paper_params, tau_grid(101)
+        commands = {
+            "sweep": lambda: sweep(p, grid),
+            "optimize": lambda: optimize(p),
+            "figure_tables": lambda: figure_tables(p, "corrected", 101),
+            "evaluate_point": lambda: [evaluate_point(p, t) for t in grid],
+            "welfare": lambda: [welfare(p, t) for t in grid],
+            "decomposition": lambda: [decomposition(p, t) for t in grid[1:]],
+            "simulate": lambda: simulate(p, SimConfig(n_pairs=100, seed=1, tau_hat=0.3)),
+            "check_assumptions": lambda: check_assumptions(p),
+        }
+        built = {}
+        for name, command in commands.items():
+            calls.clear()
+            command()
+            built[name] = len(calls)
+        assert built == dict.fromkeys(commands, 0) | {"optimize": 1}
+
+    @pytest.mark.parametrize("convention", ["corrected", "paper_literal"])
+    @pytest.mark.parametrize("config", [PAPER_CFG, PIECEWISE_CFG], ids=["paper", "piecewise"])
+    def test_configured_tau_does_not_leak(self, config, convention):
+        # the same evaluated tau_hat gives the same bits whatever tau_hat the
+        # parameters were configured with
+        base = load_config(config).params
+        variants = [replace(base, tau_hat=t) for t in (0.0, 0.5, 1.0)]
+        for tau in (0.0, 0.3, 0.85, 1.0):
+            sim = SimConfig(n_pairs=3000, seed=11, tau_hat=tau, convention=convention)
+            for results in (
+                [evaluate_point(p, tau, convention) for p in variants],
+                [welfare(p, tau, convention) for p in variants],
+                [simulate(p, sim) for p in variants],
+            ):
+                assert len({repr(r) for r in results}) == 1, (tau, results)
+
+    @pytest.mark.parametrize("tau", [-0.1, 1.5, math.nan])
+    def test_tau_outside_unit_interval_rejected(self, paper_params, tau):
+        for evaluate in (evaluate_point, welfare, policy_state):
+            with pytest.raises(ValueError, match=r"tau_hat must lie in \[0, 1\]"):
+                evaluate(paper_params, tau)
 
 
 class TestOptimize:
