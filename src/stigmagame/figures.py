@@ -83,7 +83,9 @@ def figure_tables(
     b_lo = params.dist_beta.support_lo
     b_hi = params.dist_beta.support_hi
     bs = _linspace(b_lo, b_hi, _CURVE_POINTS)
-    bstar_natural = hot_threshold(params.u, policy_state(params, 0.0).gap)
+    points = _sweep_points(params, tau_grid(grid_points), convention)
+    # the grid starts at tau_hat = 0, the natural policy
+    bstar_natural = hot_threshold(params.u, points[0][0].gap)
     bstar_policy = hot_threshold(params.u, now.gap)
 
     def boundary(bstar: float, b1: float) -> float:
@@ -102,7 +104,6 @@ def figure_tables(
         ],
     )
 
-    points = _sweep_points(params, tau_grid(grid_points), convention)
     fig4 = FigureTable(
         name="fig4",
         comments=(),

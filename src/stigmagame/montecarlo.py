@@ -30,7 +30,7 @@ from .signaling import ModelParams, policy_state
 # unused here; perfbench/tracer.py patches these names, so they must still resolve
 from .coordination import period1_outcome  # noqa: F401
 from .signaling import continuation_values, stigma_level  # noqa: F401
-from .welfare import CONVENTIONS, evaluate_point
+from .welfare import CONVENTIONS, _require_preconditions, evaluate_point
 
 __all__ = [
     "SimConfig",
@@ -117,6 +117,7 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
 
     from . import _kernels
 
+    _require_preconditions(params, config.convention)
     state = policy_state(params, config.tau_hat)
     beta_star = hot_threshold(params.u, state.gap)
     literal_b = config.convention == "paper_literal"

@@ -114,7 +114,9 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Booleans plus numeric margins for the three maintained assumptions.
+    """Numeric margins for the three maintained assumptions.
+
+    Assumption 1 always holds here, since ModelParams rejects a violation.
 
     a2 is enforced by construction in the interaction best response (an
     untested partner is always accepted), so it is reported as the mass of
@@ -122,7 +124,6 @@ class AssumptionReport:
     cutoff instead of as a hard failure.
     """
 
-    a1_holds: bool
     a1_margin: float
     a2_violating_mass: float
     a3_holds: bool
@@ -150,12 +151,11 @@ def testing_threshold(params: ModelParams, S: float) -> float:
 def testing_rates(params: ModelParams, S: float, r: float) -> tuple[float, float]:
     """(R_H, R): testing rate among high-risk players and in population A.
 
-    The S = 0 limit is taken explicitly (R_H = 1, R = r) rather than by
-    dividing by zero; saturation of the CDF covers thresholds beyond the
-    valuation support.
+    At S = 0 the threshold is +inf rather than a division by zero, and the
+    CDF saturates there (R_H = 1, R = r) as it does at every threshold
+    beyond the valuation support.
     """
-    y_star = testing_threshold(params, S)
-    r_h = 1.0 if math.isinf(y_star) else cdf(params.dist_y, y_star)
+    r_h = cdf(params.dist_y, testing_threshold(params, S))
     return r_h, r * r_h
 
 
@@ -165,15 +165,19 @@ def continuation_values(params: ModelParams, S: float) -> tuple[float, float, fl
     EV_H adds the expected testing bonus
     integral of (theta_H*v - c - y*S) over y below the testing threshold,
     evaluated in closed form through the CDF and the truncated first moment.
+    The gap is c_h*(theta_H - theta_L) - bonus, not EV_L - EV_H: both of
+    those carry E[y], which cancels on wide valuation supports.
     """
     net = params.theta_H * params.v - params.c
     y_star = testing_threshold(params, S)
-    bonus = net * (1.0 if math.isinf(y_star) else cdf(params.dist_y, y_star))
+    bonus = net * cdf(params.dist_y, y_star)
     bonus -= S * partial_expectation(params.dist_y, y_star)
     mu = mean(params.dist_y)
     ev_l = mu - params.theta_L * params.c_h
     ev_h = mu - params.theta_H * params.c_h + bonus
-    return ev_l, ev_h, ev_l - ev_h
+    # net*G <= net (G <= 1) and S*E[y; y <= y*] >= 0 (y >= 0), so in floats
+    # bonus <= net and gap >= assumption3_margin, with equality at S = 0
+    return ev_l, ev_h, params.c_h * (params.theta_H - params.theta_L) - bonus
 
 
 class PolicyState(NamedTuple):
@@ -250,7 +254,6 @@ def check_assumptions(params: ModelParams) -> AssumptionReport:
     h_bar = positive_fraction(params, r)
     a2_mass = cdf(params.dist_y, params.tau_hat * h_bar * params.z)
     return AssumptionReport(
-        a1_holds=a1_margin > 0.0,
         a1_margin=a1_margin,
         a2_violating_mass=a2_mass,
         a3_holds=a3_margin > 0.0,

@@ -2,10 +2,11 @@ import math
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from stigmagame import cli
+from stigmagame import cli, evaluate_point
 
 from conftest import PAPER_CFG, REPO_ROOT, src_env
 
@@ -227,6 +228,38 @@ class TestEvaluate:
             assert rc == 0
             got = capsys.readouterr().out.strip().splitlines()[-1]
             assert got == expected
+
+
+def exact_uniform_gap(p, Y: Fraction) -> Fraction:
+    """The continuation gap in rational arithmetic for dist_y = uniform(0, Y),
+    from G(x) = x/Y and E[y; y <= t] = t^2/2Y."""
+    th_l, th_h = Fraction(p.theta_L), Fraction(p.theta_H)
+    net = th_h * Fraction(p.v) - Fraction(p.c)
+    s = min(Fraction(p.tau_hat) * th_h * Fraction(p.z) / Y, Fraction(1))
+    y_star = min(net / s, Y)
+    bonus = net * y_star / Y - s * y_star * y_star / (2 * Y)
+    return Fraction(p.c_h) * (th_h - th_l) - bonus
+
+
+class TestWideValuationSupport:
+    """The gap keeps its accuracy however large E[y] is, so the welfare
+    commands succeed on every valuation support."""
+
+    @pytest.mark.parametrize("k", range(18))
+    def test_gap_is_exact_and_commands_succeed(self, tmp_path, capsys, k):
+        path = write_cfg(tmp_path, edited_cfg(dist_y=f"uniform(0,1e{k})"))
+        p = cli.load_config(path).params
+        gap = evaluate_point(p, p.tau_hat).gap
+        exact = exact_uniform_gap(p, Fraction(10) ** k)
+        assert abs(Fraction(gap) - exact) <= Fraction(1, 10**12) * exact
+        assert cli.main(["evaluate", "--config", str(path)]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert all(math.isfinite(float(x)) for x in row)
+        argv = ["sweep", "--config", str(path), "--grid", "5", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 5
+        assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
 
 
 class TestArtifacts:

@@ -73,7 +73,7 @@ GOLDEN = {
         "fig3.svg": "15f52a2d5f206991874a5a15ef0936c0b2e13b86e65abf233a5845bd90d135d8",
         "fig4.csv": "f3e8e5111b2f31881b05e4b2933be91b9f369f5bb20fe2562d8aa21fbdcd04d0",
         "fig4.svg": "7debcbbc6d871dec495b66155efbffd15134e68ccfe8d4839ed7f059041eb790",
-        "fig5.csv": "5b3759629836d4bb8f1c1d000254e1c71f3d014b315f39c63e52f967ee016812",
+        "fig5.csv": "ca665daa90c2366f8a6b706e71bf37136a3dee3b49b4c81b34e6d3fd46003387",
         "fig5.svg": "7acd343ec92ca4cc1893e1ec5957b248c2dbf85e9309029f7b7ebba83937deee",
     },
     ("piecewise", "optimize"): {

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from stigmagame import (
+    AssumptionViolation,
     Estimates,
     SimConfig,
     analytic_targets,
@@ -44,6 +45,13 @@ class TestConfigValidation:
     def test_tau_range(self):
         with pytest.raises(ValueError):
             SimConfig(n_pairs=10, seed=1, tau_hat=-0.1)
+
+    def test_rejects_what_evaluate_point_rejects(self, paper_params):
+        params = replace(paper_params, c_h=0.3)
+        with pytest.raises(AssumptionViolation):
+            evaluate_point(params, 0.5)
+        with pytest.raises(AssumptionViolation):
+            simulate(params, SimConfig(n_pairs=10_000, seed=1, tau_hat=0.5))
 
 
 class TestDeterminism:

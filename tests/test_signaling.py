@@ -249,7 +249,7 @@ class TestSuppression:
 class TestAssumptionReport:
     def test_paper_values(self, paper_params):
         rep = check_assumptions(paper_params)
-        assert rep.a1_holds
+        assert rep.a1_margin > 0
         assert rep.a1_margin == pytest.approx(0.25, abs=1e-12)
         assert rep.a3_holds
         assert rep.a3_margin == pytest.approx(0.35, abs=1e-12)
