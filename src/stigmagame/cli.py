@@ -1,12 +1,14 @@
 """Command-line surface: config parsing and the six analysis commands.
 
 Commands: check | evaluate | sweep | optimize | simulate | figures.
-Config files are flat `key = value` text (UTF-8, # comments). Exit codes:
-0 success, 2 config error (including a config or knot file that is not
-UTF-8, an assumption-1 violation, tau_true != 0 and a valuation or
-present-bias support below 0), 3 assumption-3 failure (the welfare
-commands, and check under --strict). Past those checks every point of the
-chain evaluates.
+Config files are flat `key = value` text (UTF-8, # comments); each flag's
+default and range live in the parser, which checks every range before the
+config is read. Exit codes: 0 success, 2 config error (a flag outside its
+range, a config or knot file that is not UTF-8, an assumption-1
+violation, tau_true != 0, a valuation or present-bias support below 0,
+and an --out that cannot be created or written), 3 assumption-3 failure
+(the welfare commands always; check only under --strict). Past those
+checks every point of the chain evaluates.
 `--tau` replaces tau_hat for every command. All CSV output uses a fixed
 column order with 12-significant-digit floats, so repeated runs with the
 same config are byte-identical.
@@ -26,22 +28,18 @@ from pathlib import Path
 from .distributions import DistributionSpec, piecewise_linear_cdf, uniform
 from .figures import figure_tables, line_chart_svg
 from .montecarlo import Estimates, PairCounts, SimConfig, analytic_targets, simulate
-from .signaling import (
-    AssumptionViolation,
-    ModelParams,
-    assumption3_margin,
-    check_assumptions,
-)
+from .signaling import AssumptionViolation, ModelParams, check_assumptions
 from .welfare import (
     CONVENTIONS,
     SweepRow,
+    _require_preconditions,
     evaluate_point,
     optimize,
     sweep,
     tau_grid,
 )
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "run", "main", "entry"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "main", "entry"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -77,14 +75,10 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """The content of a config file; the run settings are command-line flags."""
+
     params: ModelParams
-    convention: str = "corrected"
-    grid: int = 101
-    tol: float = 1e-6
-    n_pairs: int = 500_000
-    seed: int = 2024
-    strict: bool = False
-    out_dir: str = "."
+    convention: str
 
 
 def _parse_dist(key: str, value: str, base_dir: Path) -> DistributionSpec:
@@ -207,20 +201,22 @@ def _dist_repr(spec: DistributionSpec) -> str:
     )
 
 
-def _echo_params(cfg: RunConfig) -> list[str]:
-    p = cfg.params
-    scalar_bits = ", ".join(f"{k} = {_fmt(getattr(p, k))}" for k in _PARAM_KEYS)
+def _echo_params(params: ModelParams, convention: str) -> list[str]:
+    scalar_bits = ", ".join(f"{k} = {_fmt(getattr(params, k))}" for k in _PARAM_KEYS)
     return [
         f"# {scalar_bits}",
-        f"# dist_beta = {_dist_repr(p.dist_beta)}, dist_y = {_dist_repr(p.dist_y)}",
-        f"# convention = {cfg.convention}",
+        f"# dist_beta = {_dist_repr(params.dist_beta)}, dist_y = {_dist_repr(params.dist_y)}",
+        f"# convention = {convention}",
     ]
 
 
-def _cmd_check(cfg: RunConfig, out: Path) -> int:
-    for line in _echo_params(cfg):
+# command handlers take (params, convention, args, out) and raise on failure
+
+
+def _cmd_check(params, convention, args, out) -> None:
+    for line in _echo_params(params, convention):
         print(line)
-    rep = check_assumptions(cfg.params)
+    rep = check_assumptions(params)
     print(
         f"assumption 1 (testing worthwhile for high risk only): "
         f"OK  margin = {_fmt(rep.a1_margin)}"
@@ -235,35 +231,29 @@ def _cmd_check(cfg: RunConfig, out: Path) -> int:
         f"{'OK' if rep.a3_holds else 'VIOLATED'}  margin = {_fmt(rep.a3_margin)}"
     )
     print(f"implied infection rate h_bar = {_fmt(rep.h_bar)}")
-    return EXIT_OK
 
 
-def _cmd_evaluate(cfg: RunConfig, out: Path) -> int:
-    row = evaluate_point(cfg.params, cfg.params.tau_hat, cfg.convention)
-    for line in _echo_params(cfg):
+def _cmd_evaluate(params, convention, args, out) -> None:
+    row = evaluate_point(params, params.tau_hat, convention)
+    for line in _echo_params(params, convention):
         print(line)
     print(",".join(SWEEP_HEADER))
     print(_csv_line(row))
-    return EXIT_OK
 
 
-def _cmd_sweep(cfg: RunConfig, out: Path) -> int:
-    rows = sweep(cfg.params, tau_grid(cfg.grid), cfg.convention)
+def _cmd_sweep(params, convention, args, out) -> None:
+    rows = sweep(params, tau_grid(args.grid), convention)
     path = out / "sweep.csv"
     _write_csv(path, SWEEP_HEADER, rows)
     print(f"wrote {path} ({len(rows)} rows)")
-    return EXIT_OK
 
 
-def _cmd_optimize(cfg: RunConfig, out: Path) -> int:
-    res = optimize(
-        cfg.params, tol=cfg.tol, convention=cfg.convention, grid_points=cfg.grid
-    )
+def _cmd_optimize(params, convention, args, out) -> None:
+    res = optimize(params, tol=args.tol, convention=convention, grid_points=args.grid)
     path = out / "optimize_trace.csv"
     _write_csv(path, ("stage", "tau_hat", "W"), res.trace)
     print(f"tau_star = {_fmt(res.tau_star)}  W_star = {_fmt(res.W_star)}")
     print(f"wrote {path} ({len(res.trace)} rows)")
-    return EXIT_OK
 
 
 _SIM_HEADER = (
@@ -273,53 +263,68 @@ _SIM_HEADER = (
 )
 
 
-def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
-    tau = cfg.params.tau_hat
-    tgt = analytic_targets(cfg.params, tau, cfg.convention)
-    sim_cfg = SimConfig(
-        n_pairs=cfg.n_pairs, seed=cfg.seed, tau_hat=tau, convention=cfg.convention
-    )
-    res = simulate(cfg.params, sim_cfg)
+def _cmd_simulate(params, convention, args, out) -> None:
+    tau = params.tau_hat
+    tgt = analytic_targets(params, tau, convention)
+    sim_cfg = SimConfig(n_pairs=args.pairs, seed=args.seed, tau_hat=tau, convention=convention)
+    res = simulate(params, sim_cfg)
     estimates = list(zip(res.hat, res.stderr, tgt))
-    row = (tau, res.n_pairs, cfg.seed) + sum(estimates, ()) + astuple(res.counts)
+    row = (tau, res.n_pairs, args.seed) + sum(estimates, ()) + astuple(res.counts)
     path = out / "sim.csv"
     _write_csv(path, _SIM_HEADER, [row])
     for name, (est, se, target) in zip(Estimates._fields, estimates):
         print(f"{name}: {_fmt(est)} +/- {_fmt(se)}  (analytic {_fmt(target)})")
     print(f"wrote {path}")
-    return EXIT_OK
 
 
-def _cmd_figures(cfg: RunConfig, out: Path, svg: bool) -> int:
-    tables = figure_tables(cfg.params, cfg.convention, cfg.grid)
-    for table in tables:
+def _cmd_figures(params, convention, args, out) -> None:
+    for table in figure_tables(params, convention, args.grid):
         path = out / f"{table.name}.csv"
         _write_csv(path, table.header, table.rows, comments=table.comments)
         print(f"wrote {path}")
-        if svg:
+        if args.svg:
             svg_path = out / f"{table.name}.svg"
             svg_path.write_text(line_chart_svg(table), encoding="utf-8")
             print(f"wrote {svg_path}")
-    return EXIT_OK
 
 
-def run(command: str, cfg: RunConfig, svg: bool = False) -> int:
-    """Dispatch one command against a merged RunConfig."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if command == "check":
-        return _cmd_check(cfg, out)
-    if command == "evaluate":
-        return _cmd_evaluate(cfg, out)
-    if command == "sweep":
-        return _cmd_sweep(cfg, out)
-    if command == "optimize":
-        return _cmd_optimize(cfg, out)
-    if command == "simulate":
-        return _cmd_simulate(cfg, out)
-    if command == "figures":
-        return _cmd_figures(cfg, out, svg)
-    raise ValueError(f"unknown command {command!r}")
+# the one list of commands: name -> (handler, help)
+_COMMANDS = {
+    "check": (_cmd_check, "print the assumption report"),
+    "evaluate": (_cmd_evaluate, "print one sweep row at the configured tau_hat"),
+    "sweep": (_cmd_sweep, "write sweep.csv over a tau_hat grid"),
+    "optimize": (_cmd_optimize, "locate the welfare-maximizing tau_hat"),
+    "simulate": (_cmd_simulate, "run the agent-based cross-check, write sim.csv"),
+    "figures": (_cmd_figures, "write fig1.csv..fig5.csv (and SVGs with --svg)"),
+}
+
+
+def _ranged(flag: str, convert, ok, rule: str):
+    """An argparse type for `flag`: convert the text, then reject a value
+    outside the flag's range with "<flag> <rule>, got <value>"."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{flag} {rule}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+# flag: (type, valid range and its wording, default, help), the only place a
+# run setting's default and range live; a value outside the range exits 2
+_FLAGS = {
+    "--tau": (float, lambda t: 0.0 <= t <= 1.0, "must lie in [0, 1]", None, "override tau_hat"),
+    "--grid": (int, lambda n: 3 <= n <= MAX_GRID, f"must lie in [3, {MAX_GRID}]",
+               101, "grid resolution"),
+    "--tol": (float, lambda t: t > 0 and math.isfinite(t), "must be positive and finite",
+              1e-6, "optimizer tolerance"),
+    "--pairs": (int, lambda n: n >= 1, "must be >= 1", 500_000, "simulated pairs"),
+    "--seed": (int, lambda n: 0 <= n < 2**64, "must fit in 64 unsigned bits",
+               2024, "simulation seed"),
+}
 
 
 @functools.cache
@@ -332,63 +337,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "welfare sweep, and agent-based cross-check.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, descr in (
-        ("check", "print the assumption report"),
-        ("evaluate", "print one sweep row at the configured tau_hat"),
-        ("sweep", "write sweep.csv over a tau_hat grid"),
-        ("optimize", "locate the welfare-maximizing tau_hat"),
-        ("simulate", "run the agent-based cross-check, write sim.csv"),
-        ("figures", "write fig1.csv..fig5.csv (and SVGs with --svg)"),
-    ):
+    for name, (_, descr) in _COMMANDS.items():
         sp = sub.add_parser(name, help=descr)
         sp.add_argument("--config", required=True, help="path to key=value config")
-        sp.add_argument("--tau", type=float, default=None, help="override tau_hat")
-        sp.add_argument("--grid", type=int, default=None, help="grid resolution")
-        sp.add_argument("--tol", type=float, default=None, help="optimizer tolerance")
-        sp.add_argument("--pairs", type=int, default=None, help="simulated pairs")
-        sp.add_argument("--seed", type=int, default=None, help="simulation seed")
+        for flag, (convert, ok, rule, default, text) in _FLAGS.items():
+            if default is not None:
+                text += " (default %(default)s)"
+            sp.add_argument(flag, type=_ranged(flag, convert, ok, rule), default=default, help=text)
         sp.add_argument(
             "--convention",
             choices=CONVENTIONS,
             default=None,
-            help="population-B welfare bookkeeping",
+            help="population-B welfare bookkeeping (default: the config's)",
         )
-        sp.add_argument("--strict", action="store_true", help="fail on assumption 3")
-        sp.add_argument("--out", default=None, help="output directory")
+        sp.add_argument("--strict", action="store_true", help="check: exit 3 when assumption 3 fails")
+        sp.add_argument("--out", default=".", help="output directory (default %(default)s)")
         if name == "figures":
             sp.add_argument("--svg", action="store_true", help="also render SVGs")
     return parser
-
-
-def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates = {}
-    if args.convention is not None:
-        updates["convention"] = args.convention
-    if args.grid is not None:
-        if not 3 <= args.grid <= MAX_GRID:
-            raise ConfigError(f"--grid must lie in [3, {MAX_GRID}], got {args.grid}")
-        updates["grid"] = args.grid
-    if args.tol is not None:
-        if not (args.tol > 0 and math.isfinite(args.tol)):
-            raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
-        updates["tol"] = args.tol
-    if args.pairs is not None:
-        if args.pairs < 1:
-            raise ConfigError(f"--pairs must be >= 1, got {args.pairs}")
-        updates["n_pairs"] = args.pairs
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError(f"--seed must fit in 64 unsigned bits, got {args.seed}")
-        updates["seed"] = args.seed
-    if args.tau is not None:
-        if not 0.0 <= args.tau <= 1.0:
-            raise ConfigError(f"--tau must lie in [0, 1], got {args.tau}")
-        updates["params"] = replace(cfg.params, tau_hat=args.tau)
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if args.strict:
-        updates["strict"] = True
-    return replace(cfg, **updates) if updates else cfg
 
 
 def main(argv=None) -> int:
@@ -398,20 +364,17 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         cfg = load_config(args.config)
-        cfg = _merge_flags(cfg, args)
+        params = cfg.params if args.tau is None else replace(cfg.params, tau_hat=args.tau)
     except (AssumptionViolation, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if cfg.strict:
-        a3 = assumption3_margin(cfg.params)
-        if a3 <= 0.0:
-            print(
-                f"assumption 3 violated: continuation-gap margin = {a3!r}",
-                file=sys.stderr,
-            )
-            return EXIT_ASSUMPTION
+    convention = args.convention or cfg.convention
+    out = Path(args.out)
     try:
-        return run(args.command, cfg, svg=getattr(args, "svg", False))
+        if args.strict:
+            _require_preconditions(params, convention)
+        out.mkdir(parents=True, exist_ok=True)
+        _COMMANDS[args.command][0](params, convention, args, out)
     except AssumptionViolation as exc:
         print(f"assumption failure: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
@@ -419,6 +382,10 @@ def main(argv=None) -> int:
         # a library precondition that the config and flag checks did not cover
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        print(f"config error: cannot write to --out {out}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return EXIT_OK
 
 
 def entry() -> None:

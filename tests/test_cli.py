@@ -192,10 +192,42 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     def test_grid_bounds_are_inclusive(self):
-        cfg = cli.load_config(PAPER_CFG)
         for grid in (3, cli.MAX_GRID):
             argv = ["sweep", "--config", str(PAPER_CFG), "--grid", str(grid)]
-            assert cli._merge_flags(cfg, cli._build_parser().parse_args(argv)).grid == grid
+            assert cli._build_parser().parse_args(argv).grid == grid
+
+    @pytest.mark.parametrize("command", ["check", "evaluate", "sweep", "optimize",
+                                         "simulate", "figures"])
+    @pytest.mark.parametrize("below", ["", "x"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command, below):
+        # --out is an existing file, or a path below one
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n", encoding="utf-8")
+        out = blocker / below if below else blocker
+        argv = [command, "--config", str(PAPER_CFG), "--out", str(out)]
+        assert cli.main(argv + ["--grid", "5", "--pairs", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write to --out {out}: ")
+        assert blocker.read_text(encoding="utf-8") == "kept\n"
+
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "sweep.csv").mkdir()
+        argv = ["sweep", "--config", str(PAPER_CFG), "--grid", "5", "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write to --out {tmp_path}: ")
+        assert str(tmp_path / "sweep.csv") in err
+
+    def test_run_setting_defaults(self, tmp_path, capsys):
+        argv = ["--config", str(PAPER_CFG), "--out", str(tmp_path)]
+        assert cli.main(["simulate", *argv]) == 0
+        header, row = (tmp_path / "sim.csv").read_text().splitlines()
+        cols = dict(zip(header.split(","), row.split(",")))
+        assert (cols["n_pairs"], cols["seed"]) == ("500000", "2024")
+        assert cli.main(["sweep", *argv]) == 0
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 101
+        args = cli._build_parser().parse_args(["optimize", "--config", "x.cfg"])
+        assert (args.tol, args.out, args.tau, args.convention) == (1e-6, ".", None, None)
 
 
 class TestEvaluate:

@@ -19,6 +19,7 @@ from stigmagame import ModelParams, evaluate_point, piecewise_linear_cdf, sweep,
 from stigmagame import cli
 from stigmagame.coordination import high_risk_fraction
 from stigmagame.distributions import cdf, density
+from stigmagame.montecarlo import Estimates, SimConfig, analytic_targets, simulate
 from stigmagame.signaling import assumption3_margin, continuation_values, policy_state
 from stigmagame.welfare import tau_grid
 
@@ -180,6 +181,34 @@ def test_gap_never_falls_below_the_assumption3_margin(params, taus):
     assert all(math.isfinite(x) for row in rows for x in row)
 
 
+@settings(PROPERTY, max_examples=100)
+@given(
+    params=valid_params(),
+    tau=st.floats(0.0, 1.0),
+    convention=st.sampled_from(["corrected", "paper_literal"]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_simulation_agrees_with_the_chain(params, tau, convention, seed):
+    """Each simulated estimate lies within 5.5 standard errors of its
+    analytic target (a Bonferroni-sized bound over 100 examples x 5
+    estimates). A rate's standard error is at least the binomial one at the
+    target over its sampling unit, so an estimate that happens to sit at 0
+    or 1 is not exact by fiat."""
+    n = 2**14
+    res = simulate(params, SimConfig(n_pairs=n, seed=seed, tau_hat=tau, convention=convention))
+    targets = analytic_targets(params, tau, convention)
+    units = {"r": n, "R": 2 * n, "S": 2 * n, "R_H": 2 * n * res.hat.r}
+    for name, hat, se, target in zip(Estimates._fields, res.hat, res.stderr, targets):
+        if name == "R_H" and math.isnan(hat):
+            continue  # no unsafe pair, so no high-risk player to test
+        if name in units:
+            se = max(se, math.sqrt(max(target * (1.0 - target), 0.0) / units[name]))
+        if se == 0.0:
+            assert abs(hat - target) <= 1e-12, name
+        else:
+            assert abs(hat - target) / se < 5.5, (name, hat, target, se)
+
+
 def _config_lines():
     lines = {}
     for line in PAPER_CFG.read_text(encoding="utf-8").splitlines():
@@ -226,6 +255,18 @@ overrides = st.lists(
     max_size=2,
 )
 tau_flag = st.none() | st.floats(0.0, 1.0) | st.floats(-0.5, 1.5)
+# each range-checked run setting: values inside its range, values outside
+FLAG_RANGES = {
+    "--grid": ([3, 5], [2, cli.MAX_GRID + 1]),
+    "--pairs": ([1, 2000], [0, -5]),
+    "--tol": ([1e-3, 1e-6], [0.0, -1.0, math.nan, math.inf]),
+    "--seed": ([0, 2**64 - 1], [-1, 2**64]),
+}
+# mostly in range, so that most examples go on to read the config
+flag_values = st.fixed_dictionaries({
+    flag: st.one_of(*[st.sampled_from(inside)] * 6, st.sampled_from(outside))
+    for flag, (inside, outside) in FLAG_RANGES.items()
+})
 
 
 @settings(PROPERTY, max_examples=250)
@@ -237,12 +278,14 @@ tau_flag = st.none() | st.floats(0.0, 1.0) | st.floats(-0.5, 1.5)
     extra=st.sampled_from([""] * 6 + ["gamma = 1", "theta_L = 0.2", "no equals sign"]),
     tau=tau_flag,
     strict=st.booleans(),
+    flags=flag_values,
 )
 def test_config_fuzz_exits_with_a_documented_code(
-    command, edits, dists, convention, extra, tau, strict
+    command, edits, dists, convention, extra, tau, strict, flags
 ):
     """Every generated config ends within 1 s in exit 0, 2 or 3, and a
-    successful evaluate prints only finite numbers."""
+    successful evaluate prints only finite numbers; a flag outside its
+    range exits 2 and names the (first such) flag."""
     lines = dict(PAPER_LINES, convention=convention)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -257,8 +300,9 @@ def test_config_fuzz_exits_with_a_documented_code(
         text = "\n".join(f"{k} = {v}" for k, v in lines.items()) + f"\n{extra}\n"
         (tmp / "fuzz.cfg").write_text(text)
         argv = [command, "--config", str(tmp / "fuzz.cfg"), "--out", str(tmp)]
-        argv += ["--grid", "5", "--pairs", "2000"]
-        argv += [] if tau is None else [f"--tau={tau!r}"]
+        if tau is not None:
+            flags = {**flags, "--tau": tau}
+        argv += [f"{flag}={value!r}" for flag, value in flags.items()]
         argv += ["--strict"] if strict else []
         out, err = io.StringIO(), io.StringIO()
         t0 = time.perf_counter()
@@ -267,6 +311,11 @@ def test_config_fuzz_exits_with_a_documented_code(
         elapsed = time.perf_counter() - t0
     assert rc in (0, 2, 3), (rc, err.getvalue())
     assert elapsed < 1.0
+    outside = [flag for flag, value in flags.items()
+               if not (0.0 <= value <= 1.0 if flag == "--tau" else value in FLAG_RANGES[flag][0])]
+    if outside:
+        assert rc == 2
+        assert f"error: argument {outside[0]}: {outside[0]} " in err.getvalue()
     if command == "evaluate" and rc == 0:
         printed = out.getvalue()
         assert "nan" not in printed and "inf" not in printed, printed
