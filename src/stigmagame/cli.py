@@ -46,8 +46,6 @@ EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
 MAX_GRID = 1_000_001  # a tau_hat step of 1e-6; the grid and its rows are held in memory
 
-SWEEP_HEADER = SweepRow._fields
-
 # the scalar parameters, in the order the commands echo them
 _PARAM_KEYS = (
     "theta_L",
@@ -85,12 +83,8 @@ def _parse_dist(key: str, value: str, base_dir: Path) -> DistributionSpec:
     m = _UNIFORM_RE.match(value)
     if m:
         try:
-            lo, hi = float(m.group(1)), float(m.group(2))
-        except ValueError:
-            raise ConfigError(f"key '{key}': malformed uniform bounds in {value!r}")
-        try:
-            return uniform(lo, hi)
-        except ValueError as exc:
+            return uniform(float(m.group(1)), float(m.group(2)))
+        except ValueError as exc:  # a malformed bound, or lo >= hi
             raise ConfigError(f"key '{key}': {exc}")
     if value.startswith("piecewise:"):
         path = base_dir / value[len("piecewise:"):].strip()
@@ -185,11 +179,19 @@ def _csv_line(values) -> str:
     return ",".join(_fmt(v) for v in values)
 
 
+def _write(path: Path, text: str) -> None:
+    """Write one --out file; a failure is a config error naming the file."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def _write_csv(path: Path, header, rows, comments=()) -> None:
     lines = [f"# {label} = {_fmt(value)}" for label, value in comments]
     lines.append(",".join(header))
     lines.extend(_csv_line(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _dist_repr(spec: DistributionSpec) -> str:
@@ -201,21 +203,19 @@ def _dist_repr(spec: DistributionSpec) -> str:
     )
 
 
-def _echo_params(params: ModelParams, convention: str) -> list[str]:
+def _echo_params(params: ModelParams, convention: str) -> None:
     scalar_bits = ", ".join(f"{k} = {_fmt(getattr(params, k))}" for k in _PARAM_KEYS)
-    return [
-        f"# {scalar_bits}",
-        f"# dist_beta = {_dist_repr(params.dist_beta)}, dist_y = {_dist_repr(params.dist_y)}",
-        f"# convention = {convention}",
-    ]
+    print(f"# {scalar_bits}")
+    print(f"# dist_beta = {_dist_repr(params.dist_beta)}, "
+          f"dist_y = {_dist_repr(params.dist_y)}")
+    print(f"# convention = {convention}")
 
 
 # command handlers take (params, convention, args, out) and raise on failure
 
 
 def _cmd_check(params, convention, args, out) -> None:
-    for line in _echo_params(params, convention):
-        print(line)
+    _echo_params(params, convention)
     rep = check_assumptions(params)
     print(
         f"assumption 1 (testing worthwhile for high risk only): "
@@ -235,16 +235,15 @@ def _cmd_check(params, convention, args, out) -> None:
 
 def _cmd_evaluate(params, convention, args, out) -> None:
     row = evaluate_point(params, params.tau_hat, convention)
-    for line in _echo_params(params, convention):
-        print(line)
-    print(",".join(SWEEP_HEADER))
+    _echo_params(params, convention)
+    print(",".join(SweepRow._fields))
     print(_csv_line(row))
 
 
 def _cmd_sweep(params, convention, args, out) -> None:
     rows = sweep(params, tau_grid(args.grid), convention)
     path = out / "sweep.csv"
-    _write_csv(path, SWEEP_HEADER, rows)
+    _write_csv(path, SweepRow._fields, rows)
     print(f"wrote {path} ({len(rows)} rows)")
 
 
@@ -266,7 +265,9 @@ _SIM_HEADER = (
 def _cmd_simulate(params, convention, args, out) -> None:
     tau = params.tau_hat
     tgt = analytic_targets(params, tau, convention)
-    sim_cfg = SimConfig(n_pairs=args.pairs, seed=args.seed, tau_hat=tau, convention=convention)
+    sim_cfg = SimConfig(
+        n_pairs=args.pairs, seed=args.seed, tau_hat=tau, convention=convention
+    )
     res = simulate(params, sim_cfg)
     estimates = list(zip(res.hat, res.stderr, tgt))
     row = (tau, res.n_pairs, args.seed) + sum(estimates, ()) + astuple(res.counts)
@@ -284,7 +285,7 @@ def _cmd_figures(params, convention, args, out) -> None:
         print(f"wrote {path}")
         if args.svg:
             svg_path = out / f"{table.name}.svg"
-            svg_path.write_text(line_chart_svg(table), encoding="utf-8")
+            _write(svg_path, line_chart_svg(table))
             print(f"wrote {svg_path}")
 
 
@@ -313,14 +314,16 @@ def _ranged(flag: str, convert, ok, rule: str):
     return parse
 
 
-# flag: (type, valid range and its wording, default, help), the only place a
-# run setting's default and range live; a value outside the range exits 2
+# the range-checked run settings, each declared once here with its type,
+# valid range and the range's wording, default and help; a value outside
+# the range exits 2 from the parser
 _FLAGS = {
-    "--tau": (float, lambda t: 0.0 <= t <= 1.0, "must lie in [0, 1]", None, "override tau_hat"),
+    "--tau": (float, lambda t: 0.0 <= t <= 1.0, "must lie in [0, 1]",
+              None, "override tau_hat"),
     "--grid": (int, lambda n: 3 <= n <= MAX_GRID, f"must lie in [3, {MAX_GRID}]",
                101, "grid resolution"),
-    "--tol": (float, lambda t: t > 0 and math.isfinite(t), "must be positive and finite",
-              1e-6, "optimizer tolerance"),
+    "--tol": (float, lambda t: t > 0 and math.isfinite(t),
+              "must be positive and finite", 1e-6, "optimizer tolerance"),
     "--pairs": (int, lambda n: n >= 1, "must be >= 1", 500_000, "simulated pairs"),
     "--seed": (int, lambda n: 0 <= n < 2**64, "must fit in 64 unsigned bits",
                2024, "simulation seed"),
@@ -343,15 +346,17 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag, (convert, ok, rule, default, text) in _FLAGS.items():
             if default is not None:
                 text += " (default %(default)s)"
-            sp.add_argument(flag, type=_ranged(flag, convert, ok, rule), default=default, help=text)
+            parse = _ranged(flag, convert, ok, rule)
+            sp.add_argument(flag, type=parse, default=default, help=text)
         sp.add_argument(
             "--convention",
             choices=CONVENTIONS,
-            default=None,
             help="population-B welfare bookkeeping (default: the config's)",
         )
-        sp.add_argument("--strict", action="store_true", help="check: exit 3 when assumption 3 fails")
-        sp.add_argument("--out", default=".", help="output directory (default %(default)s)")
+        sp.add_argument("--strict", action="store_true",
+                        help="check: exit 3 when assumption 3 fails")
+        sp.add_argument("--out", type=Path, default=".",
+                        help="output directory (default %(default)s)")
         if name == "figures":
             sp.add_argument("--svg", action="store_true", help="also render SVGs")
     return parser
@@ -364,26 +369,23 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         cfg = load_config(args.config)
-        params = cfg.params if args.tau is None else replace(cfg.params, tau_hat=args.tau)
-    except (AssumptionViolation, ConfigError) as exc:
+        args.out.mkdir(parents=True, exist_ok=True)  # the OSError names the path
+    except (AssumptionViolation, ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    params = cfg.params if args.tau is None else replace(cfg.params, tau_hat=args.tau)
     convention = args.convention or cfg.convention
-    out = Path(args.out)
     try:
         if args.strict:
             _require_preconditions(params, convention)
-        out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command][0](params, convention, args, out)
+        _COMMANDS[args.command][0](params, convention, args, args.out)
     except AssumptionViolation as exc:
         print(f"assumption failure: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
     except ValueError as exc:
-        # a library precondition that the config and flag checks did not cover
+        # an unwritable output file, or a library precondition that the
+        # config and flag checks did not cover
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"config error: cannot write to --out {out}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
 
