@@ -16,14 +16,12 @@ same config are byte-identical.
 
 from __future__ import annotations
 
-import argparse
-import csv
 import functools
 import math
 import re
 import sys
-from dataclasses import MISSING, astuple, dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .distributions import DistributionSpec, piecewise_linear_cdf, uniform
 from .figures import figure_tables, line_chart_svg
@@ -59,8 +57,8 @@ _PARAM_KEYS = (
     "tau_hat",
     "tau_true",
 )
-_REQUIRED_KEYS = tuple(f.name for f in fields(ModelParams) if f.default is MISSING)
-_KNOWN_KEYS = {f.name for f in fields(ModelParams)} | {"convention"}
+_REQUIRED_KEYS = ModelParams._fields[: -len(ModelParams._field_defaults)]
+_KNOWN_KEYS = {*ModelParams._fields, "convention"}
 
 _UNIFORM_RE = re.compile(
     r"^uniform\(\s*([^,\s]+)\s*,\s*([^,\s)]+)\s*\)$", re.IGNORECASE
@@ -71,8 +69,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """The content of a config file; the run settings are command-line flags."""
 
     params: ModelParams
@@ -87,6 +84,7 @@ def _parse_dist(key: str, value: str, base_dir: Path) -> DistributionSpec:
         except ValueError as exc:  # a malformed bound, or lo >= hi
             raise ConfigError(f"key '{key}': {exc}")
     if value.startswith("piecewise:"):
+        import csv  # loaded only for a knot file
         path = base_dir / value[len("piecewise:"):].strip()
         if not path.is_file():
             raise ConfigError(f"key '{key}': knot file not found: {path}")
@@ -258,7 +256,7 @@ def _cmd_optimize(params, convention, args, out) -> None:
 _SIM_HEADER = (
     ("tau_hat", "n_pairs", "seed")
     + tuple(f"{n}_{c}" for n in Estimates._fields for c in ("hat", "se", "analytic"))
-    + tuple(f.name for f in fields(PairCounts))
+    + PairCounts._fields
 )
 
 
@@ -270,7 +268,7 @@ def _cmd_simulate(params, convention, args, out) -> None:
     )
     res = simulate(params, sim_cfg)
     estimates = list(zip(res.hat, res.stderr, tgt))
-    row = (tau, res.n_pairs, args.seed) + sum(estimates, ()) + astuple(res.counts)
+    row = (tau, res.n_pairs, args.seed) + sum(estimates, ()) + res.counts
     path = out / "sim.csv"
     _write_csv(path, _SIM_HEADER, [row])
     for name, (est, se, target) in zip(Estimates._fields, estimates):
@@ -307,6 +305,7 @@ def _ranged(flag: str, convert, ok, rule: str):
     def parse(text: str):
         value = convert(text)
         if not ok(value):
+            import argparse
             raise argparse.ArgumentTypeError(f"{flag} {rule}, got {value}")
         return value
 
@@ -331,9 +330,10 @@ _FLAGS = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     """The command-line parser, built on the first main() call (not at
-    import) and reused: parsing leaves it unchanged."""
+    import, so argparse loads only then) and reused: parsing leaves it unchanged."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="stigmagame",
         description="Testing-stigma policy analysis: equilibrium chain, "
@@ -373,7 +373,7 @@ def main(argv=None) -> int:
     except (AssumptionViolation, ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    params = cfg.params if args.tau is None else replace(cfg.params, tau_hat=args.tau)
+    params = cfg.params if args.tau is None else cfg.params._replace(tau_hat=args.tau)
     convention = args.convention or cfg.convention
     try:
         if args.strict:

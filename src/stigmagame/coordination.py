@@ -11,7 +11,7 @@ integrand is piecewise linear for every supported distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .distributions import DistributionSpec, cdf, density
 # unused here; perfbench/tracer.py times this name, so it must still resolve
@@ -30,8 +30,7 @@ INTERIOR = "interior"
 ALL_UNSAFE = "all_unsafe"
 
 
-@dataclass(frozen=True)
-class Period1Outcome:
+class Period1Outcome(NamedTuple):
     beta_star: float
     H: float
     r: float

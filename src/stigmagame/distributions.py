@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 __all__ = [
     "DistributionSpec",
@@ -49,17 +49,33 @@ class QuadratureError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
-    """Immutable spec for a bounded 1-D distribution, stored as CDF knots
-    (x strictly increasing, p from 0 to 1 non-decreasing). Construct through
-    :func:`uniform` or :func:`piecewise_linear_cdf`.
-    """
+class _Checked:
+    """A checked record's first base; building, _replace, unpickling call _validate."""
 
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._validate()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _DistributionSpec(NamedTuple):
     knots_x: tuple[float, ...]
     knots_p: tuple[float, ...]
 
-    def __post_init__(self):
+
+class DistributionSpec(_Checked, _DistributionSpec):
+    """Immutable spec for a bounded 1-D distribution, stored as CDF knots
+    (x strictly increasing, p from 0 to 1 non-decreasing). Construct through
+    :func:`uniform` or :func:`piecewise_linear_cdf`. Its __dict__ caches mean.
+    """
+
+    def _validate(self):
         xs, ps = self.knots_x, self.knots_p
         if len(xs) != len(ps) or len(xs) < 2:
             raise ValueError("need at least two (x, p) knots")

@@ -8,7 +8,7 @@ stay diffable across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coordination import hot_threshold
 from .signaling import ModelParams, pointwise_continuation, policy_state
@@ -23,8 +23,7 @@ _FIG2_STIGMA = (0.25, 0.5, 0.75, 1.0)
 _CURVE_POINTS = 201
 
 
-@dataclass(frozen=True)
-class FigureTable:
+class FigureTable(NamedTuple):
     """comments are (label, value) pairs, written as `# label = value`."""
 
     name: str

@@ -22,11 +22,10 @@ prefix of a larger one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .coordination import hot_threshold
-from .signaling import ModelParams, policy_state
+from .signaling import ModelParams, _Checked, policy_state
 # unused here; perfbench/tracer.py patches these names, so they must still resolve
 from .coordination import period1_outcome  # noqa: F401
 from .signaling import continuation_values, stigma_level  # noqa: F401
@@ -50,26 +49,29 @@ def _decode(code: int) -> tuple[int, int, int, int]:
     return code % 2, code // 2 % 3, code // 6 % 3, code // 18
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class _SimConfig(NamedTuple):
     n_pairs: int
     seed: int
     tau_hat: float
     convention: str = "corrected"
 
-    def __post_init__(self):
-        if self.n_pairs < 1:
-            raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+
+class SimConfig(_Checked, _SimConfig):
+    __slots__ = ()
+
+    def _validate(self):
+        # exactly int: a float seed keys other streams, and bool is no count
+        if type(self.n_pairs) is not int or self.n_pairs < 1:
+            raise ValueError(f"n_pairs must be an int >= 1, got {self.n_pairs!r}")
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
         if not 0.0 <= self.tau_hat <= 1.0:
             raise ValueError(f"tau_hat must lie in [0, 1], got {self.tau_hat!r}")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"convention must be one of {CONVENTIONS}")
 
 
-@dataclass(frozen=True)
-class PairCounts:
+class PairCounts(NamedTuple):
     hot_hot: int
     cold_cold: int
     hot_cold_unsafe: int
@@ -87,8 +89,7 @@ class Estimates(NamedTuple):
     W: float
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     """Empirical rates and welfare (hat) with standard errors (stderr) and
     pair taxonomy.
 

@@ -13,10 +13,9 @@ All operations are pure functions of immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .distributions import DistributionSpec, cdf, mean, partial_expectation
+from .distributions import DistributionSpec, _Checked, cdf, mean, partial_expectation
 
 __all__ = [
     "AssumptionViolation",
@@ -47,21 +46,7 @@ class AssumptionViolation(ValueError):
 _NON_NEGATIVE = ("v", "c", "c_h", "z", "u", "M")
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Exogenous scalars plus the two population distributions.
-
-    theta_L/theta_H: infection probabilities of the low/high risk types.
-    v: treatment benefit of a positive test; c: direct testing cost;
-    c_h: infection cost (choice-irrelevant); z: partner's health cost if
-    infected; u: period-1 payoff premium of the unsafe choice; M: period-1
-    payoff of successful coordination; tau_hat: the configured perceived
-    transmission risk (the policy instrument; the chain takes the value it
-    evaluates as an argument); tau_true: actual transmission risk, which the
-    analysis takes to be 0. dist_beta governs present bias, dist_y
-    interaction valuations; both supports start at 0 or above.
-    """
-
+class _ModelParams(NamedTuple):
     theta_L: float
     theta_H: float
     v: float
@@ -75,7 +60,24 @@ class ModelParams:
     M: float = 1.0
     tau_true: float = 0.0
 
-    def __post_init__(self):
+
+class ModelParams(_Checked, _ModelParams):
+    """Exogenous scalars plus the two population distributions.
+
+    theta_L/theta_H: infection probabilities of the low/high risk types.
+    v: treatment benefit of a positive test; c: direct testing cost;
+    c_h: infection cost (choice-irrelevant); z: partner's health cost if
+    infected; u: period-1 payoff premium of the unsafe choice; M: period-1
+    payoff of successful coordination; tau_hat: the configured perceived
+    transmission risk (the policy instrument; the chain takes the value it
+    evaluates as an argument); tau_true: actual transmission risk, which the
+    analysis takes to be 0. dist_beta governs present bias, dist_y
+    interaction valuations; both supports start at 0 or above.
+    """
+
+    __slots__ = ()
+
+    def _validate(self):
         if not 0.0 < self.theta_L < self.theta_H < 1.0:
             raise ValueError(
                 f"need 0 < theta_L < theta_H < 1, got "
@@ -112,8 +114,7 @@ class ModelParams:
             )
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(NamedTuple):
     """Numeric margins for the three maintained assumptions.
 
     Assumption 1 always holds here, since ModelParams rejects a violation.

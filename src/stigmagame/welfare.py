@@ -20,7 +20,6 @@ is kept selectable for comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .coordination import period1_outcome
@@ -56,8 +55,7 @@ __all__ = [
 CONVENTIONS = ("corrected", "paper_literal")
 
 
-@dataclass(frozen=True)
-class WelfareReport:
+class WelfareReport(NamedTuple):
     """W = W_A + W_B; W_A sums the high- and low-risk welfare, W_B the
     discriminators' and the accepters' terms."""
 
@@ -70,8 +68,7 @@ class WelfareReport:
     welfare_B_accepters: float
 
 
-@dataclass(frozen=True)
-class PolicyDecomposition:
+class PolicyDecomposition(NamedTuple):
     """Three-term welfare decomposition of moving tau_hat off zero.
 
     deterrence_gain: switchers valued at the new continuation gap;
@@ -92,8 +89,7 @@ class PolicyDecomposition:
     residual: float
 
 
-@dataclass(frozen=True)
-class PresentBiasLoss:
+class PresentBiasLoss(NamedTuple):
     """Welfare cost of present bias at zero stigma.
 
     continuation_loss is r(0)*gap(0), the aggregate continuation-value loss
@@ -121,8 +117,7 @@ class SweepRow(NamedTuple):
     W: float
 
 
-@dataclass(frozen=True)
-class OptimizeResult:
+class OptimizeResult(NamedTuple):
     tau_star: float
     W_star: float
     trace: tuple[tuple[str, float, float], ...]
@@ -306,13 +301,12 @@ def optimize(
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
-    search = replace(params, M=0.0)
+    search = params._replace(M=0.0)
 
     trace: list[tuple[str, float, float]] = []
 
     def objective(tau: float) -> float:
-        w = welfare(search, tau, convention).W
-        return w
+        return welfare(search, tau, convention).W
 
     n = grid_points
     taus = tau_grid(n)

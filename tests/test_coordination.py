@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -191,13 +189,13 @@ class TestPeriod1Outcome:
         assert out.r == pytest.approx(2.0 * (0.1 / 0.584375) ** 2, abs=1e-10)
 
     def test_all_unsafe_regime(self, paper_params):
-        out = period1_outcome(replace(paper_params, u=1.0), 0.35)
+        out = period1_outcome(paper_params._replace(u=1.0), 0.35)
         assert out.regime == "all_unsafe"
         assert out.r == 1.0
         assert out.H == 1.0
 
     def test_boundary_premium_counts_as_all_unsafe(self, paper_params):
-        out = period1_outcome(replace(paper_params, u=0.35), 0.35)
+        out = period1_outcome(paper_params._replace(u=0.35), 0.35)
         assert out.regime == "all_unsafe"
         assert out.r == 1.0
 

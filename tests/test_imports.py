@@ -6,7 +6,9 @@ figures commands must not pay for importing numpy. One test runs those
 commands in a fresh interpreter and inspects sys.modules; another reads the
 source, so a module-level numpy import is caught even on a path no command
 reaches. Importing the CLI builds no argparse parser either; main() builds
-it once per process.
+it once per process. The set-up path (import, load a config, evaluate one
+point) loads none of argparse, dataclasses and inspect (which dataclasses
+imports); records are NamedTuples, and no module imports dataclasses at all.
 
 Each module's `__all__` is its public surface: it names only what exists,
 and it lists every public function and class the module defines.
@@ -20,7 +22,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import PAPER_CFG, REPO_ROOT, src_env
+import pytest
+
+from conftest import PAPER_CFG, PIECEWISE_CFG, REPO_ROOT, src_env
 
 PACKAGE = REPO_ROOT / "src" / "stigmagame"
 
@@ -94,6 +98,26 @@ def test_cli_builds_its_parser_on_first_use_only():
     assert proc.stdout.split() == ["0", "7", "7"]
 
 
+SETUP = """
+import sys
+import stigmagame
+from stigmagame.cli import load_config
+cfg = load_config(sys.argv[1])
+stigmagame.evaluate_point(cfg.params, cfg.params.tau_hat, cfg.convention)
+print(sorted({"argparse", "dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("config", [PAPER_CFG, PIECEWISE_CFG], ids=["paper", "piecewise"])
+def test_setup_path_loads_no_argparse_or_dataclasses(config):
+    proc = subprocess.run(
+        [sys.executable, "-c", SETUP, str(config)],
+        env=src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
+
+
 def _module_level(node):
     """Nodes that run at import time: everything outside function bodies."""
     for child in ast.iter_child_nodes(node):
@@ -103,21 +127,29 @@ def _module_level(node):
         yield from _module_level(child)
 
 
+def _imports(nodes):
+    """(line number, imported names) of each import among nodes; a
+    from-import names its module and each module.name it takes."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            yield node.lineno, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            yield node.lineno, [module] + [f"{module}.{alias.name}" for alias in node.names]
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
 def _numpy_imports(path: Path) -> list[int]:
     """Line numbers of module-level imports of numpy or of the kernel module,
     which imports numpy itself."""
-    lines = []
-    for node in _module_level(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
-        else:
-            continue
-        if any(n.split(".")[0] == "numpy" or "_kernels" in n.split(".") for n in names):
-            lines.append(node.lineno)
-    return lines
+    return [
+        line
+        for line, names in _imports(_module_level(_tree(path)))
+        if any(n.split(".")[0] == "numpy" or "_kernels" in n.split(".") for n in names)
+    ]
 
 
 def test_only_the_kernel_imports_numpy_at_module_level():
@@ -131,6 +163,25 @@ def test_only_the_kernel_imports_numpy_at_module_level():
     ]
     assert offenders == []
     assert found[kernel], "the scan no longer sees the kernel's own numpy import"
+
+
+def test_no_module_imports_dataclasses():
+    # at any level: a function-local import would still cost its first caller
+    # about 12 ms (dataclasses pulls in inspect, ast, dis and tokenize)
+    found = {
+        path.relative_to(REPO_ROOT).as_posix(): list(_imports(ast.walk(_tree(path))))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    offenders = [
+        f"{name}:{line}"
+        for name, imports in found.items()
+        for line, names in imports
+        if any(n.split(".")[0] == "dataclasses" for n in names)
+    ]
+    assert offenders == []
+    assert any(
+        "typing.NamedTuple" in names for line, names in found["src/stigmagame/signaling.py"]
+    ), "the scan no longer sees the records' NamedTuple import"
 
 
 def test_all_lists_exactly_the_public_definitions():

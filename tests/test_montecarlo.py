@@ -5,7 +5,6 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,8 +45,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(n_pairs=10, seed=1, tau_hat=-0.1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.0), ("seed", 1.5), ("seed", True), ("n_pairs", 1000.0), ("n_pairs", True)],
+    )
+    def test_non_int_seed_and_pairs_rejected(self, field, value):
+        # a float seed used to pass and key other streams than its int (W 2.6597
+        # at seed 1.0 and at 1.5, 2.6206 at seed 1, paper.cfg, 1000 pairs), and
+        # a float n_pairs failed later inside range()
+        kwargs = {"n_pairs": 1000, "seed": 1, "tau_hat": 0.5, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an int"):
+            SimConfig(**kwargs)
+
     def test_rejects_what_evaluate_point_rejects(self, paper_params):
-        params = replace(paper_params, c_h=0.3)
+        params = paper_params._replace(c_h=0.3)
         with pytest.raises(AssumptionViolation):
             evaluate_point(params, 0.5)
         with pytest.raises(AssumptionViolation):
@@ -163,7 +174,7 @@ class TestStreaming:
         seed, _, _, *model = calls[0]
         ref = whole_array_stats(*_kernels.simulate_pairs(seed, 0, n, *model))
         assert res.counts == ref["counts"]
-        assert {type(c) for c in vars(res.counts).values()} == {int}
+        assert {type(c) for c in res.counts._asdict().values()} == {int}
         for key in ("r", "R", "R_H", "S"):
             assert getattr(res.hat, key) == getattr(ref["hat"], key), key
         assert res.hat.W == pytest.approx(ref["hat"].W, rel=1e-12, abs=0.0)
@@ -347,7 +358,7 @@ class TestAgainstAnalyticChain:
 
     def test_all_unsafe_regime_exact(self, paper_params):
         res = simulate(
-            replace(paper_params, u=1.0),
+            paper_params._replace(u=1.0),
             SimConfig(n_pairs=20_000, seed=9, tau_hat=0.5),
         )
         assert res.hat.r == 1.0

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,34 +24,34 @@ R_AT_HALF = 512.0 / 8281.0  # closed form 2*(0.1/0.56875)^2
 class TestModelParams:
     def test_theta_ordering_enforced(self, paper_params):
         with pytest.raises(ValueError):
-            replace(paper_params, theta_L=0.9)
+            paper_params._replace(theta_L=0.9)
 
     def test_assumption1_low_side(self, paper_params):
         with pytest.raises(AssumptionViolation) as info:
-            replace(paper_params, c=0.1)
+            paper_params._replace(c=0.1)
         assert info.value.assumption == "assumption 1"
 
     def test_assumption1_high_side(self, paper_params):
         with pytest.raises(AssumptionViolation):
-            replace(paper_params, c=0.9)
+            paper_params._replace(c=0.9)
 
     def test_tau_range(self, paper_params):
         with pytest.raises(ValueError):
-            replace(paper_params, tau_hat=1.5)
+            paper_params._replace(tau_hat=1.5)
 
     @pytest.mark.parametrize("name", ["dist_beta", "dist_y"])
     def test_supports_start_at_zero_or_above(self, paper_params, name):
         for lo in (-0.5, -1e-300):
             with pytest.raises(ValueError, match=f"{name} support must start at 0 or above"):
-                replace(paper_params, **{name: uniform(lo, 1.0)})
+                paper_params._replace(**{name: uniform(lo, 1.0)})
         for lo in (-0.0, 0.0, 0.25):
-            assert getattr(replace(paper_params, **{name: uniform(lo, 1.0)}), name).support_lo == lo
+            assert getattr(paper_params._replace(**{name: uniform(lo, 1.0)}), name).support_lo == lo
 
     def test_tau_true_must_be_zero(self, paper_params):
         for tau_true in (0.2, 1e-300, -0.1, math.nan):
             with pytest.raises(ValueError, match="tau_true must be 0"):
-                replace(paper_params, tau_true=tau_true)
-        assert replace(paper_params, tau_true=-0.0).tau_true == 0.0
+                paper_params._replace(tau_true=tau_true)
+        assert paper_params._replace(tau_true=-0.0).tau_true == 0.0
 
 
 class TestStigma:
@@ -139,7 +138,7 @@ class TestBestResponses:
 
     def test_infection_cost_never_enters_choices(self, paper_params):
         # c_h shifts continuation values but not decisions
-        other = replace(paper_params, c_h=7.5)
+        other = paper_params._replace(c_h=7.5)
         rng = np.random.default_rng(5)
         for _ in range(100):
             theta = float(rng.choice([paper_params.theta_L, paper_params.theta_H]))
@@ -268,14 +267,14 @@ class TestAssumptionReport:
     def test_a3_violation_reported_not_raised(self, paper_params):
         # c_h = 0.3 breaks the zero-stigma gap but gap(S=0.5) stays positive,
         # so the report still reflects an interior composition
-        rep = check_assumptions(replace(paper_params, c_h=0.3))
+        rep = check_assumptions(paper_params._replace(c_h=0.3))
         assert not rep.a3_holds
         assert rep.a3_margin < 0.0
         assert paper_params.theta_L < rep.h_bar < paper_params.theta_H
 
     def test_nonpositive_gap_reports_all_high_risk(self, paper_params):
         # c_h = 0.05 drives gap(S=0.5) below zero: every pair plays unsafe
-        rep = check_assumptions(replace(paper_params, c_h=0.05))
+        rep = check_assumptions(paper_params._replace(c_h=0.05))
         assert not rep.a3_holds
         assert rep.h_bar == paper_params.theta_H
 

@@ -1,6 +1,5 @@
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,11 +100,11 @@ class TestWelfare:
     def test_nonzero_true_risk_rejected(self, paper_params):
         # ModelParams rejects it, so no welfare call can receive it
         with pytest.raises(ValueError, match="tau_true must be 0"):
-            welfare(replace(paper_params, tau_true=0.2))
+            welfare(paper_params._replace(tau_true=0.2))
 
     def test_gap_assumption_enforced(self, paper_params):
         with pytest.raises(AssumptionViolation) as info:
-            welfare(replace(paper_params, c_h=0.3))
+            welfare(paper_params._replace(c_h=0.3))
         assert info.value.assumption == "assumption 3"
 
     def test_unknown_convention_rejected(self, paper_params):
@@ -121,7 +120,7 @@ class TestFirstBest:
         assert rep.W == pytest.approx(2.7, abs=1e-12)
 
     def test_additive_in_coordination_payoff(self, paper_params):
-        rep = first_best_benchmark(replace(paper_params, M=0.0))
+        rep = first_best_benchmark(paper_params._replace(M=0.0))
         assert rep.W_A == pytest.approx(0.7, abs=1e-12)
 
     def test_dominates_every_policy(self, paper_params):
@@ -144,14 +143,14 @@ class TestPresentBiasLoss:
     def test_no_bias_no_loss(self, paper_params):
         # present bias concentrated near 1: nobody is hot at beta* = 2/7
         patient = piecewise_linear_cdf([(0.9, 0.0), (1.0, 1.0)])
-        loss = present_bias_loss(replace(paper_params, dist_beta=patient))
+        loss = present_bias_loss(paper_params._replace(dist_beta=patient))
         assert loss.continuation_loss == 0.0
         assert loss.total_shortfall == 0.0
 
     def test_vanishing_gap_vanishing_loss(self, paper_params):
         # just above the gap assumption boundary: all-unsafe regime, r = 1,
         # and the loss degrades to the (tiny) gap itself
-        tight = replace(paper_params, c_h=(0.25 + 1e-6) / 0.6)
+        tight = paper_params._replace(c_h=(0.25 + 1e-6) / 0.6)
         loss = present_bias_loss(tight)
         assert loss.continuation_loss == pytest.approx(1e-6, rel=1e-3)
 
@@ -259,7 +258,7 @@ class TestSweep:
                 return original(spec, t)
 
             monkeypatch.setattr(module, "partial_expectation", counting)
-        params = replace(paper_params, dist_y=piecewise_linear_cdf([(0.0, 0.0), (2.0, 1.0)]))
+        params = paper_params._replace(dist_y=piecewise_linear_cdf([(0.0, 0.0), (2.0, 1.0)]))
         grid = [i / 16 for i in range(17)]
         rows = sweep(params, grid)
         assert len(calls) == 2 * len(grid) + 1
@@ -272,22 +271,22 @@ class TestSweep:
     def test_preconditions_fail_before_any_point(self, paper_params, change, error):
         # tau_true fails in ModelParams, before the sweep is called
         with pytest.raises(error):
-            sweep(replace(paper_params, **change), [0.0, 0.5, 1.0])
+            sweep(paper_params._replace(**change), [0.0, 0.5, 1.0])
 
 
 class TestPolicyValue:
     def test_params_are_built_once_per_command_at_most(self, paper_params, monkeypatch):
         # the evaluated tau_hat is an argument of the chain, so no command
         # copies (and re-validates) ModelParams per point; optimize makes its
-        # one M = 0 copy
-        original = ModelParams.__post_init__
+        # one M = 0 copy, through _replace, which validates like the constructor
+        original = ModelParams._validate
         calls = []
 
         def counting(self):
             calls.append(self)
             original(self)
 
-        monkeypatch.setattr(ModelParams, "__post_init__", counting)
+        monkeypatch.setattr(ModelParams, "_validate", counting)
         p, grid = paper_params, tau_grid(101)
         commands = {
             "sweep": lambda: sweep(p, grid),
@@ -312,7 +311,7 @@ class TestPolicyValue:
         # the same evaluated tau_hat gives the same bits whatever tau_hat the
         # parameters were configured with
         base = load_config(config).params
-        variants = [replace(base, tau_hat=t) for t in (0.0, 0.5, 1.0)]
+        variants = [base._replace(tau_hat=t) for t in (0.0, 0.5, 1.0)]
         for tau in (0.0, 0.3, 0.85, 1.0):
             sim = SimConfig(n_pairs=3000, seed=11, tau_hat=tau, convention=convention)
             for results in (
@@ -347,7 +346,7 @@ class TestOptimize:
 
     def test_argmax_invariant_to_coordination_payoff(self, paper_params):
         stars = [
-            optimize(replace(paper_params, M=m), tol=1e-6).tau_star
+            optimize(paper_params._replace(M=m), tol=1e-6).tau_star
             for m in (0.0, 1.0, 5.0, 100.0)
         ]
         assert all(s == stars[0] for s in stars)
@@ -355,7 +354,7 @@ class TestOptimize:
     def test_no_deterrence_channel_prefers_zero(self, paper_params):
         # nobody is ever hot: the only channel left is suppression
         patient = piecewise_linear_cdf([(0.9, 0.0), (1.0, 1.0)])
-        res = optimize(replace(paper_params, dist_beta=patient), tol=1e-6)
+        res = optimize(paper_params._replace(dist_beta=patient), tol=1e-6)
         assert res.tau_star <= 1e-6
 
     def test_validation(self, paper_params):
