@@ -28,13 +28,11 @@ from .signaling import PolicyState, rejection_cutoff
 __all__ = ["InverseCdf", "active_backend", "knot_arrays", "ppf_from_knots", "simulate_pairs"]
 
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's increment
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_S30 = np.uint64(30)
-_S27 = np.uint64(27)
-_S31 = np.uint64(31)
-_S11 = np.uint64(11)
-_INV53 = 1.0 / 9007199254740992.0  # 2**-53
+# 0-d arrays, not numpy scalars: a ufunc call with one costs ~0.4 us less
+_MIX1, _MIX2, _S30, _S27, _S31, _S11 = (
+    np.array(c, np.uint64) for c in (0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31, 11)
+)
+_INV53 = np.array(1.0 / 9007199254740992.0)  # 2**-53
 
 
 def active_backend() -> str:
@@ -106,15 +104,16 @@ def ppf_from_knots(u, table: InverseCdf, out=None):
         (g,), (flag,) = _rows("ppf_f64", float, 1, v.size), _rows("ppf_bool", bool, 1, v.size)
         j, k = _rows("ppf_intp", np.intp, 2, v.size)
         np.copyto(j, np.multiply(v, len(t.lo) - 1, out=g), casting="unsafe")
-        # indices are in range; mode="raise" would stage out in a copy
-        np.take(t.lo, j, out=k, mode="clip")
-        np.add(k, np.less_equal(np.take(t.step, j, out=g, mode="clip"), v, out=flag), out=k)
+        # indices are in range; mode="raise" would stage out in a copy. The
+        # method, not np.take's Python wrapper: about 1 us less per call
+        t.lo.take(j, out=k, mode="clip")
+        np.add(k, np.less_equal(t.step.take(j, out=g, mode="clip"), v, out=flag), out=k)
         if t.slow is not None:
-            s = np.flatnonzero(np.take(t.slow, j, out=flag, mode="clip"))
+            s = np.flatnonzero(t.slow.take(j, out=flag, mode="clip"))
             k[s] = np.searchsorted(t.ps, v[s], side="right") - 1
 
         def column(row):
-            return np.take(t.segments[row], k, out=g, mode="clip")
+            return t.segments[row].take(k, out=g, mode="clip")
     x = np.subtract(v, column(1), out=np.empty_like(v) if out is None else out)
     np.multiply(x, column(2), out=x)
     np.divide(x, column(3), out=x)
@@ -123,7 +122,7 @@ def ppf_from_knots(u, table: InverseCdf, out=None):
 
 
 def _unit_array(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Uniform [0, 1) doubles into out (float64, z's size): splitmix64's
+    """Uniform [0, 1) doubles into out (float64, z's shape): splitmix64's
     output function of the keyed states z = seed + (counter + 1) * GOLDEN
     mod 2**64 (uint64), which it overwrites. out is its shift scratch until
     the last pass writes the doubles."""
@@ -170,20 +169,25 @@ def simulate_pairs(
     golden = getattr(_local, "golden", None)  # 6 i GOLDEN for i < n, kept across calls
     if golden is None or len(golden) < n:
         golden = _local.golden = np.arange(n, dtype=np.uint64) * np.uint64(6 * _GOLDEN % 2**64)
-    tmp, b1, b2, ya1, ya2, yb1, yb2, net = _rows("f64", float, 8, n)
+    f64 = _rows("f64", float, 8, n)
+    b1, b2, ya1, ya2, yb1, yb2, tmp, net = f64
     hot1, hot2, unsafe, t1, t2, d1, d2, m1, m2, e = _rows("bool", bool, 10, n)
 
-    for k, x in enumerate((b1, b2, ya1, ya2, yb1, yb2)):  # x holds the RNG states until drawn
-        # counter 6 (first_pair + i) + k keyed as seed + (counter + 1) GOLDEN, mod 2**64
-        key = np.uint64(((6 * first_pair + k + 1) * _GOLDEN + seed) % 2**64)
-        u = _unit_array(np.add(golden[:n], key, out=x.view(np.uint64)), out=tmp)
-        ppf_from_knots(u, beta_cdf if k < 2 else y_cdf, out=x)
+    # draws k and k + 1 in one pass of the RNG, which halves its numpy calls:
+    # their rows hold the RNG states until drawn, tmp and net the uniforms
+    for k, table in ((0, beta_cdf), (2, y_cdf), (4, y_cdf)):
+        # counter 6 (first_pair + i) + j keyed as seed + (counter + 1) GOLDEN, mod 2**64
+        keys = [[((6 * first_pair + j + 1) * _GOLDEN + seed) % 2**64] for j in (k, k + 1)]
+        states = np.add(golden[:n], np.array(keys, np.uint64), out=f64[k:k + 2].view(np.uint64))
+        for u, x in zip(_unit_array(states, out=f64[6:]), f64[k:k + 2]):
+            ppf_from_knots(u, table, out=x)
 
     np.less(b1, beta_star, out=hot1)
     np.less(b2, beta_star, out=hot2)
-    # (hot1 & hot2) | ((hot1 ^ hot2) & (b1 + b2 < 2 beta*))
+    # unsafe: both hot, or b1 + b2 < 2 beta*. The sum test is the mixed pairs'
+    # rule, and it holds for no cold pair: two values >= beta* add, rounded,
+    # to >= 2 beta*, which is exact
     np.less(np.add(b1, b2, out=tmp), 2.0 * beta_star, out=unsafe)
-    np.logical_and(unsafe, np.logical_xor(hot1, hot2, out=e), out=unsafe)
     np.logical_or(unsafe, np.logical_and(hot1, hot2, out=e), out=unsafe)
 
     # the net gain from testing theta v - c, and ua = pay1 + t net - theta c_h
@@ -196,14 +200,14 @@ def simulate_pairs(
     row, index = b1.view(np.intp), b2.view(np.intp)  # in the beta draws' rows, no longer needed
     np.copyto(row, unsafe)
     np.add(row, row, out=row)
-    np.take(gain, row, out=net, mode="clip")  # in range; "raise" would stage out in a copy
+    gain.take(row, out=net, mode="clip")  # in range; "raise" would stage out in a copy
     w, ua2 = np.empty(n), ya1  # w holds ua1 until ua2 is added; ya1 is done by then
     for t, m, d, ya, yb, ua in ((t1, m1, d1, ya1, yb1, w), (t2, m2, d2, ya2, yb2, ua2)):
         # t: tests, net - S y_a > 0; d: y_b below the cutoff; m: not (d and t)
         np.greater(np.subtract(net, np.multiply(stigma, ya, out=tmp), out=tmp), 0.0, out=t)
         np.less(yb, cutoff, out=d)
         np.logical_not(np.logical_and(d, t, out=m), out=m)
-        np.take(base, np.add(row, t, out=index), out=ua, mode="clip")
+        base.take(np.add(row, t, out=index), out=ua, mode="clip")
         np.add(ua, np.multiply(_floats(m, tmp), ya, out=tmp), out=ua)
 
     # w = 0.5 (ua1 + ua2 + ub1 + ub2); ub = m y_b, or (t if d else 1) y_b literally

@@ -38,7 +38,8 @@ class Period1Outcome(NamedTuple):
 
 
 def hot_threshold(u: float, gap: float) -> float:
-    """u/gap; values >= 1 signal that everyone prefers unsafe."""
+    """u/gap. Players with present bias below it are hot; once it reaches
+    the top of the present-bias support, every player is."""
     if gap <= 0.0:
         raise AssumptionViolation(
             "assumption 3", f"continuation gap must be positive, got {gap!r}"
@@ -47,10 +48,10 @@ def hot_threshold(u: float, gap: float) -> float:
 
 
 def hot_fraction(dist_beta: DistributionSpec, beta_star: float) -> float:
-    """Mass of players below the hot threshold (present bias caps at 1)."""
+    """Mass of players below the hot threshold."""
     if beta_star < 0.0:
         raise ValueError(f"beta_star must be >= 0, got {beta_star!r}")
-    return cdf(dist_beta, min(beta_star, 1.0))
+    return cdf(dist_beta, beta_star)
 
 
 def high_risk_fraction(dist_beta: DistributionSpec, beta_star: float) -> float:
@@ -87,15 +88,14 @@ def high_risk_fraction(dist_beta: DistributionSpec, beta_star: float) -> float:
 def period1_outcome(params: ModelParams, gap: float) -> Period1Outcome:
     """Hot threshold, hot fraction, and high-risk fraction for a given gap.
 
-    When the unsafe premium u reaches the continuation gap (weak
-    inequality), every pair plays unsafe and r = H = 1.
+    The regime is all-unsafe when beta* reaches the top of the present-bias
+    support (weak inequality): every player is hot, and H = r = 1 exactly.
     """
     beta_star = hot_threshold(params.u, gap)
-    if params.u >= gap:
-        return Period1Outcome(beta_star=beta_star, H=1.0, r=1.0, regime=ALL_UNSAFE)
+    dist = params.dist_beta
     return Period1Outcome(
         beta_star=beta_star,
-        H=hot_fraction(params.dist_beta, beta_star),
-        r=high_risk_fraction(params.dist_beta, beta_star),
-        regime=INTERIOR,
+        H=hot_fraction(dist, beta_star),
+        r=high_risk_fraction(dist, beta_star),
+        regime=ALL_UNSAFE if beta_star >= dist.support_hi else INTERIOR,
     )

@@ -106,6 +106,13 @@ class DistributionSpec(_Checked, _DistributionSpec):
         """Expected value, computed once: the chain asks for E[y] at every τ."""
         return partial_expectation(self, self.knots_x[-1])
 
+    # cached_property writes mean into __dict__ directly, past these two
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DistributionSpec is read-only, cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"DistributionSpec is read-only, cannot delete {name!r}")
+
 
 def uniform(lo: float, hi: float) -> DistributionSpec:
     """Uniform distribution on [lo, hi)."""

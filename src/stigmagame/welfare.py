@@ -181,8 +181,9 @@ def first_best_benchmark(params: ModelParams) -> WelfareReport:
 def present_bias_loss(params: ModelParams) -> PresentBiasLoss:
     """Welfare lost to present bias when stigma is at its natural level 0.
 
-    In the all-unsafe regime (u >= gap) the composition term uses r = 1,
-    so the loss degrades continuously to gap(0) as the gap closes.
+    In the all-unsafe regime (beta* = u/gap at or above the top of the
+    present-bias support) the composition term uses r = 1, so the loss
+    degrades continuously to gap(0) as the gap closes.
     """
     _require_preconditions(params, "corrected")
     row = _point(params, 0.0, "corrected")[0]

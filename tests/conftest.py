@@ -214,7 +214,7 @@ def quadrature_r(spec, beta_star: float) -> float:
     every knot and mirrored knot so that each piece is smooth. Each piece
     takes its constant density at its midpoint, because density() at a knot
     reports the slope of the segment to the right."""
-    h = cdf(spec, min(beta_star, 1.0))
+    h = cdf(spec, beta_star)
     lo = max(beta_star, spec.support_lo)
     hi = min(2.0 * beta_star, spec.support_hi)
     if hi <= lo:

@@ -199,6 +199,20 @@ class TestPeriod1Outcome:
         assert out.regime == "all_unsafe"
         assert out.r == 1.0
 
+    @pytest.mark.parametrize(
+        "beta_hi, u, regime",
+        [(0.5, 0.4, "all_unsafe"), (2.0, 0.7, "interior"), (2.0, 1.2, "all_unsafe")],
+    )
+    def test_regime_turns_at_the_top_of_the_beta_support(self, paper_params, beta_hi, u, regime):
+        # at the paper's gap(0.5) = 0.56875, beta* = u/gap is 0.703, 1.231
+        # and 2.110: the pairs are all unsafe once beta* reaches the top of
+        # the support, which need not be 1
+        params = paper_params._replace(dist_beta=uniform(0.0, beta_hi), u=u)
+        out = period1_outcome(params, 0.56875)
+        assert out.regime == regime
+        assert (out.H == 1.0 and out.r == 1.0) == (regime == "all_unsafe")
+        assert out.H == pytest.approx(min(out.beta_star / beta_hi, 1.0), abs=1e-15)
+
 
 class TestOutcomeBounds:
     def test_high_risk_mass_bracketed_by_hot_fraction(self):
