@@ -105,24 +105,6 @@ class SimResult(NamedTuple):
     counts: PairCounts
 
 
-def _add_exact(partials: list[float], x: float) -> None:
-    """Add x to the exact sum that partials holds as non-overlapping floats
-    (Shewchuk 1997; the algorithm of math.fsum), so that math.fsum(partials)
-    is the correctly rounded total at a cost that does not grow with the
-    number of terms."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-
-
 def _binom_se(p: float, n: int) -> float:
     if n <= 0:
         return math.nan
@@ -144,7 +126,8 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
 
     n = config.n_pairs
     tally = np.zeros(CODES, dtype=np.int64)  # pairs per outcome code
-    w_total = []  # exact sum of the chunk welfare sums, see _add_exact
+    w_sums = []
+    w_run = 0.0  # plain running sum; it only scales the merge's correction
     w_m2 = 0.0
     for first in range(0, n, CHUNK):
         m = min(CHUNK, n - first)
@@ -156,9 +139,10 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
         w *= w
         w_m2 += float(np.sum(w))
         if first:
-            delta = w_sum / m - math.fsum(w_total) / first
+            delta = w_sum / m - w_run / first
             w_m2 += delta * delta * first * m / (first + m)
-        _add_exact(w_total, w_sum)
+        w_sums.append(w_sum)
+        w_run += w_sum
         # np.bincount counts intp; the codes take w's spent bytes as intp, not
         # a new 8 B/pair copy that would page-fault on every call
         codes = w.view(np.intp)
@@ -187,7 +171,7 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     n_high_agents = 2 * n_unsafe
     r_h_hat = tests_total / n_high_agents if n_high_agents else math.nan
     s_hat = disclosures / agents
-    w_hat = math.fsum(w_total) / n
+    w_hat = math.fsum(w_sums) / n
 
     if n > 1:
         # per-pair test share x = ntest / 2: sample variance of x from the

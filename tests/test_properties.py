@@ -19,7 +19,7 @@ from stigmagame import ModelParams, evaluate_point, piecewise_linear_cdf, sweep,
 from stigmagame import cli
 from stigmagame.coordination import high_risk_fraction
 from stigmagame.distributions import cdf, density
-from stigmagame.montecarlo import Estimates, SimConfig, _add_exact, analytic_targets, simulate
+from stigmagame.montecarlo import Estimates, SimConfig, analytic_targets, simulate
 from stigmagame.signaling import assumption3_margin, continuation_values, policy_state
 from stigmagame.welfare import tau_grid
 
@@ -208,23 +208,6 @@ def test_simulation_agrees_with_the_chain(params, tau, convention, seed):
             assert abs(hat - target) <= 1e-12, name
         else:
             assert abs(hat - target) / se < 5.5, (name, hat, target, se)
-
-
-@settings(PROPERTY, max_examples=200)
-@given(
-    st.lists(
-        st.one_of(st.floats(-1e300, 1e300), st.sampled_from([1e16, -1e16, 1.0, 5e-324])),
-        min_size=1,
-        max_size=60,
-    )
-)
-def test_running_exact_sum_is_fsum_of_every_prefix(xs):
-    # simulate merges chunk welfare sums this way; its W must be the
-    # correctly rounded total, as math.fsum of the whole list gives
-    partials = []
-    for k, x in enumerate(xs, start=1):
-        _add_exact(partials, x)
-        assert math.fsum(partials) == math.fsum(xs[:k])
 
 
 def _config_lines():
