@@ -4,11 +4,11 @@ Commands: check | evaluate | sweep | optimize | simulate | figures.
 Config files are flat `key = value` text (UTF-8, # comments); each flag's
 default and range live in the parser, which checks every range before the
 config is read. Exit codes: 0 success, 2 config error (a flag outside its
-range, a config or knot file that is not UTF-8, an assumption-1
-violation, tau_true != 0, a valuation or present-bias support below 0,
-and an --out that cannot be created or written), 3 assumption-3 failure
-(the welfare commands always; check only under --strict). Past those
-checks every point of the chain evaluates.
+range, a config or knot file that is not UTF-8, an assumption-1 violation,
+tau_true != 0, a valuation or present-bias support below 0, over 512 beta
+knots, an --out that cannot be created or written; README.md lists all),
+3 assumption-3 failure (the welfare commands always; check only under
+--strict). Past those checks every point of the chain evaluates.
 `--tau` replaces tau_hat for every command. All CSV output uses a fixed
 column order with 12-significant-digit floats, so repeated runs with the
 same config are byte-identical.

@@ -3,19 +3,19 @@
 Players discounting the future below the threshold beta* = u/gap ("hot")
 prefer the unsafe equilibrium; the rest ("cold") prefer safe. Matched pairs
 settle on the equilibrium both prefer, with mixed pairs resolved by the
-joint-welfare rule: unsafe iff beta_1 + beta_2 < 2*beta*. The resulting
-high-risk fraction is computed exactly in closed form: its mixed-pair
-integrand is piecewise linear for every supported distribution.
+joint-welfare rule: unsafe iff beta_1 + beta_2 < 2*beta*. Hot pairs always
+pass it and cold pairs never do, so r = G(2*beta*), G the CDF of a sum of two
+draws, tabulated once per distribution; G is C^1 (r'' jumps at (x_j + x_k)/2).
 """
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_right
 from typing import NamedTuple
 
-from .distributions import DistributionSpec, cdf, density
-# unused here; perfbench/tracer.py times this name, so it must still resolve
-from .distributions import integrate  # noqa: F401
+from .distributions import DistributionSpec, cdf
+# unused here; perfbench/tracer.py counts and times these names, so they must still resolve
+from .distributions import density, integrate  # noqa: F401
 from .signaling import AssumptionViolation, ModelParams
 
 __all__ = [
@@ -55,34 +55,16 @@ def hot_fraction(dist_beta: DistributionSpec, beta_star: float) -> float:
 
 
 def high_risk_fraction(dist_beta: DistributionSpec, beta_star: float) -> float:
-    """Mass of players ending up in unsafe pairs, exact in closed form.
-
-    H^2 of hot-hot pairs plus twice the mixed-pair mass
-    integral_{lo}^{hi} F(2*beta* - b) f(b) db, with the limits clamped to
-    the support (lo = max(beta*, support_lo), hi = min(2*beta*, support_hi)).
-    Between the knots x_k and their mirrors 2*beta* - x_k the density is
-    constant and F(2*beta* - b) is linear, so the trapezoid rule over those
-    breakpoints is exact; math.fsum adds the pieces.
-    """
-    h = hot_fraction(dist_beta, beta_star)
-    lo = max(beta_star, dist_beta.support_lo)
-    hi = min(2.0 * beta_star, dist_beta.support_hi)
-    if hi <= lo:
-        return h * h
-    twice = 2.0 * beta_star
-    cuts = {lo, hi}
-    for x in dist_beta.knots_x:
-        if lo < x < hi:
-            cuts.add(x)
-        if lo < twice - x < hi:
-            cuts.add(twice - x)
-    pts = sorted(cuts)
-    mirrored = [cdf(dist_beta, twice - b) for b in pts]
-    mixed = math.fsum(
-        (b - a) * density(dist_beta, 0.5 * (a + b)) * (fa + fb) * 0.5
-        for a, b, fa, fb in zip(pts, pts[1:], mirrored, mirrored[1:])
-    )
-    return h * h + 2.0 * mixed
+    """Mass of players in unsafe pairs, G(2*beta*) from dist_beta.sum_cdf_table:
+    exactly 0 up to T[0] = 2 support_lo and exactly 1 from T[-1] = 2 support_hi."""
+    ts, coef, (g_div, slope_div, curv_div) = dist_beta.sum_cdf_table
+    s = 2.0 * beta_star
+    m = bisect_right(ts, s)
+    if not 0 < m < len(ts):
+        return float(m > 0)  # 0 below T[0], 1 from T[-1] up
+    g, slope, curv = coef[m - 1]
+    d = s - ts[m - 1]
+    return g / g_div + d * (slope / slope_div + d * (curv / curv_div))
 
 
 def period1_outcome(params: ModelParams, gap: float) -> Period1Outcome:

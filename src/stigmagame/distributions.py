@@ -3,10 +3,10 @@
 A distribution is a piecewise-linear CDF given by knots; uniform on [lo, hi)
 is the two-knot case, not a separate family. The CDF, density, mean and
 truncated first moment each have one code path over the knots, in pure
-Python (the period-1 chain calls them a few times per knot). The simulation's
-vectorized inverse CDF lives in _kernels, next to numpy. The adaptive
-quadrature is not on the analysis path; the tests use it as an
-independent oracle for the closed-form high-risk fraction.
+Python; the CDF of the sum of two draws, which r reads, is a table built
+once per spec. The simulation's vectorized inverse CDF lives in _kernels,
+next to numpy. The adaptive quadrature is not on the analysis path; the
+tests use it as an independent oracle for the high-risk fraction r.
 
 Support convention is half-open [lo, hi): cdf(lo) = 0 and any tie at a
 threshold resolves downward. Boundary mass is zero for the continuous
@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import cached_property
+from itertools import accumulate
+from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
 __all__ = [
@@ -71,8 +73,8 @@ class _DistributionSpec(NamedTuple):
 
 class DistributionSpec(_Checked, _DistributionSpec):
     """Immutable spec for a bounded 1-D distribution, stored as CDF knots
-    (x strictly increasing, p from 0 to 1 non-decreasing). Construct through
-    :func:`uniform` or :func:`piecewise_linear_cdf`. Its __dict__ caches mean.
+    (x strictly increasing, p from 0 to 1 non-decreasing), built by :func:`uniform`
+    or :func:`piecewise_linear_cdf`. Its __dict__ caches mean and sum_cdf_table.
     """
 
     def _validate(self):
@@ -105,6 +107,38 @@ class DistributionSpec(_Checked, _DistributionSpec):
     def mean(self) -> float:
         """Expected value, computed once: the chain asks for E[y] at every τ."""
         return partial_expectation(self, self.knots_x[-1])
+
+    @cached_property
+    def sum_cdf_table(self) -> tuple:
+        """G, the CDF of the sum of two draws: with J_i the density jump at x_i,
+        G(s) = sum_ij J_i J_j (s - x_i - x_j)_+^2 / 2 (Bradley & Gupta 2002, Ann.
+        Inst. Statist. Math. 54:689). (T, coef, scale): the sorted x_i + x_j, and
+        per interval the integers that, divided by scale, give G, G' and G''/2 at
+        its left end; knots and float densities scale to integers by powers of
+        two, so each is exact until that one division."""
+        xs, ps, n = self.knots_x, self.knots_p, len(self.knots_x)
+        dens = [(ps[k + 1] - ps[k]) / (xs[k + 1] - xs[k]) for k in range(n - 1)]
+        if max(dens) > 1e150:
+            raise ValueError(f"a segment density above 1e150 ({max(dens):.3g}) overflows G''")
+        xr, dr = [x.as_integer_ratio() for x in xs], [d.as_integer_ratio() for d in dens]
+        a, b = (max(q for _, q in r).bit_length() - 1 for r in (xr, dr))  # x 2**a, d 2**b
+        X = [p << a + 1 - q.bit_length() for p, q in xr]
+        D = [0, *[p << b + 1 - q.bit_length() for p, q in dr], 0]
+        J = list(map(sub, D[1:], D))
+        # (float x_i + x_j, exact x_i + x_j, 2 J_i J_j or J_i^2 at i = j): the sort is exact
+        pairs = [(y + xs[j], x + X[j], w * J[j]) for i, y, x, w
+                 in zip(range(n), xs, X, map((2).__mul__, J)) for j in range(i + 1, n)]
+        pairs += zip(map(add, xs, xs), map(add, X, X), map(mul, J, J))
+        pairs.sort()
+        ts = list(map(itemgetter(1), pairs))
+        width = list(map(sub, ts[1:], ts))
+        curv = list(accumulate(map(itemgetter(2), pairs)))
+        slope = list(accumulate(map(mul, curv, width), initial=0))
+        value = accumulate(map(mul, map(add, slope, slope[1:]), width), initial=0)
+        # float divisors while every integer here is below 2**1000, else exact ints
+        base = 2.0 if 2 * (a + b + max(D).bit_length()) + n.bit_length() < 1000 else 2
+        scale = tuple(base**e for e in (2 * a + 2 * b + 1, a + 2 * b, 2 * b + 1))
+        return list(map(itemgetter(0), pairs)), list(zip(value, slope, curv)), scale
 
     # cached_property writes mean into __dict__ directly, past these two
     def __setattr__(self, name, value):
@@ -147,9 +181,7 @@ def density(spec: DistributionSpec, x: float) -> float:
     if x < xs[0] or x > xs[-1]:
         return 0.0
     ps = spec.knots_p
-    k = bisect_right(xs, x) - 1
-    if k >= len(xs) - 1:
-        k = len(xs) - 2
+    k = min(bisect_right(xs, x), len(xs) - 1) - 1
     return (ps[k + 1] - ps[k]) / (xs[k + 1] - xs[k])
 
 

@@ -119,12 +119,15 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     from . import _kernels
 
     _require_preconditions(params, config.convention)
+    n, p = config.n_pairs, params
+    bound = p.M + p.u + p.v + p.c + p.c_h + 2.0 * p.dist_y.support_hi  # of every pair's |w|
+    if not 4.0 * bound * bound * n < math.inf:  # so the sums and squares below stay finite
+        raise ValueError(f"pair welfare up to {bound:.3g} overflows a float over {n} pairs")
     state = policy_state(params, config.tau_hat)
     beta_star = hot_threshold(params.u, state.gap)
     literal_b = config.convention == "paper_literal"
     cdfs = [_kernels.knot_arrays(d) for d in (params.dist_beta, params.dist_y)]
 
-    n = config.n_pairs
     tally = np.zeros(CODES, dtype=np.int64)  # pairs per outcome code
     w_sums = []
     w_run = 0.0  # plain running sum; it only scales the merge's correction

@@ -44,6 +44,7 @@ class AssumptionViolation(ValueError):
 
 
 _NON_NEGATIVE = ("v", "c", "c_h", "z", "u", "M")
+MAX_BETA_KNOTS = 512  # the table behind r holds about knots**2 / 2 breakpoints
 
 
 class _ModelParams(NamedTuple):
@@ -100,6 +101,8 @@ class ModelParams(_Checked, _ModelParams):
             name = "dist_beta" if self.dist_beta.knots_x[0] < 0.0 else "dist_y"
             lo = getattr(self, name).support_lo
             raise ValueError(f"{name} support must start at 0 or above, got {lo!r}")
+        if len(self.dist_beta.knots_x) > MAX_BETA_KNOTS:
+            raise ValueError(f"dist_beta has more knots than the limit of {MAX_BETA_KNOTS}")
         # testing must be worthwhile for high risk only; checked here rather
         # than silently assumed downstream
         if not self.theta_L * self.v < self.c:

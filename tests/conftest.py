@@ -1,6 +1,7 @@
 import os
 import shutil
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,28 @@ def quadrature_r(spec, beta_star: float) -> float:
         f = density(spec, 0.5 * (a + b))
         mixed += integrate(lambda t: cdf(spec, 2.0 * beta_star - t) * f, a, b, 1e-13)
     return h * h + 2.0 * mixed
+
+
+def exact_r(spec, beta_star: float) -> Fraction:
+    """High-risk fraction in exact rationals, an oracle that shares no code
+    with the program: the sum over pairs of segments k, l (those with mass)
+    of m_k m_l P(U_k + U_l < 2 beta*), with U_k uniform on segment k and m_k
+    its mass. P is the share of the rectangle of the two segments below the
+    line u + v = 2 beta*, by inclusion-exclusion over its four corners."""
+    s = 2 * Fraction(beta_star)
+    xs = [Fraction(x) for x in spec.knots_x]
+    ps = [Fraction(p) for p in spec.knots_p]
+    segments = [(a, b, q - p) for a, b, p, q in zip(xs, xs[1:], ps, ps[1:]) if q > p]
+
+    def corner(c):  # area of {u, v >= 0: u + v < c}
+        return c * c / 2 if c > 0 else 0
+
+    total = Fraction(0)
+    for a0, a1, m in segments:
+        for b0, b1, n in segments:
+            area = corner(s - a0 - b0) - corner(s - a1 - b0) - corner(s - a0 - b1) + corner(s - a1 - b1)
+            total += m * n * area / ((a1 - a0) * (b1 - b0))
+    return total
 
 
 def random_piecewise_beta(rng: np.random.Generator):

@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stigmagame import cli, evaluate_point
@@ -174,6 +175,32 @@ class TestExitCodes:
         assert cli.main(argv + ["--pairs", "1000"]) == 2
         assert "support must start at 0 or above" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("knots, rc", [(512, 0), (513, 2)])
+    def test_present_bias_knot_limit(self, tmp_path, capsys, knots, rc):
+        # r reads a table of about knots**2 / 2 breakpoints built per config
+        rng = np.random.default_rng(knots)
+        xs = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, knots - 2)), [1.0]))
+        ps = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 1.0, knots - 1))))
+        rows = [f"{x!r},{p!r}" for x, p in zip(xs.tolist(), (ps / ps[-1]).tolist())]
+        (tmp_path / "beta.csv").write_text("\n".join(["x,p", *rows]) + "\n", encoding="utf-8")
+        path = write_cfg(tmp_path, edited_cfg(dist_beta="piecewise:beta.csv"))
+        assert cli.main(["evaluate", "--config", str(path)]) == rc
+        out, err = capsys.readouterr()
+        if rc == 0:
+            row = out.splitlines()[-1].split(",")
+            assert all(math.isfinite(float(x)) for x in row)
+        else:
+            assert "dist_beta has more knots than the limit of 512" in err
+
+    def test_overflowing_pair_welfare_exits_2(self, tmp_path, capsys):
+        # 0.5 (ua1 + ua2 + ub1 + ub2) overflows at M = 1e308: simulate used to
+        # print W: inf +/- nan at exit 0, with numpy overflow warnings
+        path = write_cfg(tmp_path, edited_cfg(M="1e308"))
+        argv = ["simulate", "--config", str(path), "--pairs", "40000"]
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "pair welfare up to 1e+308 overflows a float" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sim.csv").exists()
 
     def test_bad_flag_values(self, tmp_path):
         args = ["sweep", "--config", str(PAPER_CFG), "--out", str(tmp_path)]

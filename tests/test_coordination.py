@@ -3,6 +3,8 @@ import pytest
 
 from stigmagame import (
     AssumptionViolation,
+    DistributionSpec,
+    cli,
     continuation_values,
     high_risk_fraction,
     hot_fraction,
@@ -14,6 +16,7 @@ from stigmagame import (
 )
 
 from conftest import (
+    PIECEWISE_CFG,
     pair_outcome,
     quadrature_r,
     random_piecewise_beta,
@@ -170,6 +173,35 @@ class TestHighRiskFraction:
         estimate = unsafe / n
         se = (estimate * (1.0 - estimate) / n) ** 0.5
         assert abs(estimate - analytic) <= 3.0 * se
+
+
+class TestSumTable:
+    def test_a_sweep_builds_the_beta_table_once(self, tmp_path, monkeypatch):
+        prop = DistributionSpec.__dict__["sum_cdf_table"]
+        built = []
+
+        def counted(spec, build=prop.func):
+            built.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(prop, "func", counted)
+        argv = ["sweep", "--config", str(PIECEWISE_CFG), "--grid", "1001"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        params = cli.load_config(PIECEWISE_CFG).params
+        assert built == [params.dist_beta]
+        assert params.dist_y not in built
+
+    def test_ends_are_exact(self):
+        spec = piecewise_linear_cdf([(0.25, 0.0), (0.3, 0.4), (0.9, 1.0)])
+        ts = spec.sum_cdf_table[0]
+        assert (ts[0], ts[-1]) == (0.5, 1.8)
+        assert high_risk_fraction(spec, 0.25) == 0.0
+        assert high_risk_fraction(spec, 0.9) == 1.0
+        assert high_risk_fraction(spec, 0.9 - 1e-9) < 1.0
+
+    def test_density_above_the_table_limit_is_rejected(self):
+        with pytest.raises(ValueError, match="above 1e150"):
+            high_risk_fraction(uniform(0.0, 1e-160), 0.0)
 
 
 class TestPeriod1Outcome:
