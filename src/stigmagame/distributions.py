@@ -121,7 +121,7 @@ class DistributionSpec(_Checked, _DistributionSpec):
         if max(dens) > 1e150:
             raise ValueError(f"a segment density above 1e150 ({max(dens):.3g}) overflows G''")
         xr, dr = [x.as_integer_ratio() for x in xs], [d.as_integer_ratio() for d in dens]
-        a, b = (max(q for _, q in r).bit_length() - 1 for r in (xr, dr))  # x 2**a, d 2**b
+        a, b = (max(q for _, q in r).bit_length() - 1 for r in (xr, dr))  # units 2**-a, 2**-b
         X = [p << a + 1 - q.bit_length() for p, q in xr]
         D = [0, *[p << b + 1 - q.bit_length() for p, q in dr], 0]
         J = list(map(sub, D[1:], D))

@@ -84,7 +84,7 @@ def beta_specs(draw):
 @given(spec=beta_specs(), share=st.floats(0.0, 1.2))
 def test_r_matches_the_exact_rational_reference(spec, share):
     """r lies within 1e-12 of its exact rational value for beta* from 0 to
-    1.2 times the top of the support, through both all-unsafe edges."""
+    1.2 times the top of the support, past both ends of the table."""
     beta_star = share * spec.support_hi
     assert abs(high_risk_fraction(spec, beta_star) - exact_r(spec, beta_star)) <= 1e-12
 
