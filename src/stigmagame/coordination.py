@@ -5,7 +5,9 @@ prefer the unsafe equilibrium; the rest ("cold") prefer safe. Matched pairs
 settle on the equilibrium both prefer, with mixed pairs resolved by the
 joint-welfare rule: unsafe iff beta_1 + beta_2 < 2*beta*. Hot pairs always
 pass it and cold pairs never do, so r = G(2*beta*), G the CDF of a sum of two
-draws, tabulated once per distribution; G is C^1 (r'' jumps at (x_j + x_k)/2).
+draws, tabulated once per distribution as finished floats (G, G', G''/2 per
+interval), so a call is one bisect and a quadratic; G is C^1 (r'' jumps at
+(x_j + x_k)/2).
 """
 
 from __future__ import annotations
@@ -57,14 +59,14 @@ def hot_fraction(dist_beta: DistributionSpec, beta_star: float) -> float:
 def high_risk_fraction(dist_beta: DistributionSpec, beta_star: float) -> float:
     """Mass of players in unsafe pairs, G(2*beta*) from dist_beta.sum_cdf_table:
     exactly 0 up to T[0] = 2 support_lo and exactly 1 from T[-1] = 2 support_hi."""
-    ts, coef, (g_div, slope_div, curv_div) = dist_beta.sum_cdf_table
+    ts, coef = dist_beta.sum_cdf_table
     s = 2.0 * beta_star
     m = bisect_right(ts, s)
     if not 0 < m < len(ts):
         return float(m > 0)  # 0 below T[0], 1 from T[-1] up
     g, slope, curv = coef[m - 1]
     d = s - ts[m - 1]
-    return g / g_div + d * (slope / slope_div + d * (curv / curv_div))
+    return g + d * (slope + d * curv)
 
 
 def period1_outcome(params: ModelParams, gap: float) -> Period1Outcome:

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import accumulate
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, mul, sub, truediv
 from typing import NamedTuple
 
 __all__ = [
@@ -51,30 +51,31 @@ class QuadratureError(RuntimeError):
         )
 
 
-class _Checked:
-    """A checked record's first base; building, _replace, unpickling call _validate."""
+def _checked(cls):
+    """Class decorator for a NamedTuple whose instances must pass cls._validate:
+    building, _replace, _make and unpickling all run it, through __new__.
+    Wrong-arity errors and inspect.signature come from the wrapped __new__."""
+    new = cls.__new__
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    @wraps(new)
+    def __new__(cls, /, *args, **kwargs):  # positional-only: no field can collide with it
+        self = new(cls, *args, **kwargs)
         self._validate()
         return self
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls
 
 
-class _DistributionSpec(NamedTuple):
-    knots_x: tuple[float, ...]
-    knots_p: tuple[float, ...]
-
-
-class DistributionSpec(_Checked, _DistributionSpec):
+@_checked
+class DistributionSpec(NamedTuple("DistributionSpec", [
+    ("knots_x", tuple[float, ...]), ("knots_p", tuple[float, ...]),
+])):
     """Immutable spec for a bounded 1-D distribution, stored as CDF knots
-    (x strictly increasing, p from 0 to 1 non-decreasing), built by :func:`uniform`
-    or :func:`piecewise_linear_cdf`. Its __dict__ caches mean and sum_cdf_table.
+    (x strictly increasing, p from 0 to 1 non-decreasing, no segment density
+    above 1e150), built by :func:`uniform` or :func:`piecewise_linear_cdf`.
+    Its __dict__ caches mean and sum_cdf_table.
     """
 
     def _validate(self):
@@ -94,6 +95,10 @@ class DistributionSpec(_Checked, _DistributionSpec):
             raise ValueError("knot probabilities must be non-decreasing")
         if ps[0] != 0.0 or ps[-1] != 1.0:
             raise ValueError("knot probabilities must start at 0 and end at 1")
+        # sum_cdf_table's G'' reaches about knots * density**2; inf makes moments nan
+        top = max(map(truediv, map(sub, ps[1:], ps), map(sub, xs[1:], xs)))
+        if top > 1e150:
+            raise ValueError(f"a segment density above 1e150 ({top:.3g})")
 
     @property
     def support_lo(self) -> float:
@@ -112,14 +117,12 @@ class DistributionSpec(_Checked, _DistributionSpec):
     def sum_cdf_table(self) -> tuple:
         """G, the CDF of the sum of two draws: with J_i the density jump at x_i,
         G(s) = sum_ij J_i J_j (s - x_i - x_j)_+^2 / 2 (Bradley & Gupta 2002, Ann.
-        Inst. Statist. Math. 54:689). (T, coef, scale): the sorted x_i + x_j, and
-        per interval the integers that, divided by scale, give G, G' and G''/2 at
-        its left end; knots and float densities scale to integers by powers of
-        two, so each is exact until that one division."""
+        Inst. Statist. Math. 54:689). (T, coef): the sorted x_i + x_j, and per
+        interval G, G' and G''/2 at its left end; knots and float densities scale
+        to integers by powers of two, so each is exact until it is divided by its
+        power of two, once, here."""
         xs, ps, n = self.knots_x, self.knots_p, len(self.knots_x)
-        dens = [(ps[k + 1] - ps[k]) / (xs[k + 1] - xs[k]) for k in range(n - 1)]
-        if max(dens) > 1e150:
-            raise ValueError(f"a segment density above 1e150 ({max(dens):.3g}) overflows G''")
+        dens = list(map(truediv, map(sub, ps[1:], ps), map(sub, xs[1:], xs)))
         xr, dr = [x.as_integer_ratio() for x in xs], [d.as_integer_ratio() for d in dens]
         a, b = (max(q for _, q in r).bit_length() - 1 for r in (xr, dr))  # units 2**-a, 2**-b
         X = [p << a + 1 - q.bit_length() for p, q in xr]
@@ -137,8 +140,9 @@ class DistributionSpec(_Checked, _DistributionSpec):
         value = accumulate(map(mul, map(add, slope, slope[1:]), width), initial=0)
         # float divisors while every integer here is below 2**1000, else exact ints
         base = 2.0 if 2 * (a + b + max(D).bit_length()) + n.bit_length() < 1000 else 2
-        scale = tuple(base**e for e in (2 * a + 2 * b + 1, a + 2 * b, 2 * b + 1))
-        return list(map(itemgetter(0), pairs)), list(zip(value, slope, curv)), scale
+        g_div, slope_div, curv_div = (base**e for e in (2 * a + 2 * b + 1, a + 2 * b, 2 * b + 1))
+        coef = [(g / g_div, d / slope_div, k / curv_div) for g, d, k in zip(value, slope, curv)]
+        return list(map(itemgetter(0), pairs)), coef
 
     # cached_property writes mean into __dict__ directly, past these two
     def __setattr__(self, name, value):

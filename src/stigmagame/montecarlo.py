@@ -25,7 +25,8 @@ import math
 from typing import NamedTuple
 
 from .coordination import hot_threshold
-from .signaling import ModelParams, _Checked, policy_state
+from .distributions import _checked
+from .signaling import ModelParams, policy_state
 # unused here; perfbench/tracer.py patches these names, so they must still resolve
 from .coordination import period1_outcome  # noqa: F401
 from .signaling import continuation_values, stigma_level  # noqa: F401
@@ -49,15 +50,12 @@ def _decode(code: int) -> tuple[int, int, int, int]:
     return code % 2, code // 2 % 3, code // 6 % 3, code // 18
 
 
-class _SimConfig(NamedTuple):
+@_checked
+class SimConfig(NamedTuple):
     n_pairs: int
     seed: int
     tau_hat: float
     convention: str = "corrected"
-
-
-class SimConfig(_Checked, _SimConfig):
-    __slots__ = ()
 
     def _validate(self):
         # exactly int: a float seed keys other streams, and bool is no count

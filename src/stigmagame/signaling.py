@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .distributions import DistributionSpec, _Checked, cdf, mean, partial_expectation
+from .distributions import DistributionSpec, _checked, cdf, mean, partial_expectation
 
 __all__ = [
     "AssumptionViolation",
@@ -47,22 +47,8 @@ _NON_NEGATIVE = ("v", "c", "c_h", "z", "u", "M")
 MAX_BETA_KNOTS = 512  # the table behind r holds about knots**2 / 2 breakpoints
 
 
-class _ModelParams(NamedTuple):
-    theta_L: float
-    theta_H: float
-    v: float
-    c: float
-    c_h: float
-    z: float
-    u: float
-    dist_beta: DistributionSpec
-    dist_y: DistributionSpec
-    tau_hat: float
-    M: float = 1.0
-    tau_true: float = 0.0
-
-
-class ModelParams(_Checked, _ModelParams):
+@_checked
+class ModelParams(NamedTuple):
     """Exogenous scalars plus the two population distributions.
 
     theta_L/theta_H: infection probabilities of the low/high risk types.
@@ -76,7 +62,18 @@ class ModelParams(_Checked, _ModelParams):
     interaction valuations; both supports start at 0 or above.
     """
 
-    __slots__ = ()
+    theta_L: float
+    theta_H: float
+    v: float
+    c: float
+    c_h: float
+    z: float
+    u: float
+    dist_beta: DistributionSpec
+    dist_y: DistributionSpec
+    tau_hat: float
+    M: float = 1.0
+    tau_true: float = 0.0
 
     def _validate(self):
         if not 0.0 < self.theta_L < self.theta_H < 1.0:
@@ -84,10 +81,8 @@ class ModelParams(_Checked, _ModelParams):
                 f"need 0 < theta_L < theta_H < 1, got "
                 f"({self.theta_L!r}, {self.theta_H!r})"
             )
-        values = (self.v, self.c, self.c_h, self.z, self.u, self.M)
-        for val in values:
+        for name, val in zip(_NON_NEGATIVE, (self.v, self.c, self.c_h, self.z, self.u, self.M)):
             if not 0.0 <= val < math.inf:
-                name = _NON_NEGATIVE[values.index(val)]
                 raise ValueError(f"{name} must be finite and >= 0, got {val!r}")
         if not 0.0 <= self.tau_hat <= 1.0:
             raise ValueError(f"tau_hat must lie in [0, 1], got {self.tau_hat!r}")

@@ -71,20 +71,17 @@ class WelfareReport(NamedTuple):
 class PolicyDecomposition(NamedTuple):
     """Three-term welfare decomposition of moving tau_hat off zero.
 
-    deterrence_gain: switchers valued at the new continuation gap;
-    suppression_loss: stayers' drop in EV_H (negative);
-    b_loss: discriminators' forgone valuations (negative);
-    paper_sum: the three terms added up; exact_delta: the actual welfare
-    difference W(tau_hat) - W(0) under the corrected convention. The
-    residual between them is reported, never forced to zero (the three-term
-    sum ignores the switchers' period-1 saving and prices them at the new
-    gap rather than the old).
+    Since W_A = M + EV_L - u - r*(gap - u) and EV_L does not depend on tau_hat,
+    the three terms sum to exact_delta = W(tau_hat) - W(0) under the corrected
+    convention, and residual (exact_delta minus their sum) is rounding only.
+    deterrence_gain: (r0 - r1)*(gap0 - u), the switchers' gain, negative when
+    gap0 < u; suppression_loss: stayers' drop in EV_H, r1*(gap0 - gap1);
+    b_loss: discriminators' forgone valuations, -R1*E[y; y < cutoff].
     """
 
     deterrence_gain: float
     suppression_loss: float
     b_loss: float
-    paper_sum: float
     exact_delta: float
     residual: float
 
@@ -194,27 +191,24 @@ def present_bias_loss(params: ModelParams) -> PresentBiasLoss:
 
 
 def decomposition(params: ModelParams, tau_hat: float) -> PolicyDecomposition:
-    """Three-term account of W(tau_hat) - W(0) plus the exact difference."""
+    """Exact three-term account of W(tau_hat) - W(0)."""
     if not 0.0 < tau_hat <= 1.0:
         raise ValueError(f"tau_hat must lie in (0, 1], got {tau_hat!r}")
     _require_preconditions(params, "corrected")
     row0 = _point(params, 0.0, "corrected")[0]
     row1 = _point(params, tau_hat, "corrected")[0]
-    # EV_L does not depend on S, so EV_L - EV_H(tau_hat) is gap(tau_hat) and
-    # EV_H(tau_hat) - EV_H(0) is gap(0) - gap(tau_hat), both up to rounding
-    deterrence = (row0.r - row1.r) * row1.gap
+    # EV_L does not depend on S, so EV_H(tau_hat) - EV_H(0) is gap(0) - gap(tau_hat)
+    deterrence = (row0.r - row1.r) * (row0.gap - params.u)
     suppression = row1.r * (row0.gap - row1.gap)
     cutoff = rejection_cutoff(params, tau_hat)
     b_loss = -row1.R * partial_expectation(params.dist_y, cutoff)
-    paper_sum = deterrence + suppression + b_loss
     exact = row1.W - row0.W
     return PolicyDecomposition(
         deterrence_gain=deterrence,
         suppression_loss=suppression,
         b_loss=b_loss,
-        paper_sum=paper_sum,
         exact_delta=exact,
-        residual=exact - paper_sum,
+        residual=exact - (deterrence + suppression + b_loss),
     )
 
 
@@ -306,39 +300,33 @@ def optimize(
 
     trace: list[tuple[str, float, float]] = []
 
-    def objective(tau: float) -> float:
-        return welfare(search, tau, convention).W
+    def objective(stage: str, tau: float) -> float:
+        w = welfare(search, tau, convention).W
+        trace.append((stage, tau, w))
+        return w
 
     n = grid_points
     taus = tau_grid(n)
-    values = []
-    for t in taus:
-        w = objective(t)
-        values.append(w)
-        trace.append(("grid", t, w))
+    values = [objective("grid", t) for t in taus]
     best = max(range(n), key=lambda i: values[i])
     a = taus[max(best - 1, 0)]
     b = taus[min(best + 1, n - 1)]
 
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
-    f1 = objective(x1)
-    f2 = objective(x2)
-    trace.append(("refine", x1, f1))
-    trace.append(("refine", x2, f2))
+    f1 = objective("refine", x1)
+    f2 = objective("refine", x2)
     # the probes stop being strictly inside the bracket once it is a few ulps
     # wide; a only rises and b only falls, so this ends for any tol
     while b - a > tol and a < x1 < x2 < b:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
-            f2 = objective(x2)
-            trace.append(("refine", x2, f2))
+            f2 = objective("refine", x2)
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)
-            f1 = objective(x1)
-            trace.append(("refine", x1, f1))
+            f1 = objective("refine", x1)
     tau_star, f_star = (x1, f1) if f1 >= f2 else (x2, f2)
     # kinks can break unimodality on the bracket; never do worse than the grid
     if values[best] > f_star:

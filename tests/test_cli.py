@@ -167,6 +167,15 @@ class TestExitCodes:
         assert "finite squares" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("key", ["dist_y", "dist_beta"])
+    def test_overflowing_density_exits_2(self, tmp_path, capsys, key):
+        # a density of 1/1e-310 = inf made the chain's gap nan, and evaluate
+        # died with an IndexError traceback in cdf (exit 1)
+        path = write_cfg(tmp_path, edited_cfg(**{key: "uniform(0,1e-310)"}))
+        assert cli.main(["evaluate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"key '{key}': a segment density above 1e150 (inf)" in err
+
     @pytest.mark.parametrize("command", ["check", "evaluate", "simulate"])
     @pytest.mark.parametrize("config", ["negative_y.cfg", "negative_beta.cfg"])
     def test_negative_support_exits_2(self, tmp_path, capsys, command, config):

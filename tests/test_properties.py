@@ -15,7 +15,14 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stigmagame import ModelParams, evaluate_point, piecewise_linear_cdf, sweep, uniform
+from stigmagame import (
+    ModelParams,
+    decomposition,
+    evaluate_point,
+    piecewise_linear_cdf,
+    sweep,
+    uniform,
+)
 from stigmagame import cli
 from stigmagame.coordination import high_risk_fraction
 from stigmagame.distributions import cdf, density
@@ -215,6 +222,21 @@ def test_gap_never_falls_below_the_assumption3_margin(params, taus):
     assert all(policy_state(params, t).gap >= margin for t in [0.0, 1.0] + taus)
     rows = sweep(params, tau_grid(5))
     assert all(math.isfinite(x) for row in rows for x in row)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(
+    params=st.one_of(valid_params(wide=True), valid_params(wide_y=True)),
+    tau=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_decomposition_is_exact(params, tau):
+    """W_A = M + EV_L - u - r*(gap - u), so deterrence prices each deterred
+    pair at gap(0) - u, and the three terms add up to W(tau) - W(0) but for
+    rounding."""
+    dec = decomposition(params, tau)
+    row0, row1 = evaluate_point(params, 0.0), evaluate_point(params, tau)
+    assert dec.deterrence_gain == (row0.r - row1.r) * (row0.gap - params.u)
+    assert abs(dec.residual) <= 1e-12 * max(1.0, abs(row1.W))
 
 
 @settings(PROPERTY, max_examples=100)

@@ -1,11 +1,14 @@
 """Records are NamedTuples, frozen like tuples.
 
-DistributionSpec, ModelParams and SimConfig are checked: every way of
-building one (the constructor, _replace, unpickling) runs the same checks
-with the same messages. The other records hold results and check nothing.
+DistributionSpec, ModelParams and SimConfig are checked: the `_checked`
+decorator wraps their __new__, so every way of building one (the
+constructor, _replace, _make, unpickling) runs the same checks with the
+same messages. The tests find checked records by that wrapper, and each
+must have a row in CHECKS. The other records hold results and check nothing.
 """
 
 import importlib
+import inspect
 import pickle
 import pkgutil
 
@@ -55,6 +58,7 @@ SPEC_CHECKS = [
     ({"knots_p": (0.0, 0.6, 0.4)}, ValueError, "knot probabilities must be non-decreasing"),
     ({"knots_p": (0.1, 0.5, 1.0)}, ValueError,
      "knot probabilities must start at 0 and end at 1"),
+    ({"knots_x": (0.0, 1e-160, 1.0)}, ValueError, "a segment density above 1e150 (5e+159)"),
 ]
 SIM_CHECKS = [
     ({"n_pairs": 0}, ValueError, "n_pairs must be an int >= 1, got 0"),
@@ -66,11 +70,14 @@ SIM_CHECKS = [
     ({"convention": "folk"}, ValueError,
      "convention must be one of ('corrected', 'paper_literal')"),
 ]
+# test ids number the rows, so rows added later go last and earlier ids keep theirs
 CHECKS = (
     [("params", *case) for case in PARAMS_CHECKS]
-    + [("spec", *case) for case in SPEC_CHECKS]
+    + [("spec", *case) for case in SPEC_CHECKS[:6]]
     + [("sim", *case) for case in SIM_CHECKS]
+    + [("spec", *case) for case in SPEC_CHECKS[6:]]
 )
+CHECK_IDS = [f"{kind}-{next(iter(change))}-{i}" for i, (kind, change, *_) in enumerate(CHECKS)]
 
 
 @pytest.fixture
@@ -78,11 +85,7 @@ def checked(paper_params):
     return {"params": paper_params, "spec": SPEC, "sim": SIM}
 
 
-@pytest.mark.parametrize(
-    "kind, change, error, message",
-    CHECKS,
-    ids=[f"{kind}-{next(iter(change))}-{i}" for i, (kind, change, *_) in enumerate(CHECKS)],
-)
+@pytest.mark.parametrize("kind, change, error, message", CHECKS, ids=CHECK_IDS)
 def test_replace_runs_every_check(checked, kind, change, error, message):
     base = checked[kind]
     with pytest.raises(error) as replaced:
@@ -90,6 +93,18 @@ def test_replace_runs_every_check(checked, kind, change, error, message):
     with pytest.raises(error) as built:
         type(base)(**{**base._asdict(), **change})
     assert str(replaced.value) == str(built.value) == message
+
+
+@pytest.mark.parametrize("kind, change, error, message", CHECKS, ids=CHECK_IDS)
+def test_make_and_unpickling_run_every_check(checked, kind, change, error, message):
+    cls = type(checked[kind])
+    values = {**checked[kind]._asdict(), **change}.values()
+    with pytest.raises(error) as made:
+        cls._make(values)
+    unchecked = tuple.__new__(cls, values)  # past the checks, as a corrupt pickle would be
+    with pytest.raises(error) as unpickled:
+        pickle.loads(pickle.dumps(unchecked))
+    assert str(made.value) == str(unpickled.value) == message
 
 
 def test_replace_keeps_the_checked_type(checked):
@@ -108,6 +123,24 @@ def _records():
             if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields"):
                 records[name] = obj
     return records
+
+
+def test_every_checked_record_has_rows(checked):
+    """A record whose __new__ the _checked decorator wraps needs an instance in
+    `checked` and rows in CHECKS, so every way of building it is tested."""
+    wrapped = {cls for cls in _records().values() if hasattr(cls.__new__, "__wrapped__")}
+    assert wrapped == {type(obj) for obj in checked.values()}
+    assert {kind for kind, *_ in CHECKS} == set(checked)
+
+
+@pytest.mark.parametrize("kind", ["params", "spec", "sim"])
+def test_checked_records_show_their_fields(checked, kind):
+    cls = type(checked[kind])
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__new__\(\) missing"):
+        cls()
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__new__\(\) takes"):
+        cls(*range(len(cls._fields) + 1))
+    assert list(inspect.signature(cls).parameters) == list(cls._fields)
 
 
 def test_records_are_read_only(checked):

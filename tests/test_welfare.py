@@ -158,19 +158,27 @@ class TestPresentBiasLoss:
 class TestDecomposition:
     def test_paper_point(self, paper_params):
         dec = decomposition(paper_params, 0.5)
-        assert dec.deterrence_gain == pytest.approx(0.057692307692308, abs=1e-9)
+        # deterred pairs give up u = 0.1 and escape gap(0) = 0.35
+        assert dec.deterrence_gain == pytest.approx(0.025359256128487, abs=1e-9)
         assert dec.suppression_loss == pytest.approx(-0.013524936601860, abs=1e-9)
         assert dec.b_loss == pytest.approx(-0.003864267600531, abs=1e-9)
-        assert dec.paper_sum == pytest.approx(
-            dec.deterrence_gain + dec.suppression_loss + dec.b_loss, abs=1e-15
-        )
         assert dec.exact_delta == pytest.approx(0.007970051926096, abs=1e-9)
-        assert dec.residual == pytest.approx(dec.exact_delta - dec.paper_sum, abs=1e-15)
+        assert abs(dec.residual) < 1e-15
+        assert dec.residual == dec.exact_delta - (
+            dec.deterrence_gain + dec.suppression_loss + dec.b_loss
+        )
 
     def test_continuity_at_baseline(self, paper_params):
         dec = decomposition(paper_params, 1e-6)
         assert abs(dec.exact_delta) < 1e-5
-        assert abs(dec.paper_sum) < 1e-5
+        assert abs(dec.deterrence_gain + dec.suppression_loss + dec.b_loss) < 1e-5
+
+    def test_deterrence_can_lose_welfare(self):
+        # gap(0) = 0.05 < u = 0.08: each deterred pair is worse off
+        dec = decomposition(load_config(PIECEWISE_CFG).params, 0.5)
+        assert dec.deterrence_gain == pytest.approx(-0.025247182488517, abs=1e-9)
+        assert dec.exact_delta == pytest.approx(-0.069608388617972, abs=1e-9)
+        assert abs(dec.residual) < 1e-15
 
     def test_domain_validation(self, paper_params):
         with pytest.raises(ValueError):
