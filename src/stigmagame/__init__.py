@@ -6,7 +6,6 @@ from .distributions import (
     QuadratureError,
     cdf,
     integrate,
-    mean,
     partial_expectation,
     piecewise_linear_cdf,
     uniform,
@@ -45,7 +44,6 @@ from .welfare import (
 )
 from .montecarlo import (
     Estimates,
-    SimConfig,
     SimResult,
     analytic_targets,
     simulate,

@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .coordination import hot_threshold
 from .distributions import DistributionSpec
 from .signaling import PolicyState, rejection_cutoff
 
@@ -148,16 +149,15 @@ def simulate_pairs(
     first_pair: int,
     n_pairs: int,
     state: PolicyState,
-    beta_star: float,
     literal_b: bool,
     beta_cdf: InverseCdf,
     y_cdf: InverseCdf,
 ):
     """Per-pair arrays for pairs first_pair .. first_pair + n_pairs - 1.
 
-    state supplies the policy value tau_hat, the stigma level S and the
-    parameters, beta_cdf and y_cdf the knot_arrays tables of its two
-    distributions. beta_star is the hot threshold; literal_b selects the
+    state supplies the policy value tau_hat, the stigma level S, the gap
+    (and so the hot threshold beta*) and the parameters, beta_cdf and y_cdf
+    the knot_arrays tables of its two distributions. literal_b selects the
     paper_literal welfare of B.
     Returns (w, code), both new: pair welfare as float64, and as uint8 the
     pair's outcome code unsafe + 2 nhot + 6 ntest + 18 ndisc (0-53), where
@@ -165,6 +165,7 @@ def simulate_pairs(
     its hot players, testing A players and discriminating B players (0-2).
     """
     p, stigma, n = state.params, state.S, n_pairs
+    beta_star = hot_threshold(p.u, state.gap)
     cutoff = rejection_cutoff(p, state.tau_hat)
     golden = getattr(_local, "golden", None)  # 6 i GOLDEN for i < n, kept across calls
     if golden is None or len(golden) < n:

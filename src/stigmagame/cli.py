@@ -1,18 +1,18 @@
 """Command-line surface: config parsing and the six analysis commands.
 
 Commands: check | evaluate | sweep | optimize | simulate | figures.
-Config files are flat `key = value` text (UTF-8, # comments); each flag's
-default and range live in the parser, which checks every range before the
-config is read. Exit codes: 0 success, 2 config error (a flag outside its
-range, a config or knot file that is not UTF-8, an assumption-1 violation,
-tau_true != 0, a valuation or present-bias support below 0, over 512 beta
-knots, a segment density above 1e150 in either distribution, an --out that
-cannot be created or written; README.md lists all),
-3 assumption-3 failure (the welfare commands always; check only under
---strict). Past those checks every point of the chain evaluates.
-`--tau` replaces tau_hat for every command. All CSV output uses a fixed
-column order with 12-significant-digit floats, so repeated runs with the
-same config are byte-identical.
+Config files are flat `key = value` text (UTF-8, a byte-order mark skipped,
+# comments); each flag's default and range live in the parser, which
+checks every range before the config is read. Exit codes: 0 success, 2
+config error (a flag outside its range, a config or knot file that is not
+UTF-8, an assumption-1 violation, tau_true != 0, a valuation or
+present-bias support below 0, over 512 beta knots, a segment density above
+1e150 in either distribution, an --out that cannot be created or written;
+README.md lists all), 3 assumption-3 failure (the welfare commands always;
+check only under --strict). Past those checks every point of the chain
+evaluates. `--tau` replaces tau_hat for every command. All CSV output
+uses a fixed column order with 12-significant-digit floats, so repeated
+runs with the same config are byte-identical.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .distributions import DistributionSpec, piecewise_linear_cdf, uniform
 from .figures import figure_tables, line_chart_svg
-from .montecarlo import Estimates, PairCounts, SimConfig, analytic_targets, simulate
+from .montecarlo import Estimates, PairCounts, analytic_targets, simulate
 from .signaling import AssumptionViolation, ModelParams, check_assumptions
 from .welfare import (
     CONVENTIONS,
@@ -91,7 +91,7 @@ def _parse_dist(key: str, value: str, base_dir: Path) -> DistributionSpec:
             raise ConfigError(f"key '{key}': knot file not found: {path}")
         knots = []
         try:
-            with open(path, newline="", encoding="utf-8") as fh:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
                 for row in csv.reader(fh):
                     if not row or row[0].strip().lower() == "x":
                         continue
@@ -122,7 +122,7 @@ def load_config(path) -> RunConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8: {exc}")
     raw: dict[str, str] = {}
@@ -264,10 +264,7 @@ _SIM_HEADER = (
 def _cmd_simulate(params, convention, args, out) -> None:
     tau = params.tau_hat
     tgt = analytic_targets(params, tau, convention)
-    sim_cfg = SimConfig(
-        n_pairs=args.pairs, seed=args.seed, tau_hat=tau, convention=convention
-    )
-    res = simulate(params, sim_cfg)
+    res = simulate(params, tau, args.pairs, args.seed, convention)
     estimates = list(zip(res.hat, res.stderr, tgt))
     row = (tau, res.n_pairs, args.seed) + sum(estimates, ()) + res.counts
     path = out / "sim.csv"

@@ -29,7 +29,6 @@ __all__ = [
     "piecewise_linear_cdf",
     "cdf",
     "density",
-    "mean",
     "partial_expectation",
     "integrate",
 ]
@@ -192,7 +191,7 @@ def density(spec: DistributionSpec, x: float) -> float:
 def partial_expectation(spec: DistributionSpec, t: float) -> float:
     """Truncated first moment E[X * 1{X <= t}].
 
-    Accumulated segment by segment so that mean(spec) equals
+    Accumulated segment by segment so that spec.mean equals
     partial_expectation(spec, support_hi) exactly.
     """
     xs, ps = spec.knots_x, spec.knots_p
@@ -207,11 +206,6 @@ def partial_expectation(spec: DistributionSpec, t: float) -> float:
         hi = x1 if t >= x1 else t
         total += slope * (hi * hi - x0 * x0) * 0.5
     return total
-
-
-def mean(spec: DistributionSpec) -> float:
-    """Expected value; exact for a piecewise-linear CDF."""
-    return spec.mean
 
 
 def integrate(

@@ -2,21 +2,21 @@
 
 Finite populations are pushed through both periods using only the
 pair-level decision rules: draw present bias for 2*n_pairs players, settle
-each pair's coordination (the hot threshold beta* is the single analytic
-input), assign risk types, then draw valuations and play out testing and
-interaction. Per-capita experience utility (bias weight 1) estimates W.
+each pair's coordination (the hot threshold beta* of the chain's policy
+state is the single analytic input), assign risk types, then draw
+valuations and play out testing and interaction. Per-capita experience
+utility (bias weight 1) estimates W.
 
 Payoffs are expected values in the risk type; actual infection status never
 enters the utility calculus, so sampling it would only add variance.
 Matching is one B partner per A player.
 
-Results are deterministic for a fixed (params, seed, n_pairs): pairs own
-counter-derived substreams, keyed on their global index. The pairs stream
-through the kernel in fixed chunks of CHUNK, each reduced at once to
-sufficient statistics (pairs per outcome code by one np.bincount, and
-the welfare sum and centred sum of squares), merged in chunk order.
-Memory therefore does not grow with n_pairs, and a smaller run is a
-prefix of a larger one.
+Results are deterministic for fixed arguments: pairs own counter-derived
+substreams, keyed on their global index. The pairs stream through the
+kernel in fixed chunks of CHUNK, each reduced at once to sufficient
+statistics (pairs per outcome code by one np.bincount, and the welfare sum
+and centred sum of squares), merged in chunk order. Memory therefore does
+not grow with n_pairs, and a smaller run is a prefix of a larger one.
 """
 
 from __future__ import annotations
@@ -24,16 +24,13 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .coordination import hot_threshold
-from .distributions import _checked
 from .signaling import ModelParams, policy_state
 # unused here; perfbench/tracer.py patches these names, so they must still resolve
 from .coordination import period1_outcome  # noqa: F401
 from .signaling import continuation_values, stigma_level  # noqa: F401
-from .welfare import CONVENTIONS, _require_preconditions, evaluate_point
+from .welfare import _require_preconditions, evaluate_point
 
 __all__ = [
-    "SimConfig",
     "SimResult",
     "PairCounts",
     "Estimates",
@@ -43,30 +40,6 @@ __all__ = [
 
 CHUNK = 2**14  # pairs per kernel call; bounds the per-pair arrays held at once
 CODES = 54  # pair outcome codes unsafe + 2 nhot + 6 ntest + 18 ndisc of the kernel
-
-
-def _decode(code: int) -> tuple[int, int, int, int]:
-    """(unsafe, nhot, ntest, ndisc) of a pair outcome code."""
-    return code % 2, code // 2 % 3, code // 6 % 3, code // 18
-
-
-@_checked
-class SimConfig(NamedTuple):
-    n_pairs: int
-    seed: int
-    tau_hat: float
-    convention: str = "corrected"
-
-    def _validate(self):
-        # exactly int: a float seed keys other streams, and bool is no count
-        if type(self.n_pairs) is not int or self.n_pairs < 1:
-            raise ValueError(f"n_pairs must be an int >= 1, got {self.n_pairs!r}")
-        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
-        if not 0.0 <= self.tau_hat <= 1.0:
-            raise ValueError(f"tau_hat must lie in [0, 1], got {self.tau_hat!r}")
-        if self.convention not in CONVENTIONS:
-            raise ValueError(f"convention must be one of {CONVENTIONS}")
 
 
 class PairCounts(NamedTuple):
@@ -109,21 +82,29 @@ def _binom_se(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def simulate(params: ModelParams, config: SimConfig) -> SimResult:
-    """Run one finite-population replication and reduce it to a SimResult."""
+def simulate(
+    params: ModelParams, tau_hat: float, n_pairs: int, seed: int, convention: str = "corrected"
+) -> SimResult:
+    """Run one finite-population replication of n_pairs pairs at the policy
+    value tau_hat and reduce it to a SimResult. The parameters, tau_hat and
+    the convention are checked as evaluate_point checks them."""
+    # exactly int: a float seed keys other streams, and bool is no count
+    if type(n_pairs) is not int or n_pairs < 1:
+        raise ValueError(f"n_pairs must be an int >= 1, got {n_pairs!r}")
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
+    _require_preconditions(params, convention)
+    state = policy_state(params, tau_hat)
+    n, p = n_pairs, params
+    bound = p.M + p.u + p.v + p.c + p.c_h + 2.0 * p.dist_y.support_hi  # of every pair's |w|
+    if not 4.0 * bound * bound * n < math.inf:  # so the sums and squares below stay finite
+        raise ValueError(f"pair welfare up to {bound:.3g} overflows a float over {n} pairs")
     # numpy loads here, on the first simulation, and not with the package
     import numpy as np
 
     from . import _kernels
 
-    _require_preconditions(params, config.convention)
-    n, p = config.n_pairs, params
-    bound = p.M + p.u + p.v + p.c + p.c_h + 2.0 * p.dist_y.support_hi  # of every pair's |w|
-    if not 4.0 * bound * bound * n < math.inf:  # so the sums and squares below stay finite
-        raise ValueError(f"pair welfare up to {bound:.3g} overflows a float over {n} pairs")
-    state = policy_state(params, config.tau_hat)
-    beta_star = hot_threshold(params.u, state.gap)
-    literal_b = config.convention == "paper_literal"
+    literal_b = convention == "paper_literal"
     cdfs = [_kernels.knot_arrays(d) for d in (params.dist_beta, params.dist_y)]
 
     tally = np.zeros(CODES, dtype=np.int64)  # pairs per outcome code
@@ -132,7 +113,7 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     w_m2 = 0.0
     for first in range(0, n, CHUNK):
         m = min(CHUNK, n - first)
-        w, code = _kernels.simulate_pairs(config.seed, first, m, state, beta_star, literal_b, *cdfs)
+        w, code = _kernels.simulate_pairs(seed, first, m, state, literal_b, *cdfs)
         # Chan, Golub & LeVeque (1979): add the chunk's centred sum of squares
         # (in place on w, a new array) plus the shift between the two means
         w_sum = float(np.sum(w))
@@ -150,17 +131,16 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
         np.copyto(codes, code)
         tally += np.bincount(codes, minlength=CODES)
 
-    # exact integer counts: pairs by nhot and by ntest, unsafe pairs (also
-    # the mixed ones among them) and discriminating B players
-    by_hot, by_tests = [0, 0, 0], [0, 0, 0]
-    n_unsafe = mixed_unsafe = disclosures = 0
-    for c, pairs in enumerate(tally.tolist()):
-        unsafe, nhot, ntest, ndisc = _decode(c)
-        by_hot[nhot] += pairs
-        by_tests[ntest] += pairs
-        n_unsafe += unsafe * pairs
-        mixed_unsafe += unsafe * (nhot == 1) * pairs
-        disclosures += ndisc * pairs
+    # exact counts as Python ints, whose products below cannot overflow:
+    # pairs by nhot and by ntest, unsafe pairs (also the mixed ones among
+    # them) and discriminating B players
+    tally = tally.reshape(3, 3, 3, 2)  # (ndisc, ntest, nhot, unsafe)
+    by_hot = tally.sum(axis=(0, 1, 3)).tolist()
+    by_tests = tally.sum(axis=(0, 2, 3)).tolist()
+    n_unsafe = int(tally[..., 1].sum())
+    mixed_unsafe = int(tally[:, :, 1, 1].sum())
+    _, one_disc, two_disc = tally.sum(axis=(1, 2, 3)).tolist()
+    disclosures = one_disc + 2 * two_disc
 
     agents = 2 * n
     r_hat = n_unsafe / n

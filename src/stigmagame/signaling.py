@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .distributions import DistributionSpec, _checked, cdf, mean, partial_expectation
+from .distributions import DistributionSpec, _checked, cdf, partial_expectation
 
 __all__ = [
     "AssumptionViolation",
@@ -171,7 +171,7 @@ def continuation_values(params: ModelParams, S: float) -> tuple[float, float, fl
     y_star = testing_threshold(params, S)
     bonus = net * cdf(params.dist_y, y_star)
     bonus -= S * partial_expectation(params.dist_y, y_star)
-    mu = mean(params.dist_y)
+    mu = params.dist_y.mean
     ev_l = mu - params.theta_L * params.c_h
     ev_h = mu - params.theta_H * params.c_h + bonus
     # net*G <= net (G <= 1) and S*E[y; y <= y*] >= 0 (y >= 0), so in floats

@@ -33,7 +33,7 @@ from .signaling import (
 )
 # unused here; perfbench/tracer.py patches these names, so they must still resolve
 from .signaling import continuation_values, stigma_level  # noqa: F401
-from .distributions import mean, partial_expectation
+from .distributions import partial_expectation
 
 __all__ = [
     "CONVENTIONS",
@@ -141,19 +141,16 @@ def _require_preconditions(params: ModelParams, convention: str) -> None:
 
 
 def welfare(
-    params: ModelParams,
-    tau_hat: float | None = None,
-    convention: str = "corrected",
+    params: ModelParams, tau_hat: float, convention: str = "corrected"
 ) -> WelfareReport:
-    """Experience-utility welfare of the full population at a policy value.
+    """Experience-utility welfare of the full population at the policy value
+    tau_hat (params.tau_hat is not read).
 
-    tau_hat overrides the value stored in params when given. Population A's
-    welfare weights the per-type totals by the equilibrium composition;
-    population B's follows the selected convention.
+    Population A's welfare weights the per-type totals by the equilibrium
+    composition; population B's follows the selected convention.
     """
     _require_preconditions(params, convention)
-    tau = params.tau_hat if tau_hat is None else tau_hat
-    return _point(params, tau, convention)[1]
+    return _point(params, tau_hat, convention)[1]
 
 
 def first_best_benchmark(params: ModelParams) -> WelfareReport:
@@ -162,7 +159,7 @@ def first_best_benchmark(params: ModelParams) -> WelfareReport:
     Every pair plays safe, testing carries no signal, and every interaction
     is accepted, so W_A = M - u + EV_L and W_B = E[y].
     """
-    mu = mean(params.dist_y)
+    mu = params.dist_y.mean
     w_a = params.M - params.u + mu - params.theta_L * params.c_h
     return WelfareReport(
         W_A=w_a,
@@ -228,7 +225,7 @@ def _point(
     w_low = (1.0 - r) * (p.M - p.u + ev_l)
     pe = partial_expectation(p.dist_y, rejection_cutoff(p, tau_hat))
     w_disc = ((1.0 - r_pop) if convention == "corrected" else r_pop) * pe
-    w_acc = mean(p.dist_y) - pe
+    w_acc = p.dist_y.mean - pe
     w_a = w_high + w_low
     w_b = w_disc + w_acc
     w = w_a + w_b
@@ -249,12 +246,11 @@ def _sweep_points(
 ) -> list[tuple[SweepRow, WelfareReport]]:
     """Row and report at each point of a sorted tau_hat grid.
 
-    The caller has checked the preconditions; past them every point
-    evaluates, since the gap never falls below the assumption-3 margin.
+    The caller has checked the preconditions; past them every point in
+    [0, 1] evaluates, since the gap never falls below the assumption-3
+    margin, and policy_state rejects a point outside it.
     """
     grid = [float(g) for g in grid]
-    if any(not 0.0 <= g <= 1.0 for g in grid):
-        raise ValueError("grid values must lie in [0, 1]")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be sorted ascending")
     return [_point(params, g, convention) for g in grid]

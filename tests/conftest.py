@@ -10,6 +10,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from stigmagame import ModelParams, piecewise_linear_cdf, uniform
 from stigmagame._kernels import knot_arrays, ppf_from_knots
+from stigmagame.coordination import hot_threshold
 from stigmagame.distributions import cdf, density, integrate
 from stigmagame.signaling import rejection_cutoff
 
@@ -80,12 +81,14 @@ def unit_reference(seed: int, counters: np.ndarray) -> np.ndarray:
     return (z >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
-def simulate_pairs_reference(seed, first_pair, n_pairs, state, beta_star, literal_b):
+def simulate_pairs_reference(seed, first_pair, n_pairs, state, literal_b):
     """The pair kernel in expression form, every intermediate a new array,
     drawing through ppf_reference: the oracle that _kernels.simulate_pairs
     (same arguments, plus the two knot_arrays tables) must equal byte for
-    byte in both outputs, w and the outcome code."""
+    byte in both outputs, w and the outcome code. Like the kernel, it takes
+    the hot threshold beta* from the state's gap."""
     p, stigma = state.params, state.S
+    beta_star = hot_threshold(p.u, state.gap)
     cutoff = rejection_cutoff(p, state.tau_hat)
     base = (np.arange(n_pairs, dtype=np.uint64) + np.uint64(first_pair)) * np.uint64(6)
     b1, b2, ya1, ya2, yb1, yb2 = (

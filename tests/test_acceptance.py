@@ -6,7 +6,6 @@ import time
 import numpy as np
 
 from stigmagame import (
-    SimConfig,
     analytic_targets,
     check_assumptions,
     continuation_values,
@@ -112,7 +111,7 @@ def test_criterion_4_simulation_oracle_agreement():
     ok = True
     worst = 0.0
     for tau in (0.0, 0.25, 0.5, 0.75, 1.0):
-        res = simulate(params, SimConfig(n_pairs=500_000, seed=SEED, tau_hat=tau))
+        res = simulate(params, tau, 500_000, SEED)
         tgt = analytic_targets(params, tau)
         for key in ("r", "R", "R_H", "W"):
             est, se, target = (getattr(e, key) for e in (res.hat, res.stderr, tgt))

@@ -126,6 +126,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"key 'dist_beta': knot file {tmp_path / 'beta.csv'} is not UTF-8" in err
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # editors that save UTF-8 with a byte-order mark made line 1 of a
+        # config, and a knot file's header row, fail to parse (exit 2)
+        bom = write_cfg(tmp_path, "\ufeff" + GOOD_CFG, "bom.cfg")
+        outputs = []
+        for path in (PAPER_CFG, bom):
+            assert cli.main(["evaluate", "--config", str(path), "--out", str(tmp_path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        (tmp_path / "y.csv").write_text("\ufeffx,p\n0,0\n0.5,0.25\n2,1\n", encoding="utf-8")
+        path = write_cfg(tmp_path, edited_cfg(dist_y="piecewise:y.csv"))
+        assert cli.load_config(path).params.dist_y.knots_x == (0.0, 0.5, 2.0)
+
     def test_assumption1_message_names_it(self, tmp_path, capsys):
         path = write_cfg(tmp_path, edited_cfg(c="0.1"))
         assert cli.main(["check", "--config", str(path)]) == 2

@@ -8,7 +8,6 @@ from stigmagame.distributions import (
     cdf,
     density,
     integrate,
-    mean,
     partial_expectation,
     piecewise_linear_cdf,
     uniform,
@@ -93,11 +92,11 @@ class TestCdf:
 
 class TestMoments:
     def test_uniform_means(self):
-        assert mean(uniform(0.0, 2.0)) == 1.0
-        assert mean(uniform(0.0, 1.0)) == 0.5
+        assert uniform(0.0, 2.0).mean == 1.0
+        assert uniform(0.0, 1.0).mean == 0.5
 
     def test_piecewise_matching_uniform(self):
-        assert mean(piecewise_linear_cdf([(0.0, 0.0), (2.0, 1.0)])) == 1.0
+        assert piecewise_linear_cdf([(0.0, 0.0), (2.0, 1.0)]).mean == 1.0
 
     def test_partial_expectation_uniform(self):
         spec = uniform(0.0, 2.0)
@@ -109,8 +108,8 @@ class TestMoments:
         rng = np.random.default_rng(7)
         for _ in range(20):
             spec = random_spec(rng)
-            assert partial_expectation(spec, spec.support_hi) == mean(spec)
-            assert partial_expectation(spec, math.inf) == mean(spec)
+            assert partial_expectation(spec, spec.support_hi) == spec.mean
+            assert partial_expectation(spec, math.inf) == spec.mean
 
     def test_partial_expectation_monotone_in_t(self):
         # monotone only on non-negative supports, which is all the model uses

@@ -11,7 +11,8 @@ point) loads none of argparse, dataclasses and inspect (which dataclasses
 imports); records are NamedTuples, and no module imports dataclasses at all.
 
 Each module's `__all__` is its public surface: it names only what exists,
-and it lists every public function and class the module defines.
+and it lists every public function and class the module defines. The
+per-tau entry points share one calling convention.
 """
 
 import ast
@@ -203,3 +204,20 @@ def test_all_lists_exactly_the_public_definitions():
         if unresolved or unlisted:
             report[info.name] = {"unresolved": unresolved, "unlisted": unlisted}
     assert report == {}
+
+
+def test_per_tau_entry_points_share_one_signature():
+    # (params, tau_hat, ..., convention="corrected"): no config record, and
+    # no tau_hat that falls back to params.tau_hat
+    import stigmagame
+
+    for fn in (
+        stigmagame.evaluate_point,
+        stigmagame.welfare,
+        stigmagame.analytic_targets,
+        stigmagame.simulate,
+    ):
+        params = list(inspect.signature(fn).parameters.values())
+        assert [p.name for p in params[:2]] == ["params", "tau_hat"], fn.__name__
+        assert all(p.default is inspect.Parameter.empty for p in params[:-1]), fn.__name__
+        assert (params[-1].name, params[-1].default) == ("convention", "corrected"), fn.__name__

@@ -12,15 +12,13 @@ import pytest
 from stigmagame import (
     AssumptionViolation,
     Estimates,
-    SimConfig,
     analytic_targets,
     evaluate_point,
     simulate,
 )
 from stigmagame import _kernels
 from stigmagame.cli import load_config
-from stigmagame.coordination import hot_threshold
-from stigmagame.montecarlo import CHUNK, CODES, PairCounts, _decode
+from stigmagame.montecarlo import CHUNK, CODES, PairCounts
 from stigmagame.signaling import policy_state, rejection_cutoff
 
 from conftest import (
@@ -36,47 +34,73 @@ from conftest import (
 BETA_ABOVE_ONE_CFG = REPO_ROOT / "tests" / "data" / "beta_above_one.cfg"
 
 
+def simulate_with(params, **changes):
+    """simulate at tau_hat 0.5, 10 pairs and seed 1, less the given changes."""
+    return simulate(params, **{"tau_hat": 0.5, "n_pairs": 10, "seed": 1, **changes})
+
+
+# the two checks simulate runs itself; tau_hat and the convention are checked
+# by policy_state and _require_preconditions, as for evaluate_point
+INT_MESSAGES = {
+    "n_pairs": "n_pairs must be an int >= 1",
+    "seed": "seed must be an int in [0, 2**64)",
+}
+
+
 class TestConfigValidation:
-    def test_zero_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            SimConfig(n_pairs=0, seed=1, tau_hat=0.5)
+    """simulate's run arguments; the parameters are checked by ModelParams."""
 
-    def test_bad_convention_rejected(self):
-        with pytest.raises(ValueError):
-            SimConfig(n_pairs=10, seed=1, tau_hat=0.5, convention="folk")
+    def test_zero_pairs_rejected(self, paper_params):
+        with pytest.raises(ValueError) as err:
+            simulate_with(paper_params, n_pairs=0)
+        assert str(err.value) == "n_pairs must be an int >= 1, got 0"
 
-    def test_tau_range(self):
-        with pytest.raises(ValueError):
-            SimConfig(n_pairs=10, seed=1, tau_hat=-0.1)
+    def test_bad_convention_rejected(self, paper_params):
+        with pytest.raises(ValueError) as err:
+            simulate_with(paper_params, convention="folk")
+        assert str(err.value) == (
+            "convention must be one of ('corrected', 'paper_literal'), got 'folk'"
+        )
+
+    def test_tau_range(self, paper_params):
+        with pytest.raises(ValueError) as err:
+            simulate_with(paper_params, tau_hat=-0.1)
+        assert str(err.value) == "tau_hat must lie in [0, 1], got -0.1"
 
     @pytest.mark.parametrize(
         "field, value",
         [("seed", 1.0), ("seed", 1.5), ("seed", True), ("n_pairs", 1000.0), ("n_pairs", True)],
     )
-    def test_non_int_seed_and_pairs_rejected(self, field, value):
+    def test_non_int_seed_and_pairs_rejected(self, paper_params, field, value):
         # a float seed used to pass and key other streams than its int (W 2.6597
         # at seed 1.0 and at 1.5, 2.6206 at seed 1, paper.cfg, 1000 pairs), and
         # a float n_pairs failed later inside range()
-        kwargs = {"n_pairs": 1000, "seed": 1, "tau_hat": 0.5, field: value}
-        with pytest.raises(ValueError, match=f"^{field} must be an int"):
-            SimConfig(**kwargs)
+        with pytest.raises(ValueError) as err:
+            simulate_with(paper_params, **{field: value})
+        assert str(err.value) == f"{INT_MESSAGES[field]}, got {value!r}"
+
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["-1", "2**64"])
+    def test_seed_outside_uint64_rejected(self, paper_params, seed):
+        with pytest.raises(ValueError) as err:
+            simulate_with(paper_params, seed=seed)
+        assert str(err.value) == f"{INT_MESSAGES['seed']}, got {seed!r}"
 
     def test_rejects_what_evaluate_point_rejects(self, paper_params):
         params = paper_params._replace(c_h=0.3)
         with pytest.raises(AssumptionViolation):
             evaluate_point(params, 0.5)
         with pytest.raises(AssumptionViolation):
-            simulate(params, SimConfig(n_pairs=10_000, seed=1, tau_hat=0.5))
+            simulate(params, 0.5, 10_000, 1)
 
 
 class TestDeterminism:
     def test_identical_runs_identical_results(self, paper_params):
-        cfg = SimConfig(n_pairs=50_000, seed=123, tau_hat=0.5)
-        assert simulate(paper_params, cfg) == simulate(paper_params, cfg)
+        run = (paper_params, 0.5, 50_000, 123)
+        assert simulate(*run) == simulate(*run)
 
     def test_seed_changes_results(self, paper_params):
-        a = simulate(paper_params, SimConfig(n_pairs=50_000, seed=1, tau_hat=0.5))
-        b = simulate(paper_params, SimConfig(n_pairs=50_000, seed=2, tau_hat=0.5))
+        a = simulate(paper_params, 0.5, 50_000, 1)
+        b = simulate(paper_params, 0.5, 50_000, 2)
         assert a.hat.W != b.hat.W
 
 
@@ -110,16 +134,15 @@ PIECEWISE_GOLDEN = {
 @pytest.mark.parametrize("convention, tau", sorted(PIECEWISE_GOLDEN))
 def test_piecewise_results_are_pinned(convention, tau):
     hat, stderr, counts = PIECEWISE_GOLDEN[convention, tau]
-    cfg = SimConfig(n_pairs=196_613, seed=41, tau_hat=tau, convention=convention)
-    res = simulate(load_config(PIECEWISE_CFG).params, cfg)
+    res = simulate(load_config(PIECEWISE_CFG).params, tau, 196_613, 41, convention)
     assert tuple(x.hex() for x in res.hat) == hat
     assert tuple(x.hex() for x in res.stderr) == stderr
     c = res.counts
     assert (c.hot_hot, c.cold_cold, c.hot_cold_unsafe, c.hot_cold_safe) == counts
 
 
-def run_recording_kernel(monkeypatch, params, cfg):
-    """simulate() plus the argument tuples of its kernel calls."""
+def run_recording_kernel(monkeypatch, params, *args):
+    """simulate(params, *args) plus the argument tuples of its kernel calls."""
     kernel = _kernels.simulate_pairs
     calls = []
 
@@ -128,7 +151,7 @@ def run_recording_kernel(monkeypatch, params, cfg):
         return kernel(*args)
 
     monkeypatch.setattr(_kernels, "simulate_pairs", recording)
-    res = simulate(params, cfg)
+    res = simulate(params, *args)
     monkeypatch.setattr(_kernels, "simulate_pairs", kernel)
     return res, calls
 
@@ -170,8 +193,7 @@ class TestStreaming:
         "n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
     )
     def test_chunked_reduction_matches_whole_array(self, paper_params, monkeypatch, n):
-        cfg = SimConfig(n_pairs=n, seed=31, tau_hat=0.4, convention="paper_literal")
-        res, calls = run_recording_kernel(monkeypatch, paper_params, cfg)
+        res, calls = run_recording_kernel(monkeypatch, paper_params, 0.4, n, 31, "paper_literal")
         assert [(c[1], c[2]) for c in calls] == [
             (first, min(CHUNK, n - first)) for first in range(0, n, CHUNK)
         ]
@@ -187,8 +209,7 @@ class TestStreaming:
 
     def test_shorter_run_is_prefix_of_longer(self, paper_params, monkeypatch):
         n = CHUNK + 7
-        cfg = SimConfig(n_pairs=n, seed=8, tau_hat=0.5)
-        _, calls = run_recording_kernel(monkeypatch, paper_params, cfg)
+        _, calls = run_recording_kernel(monkeypatch, paper_params, 0.5, n, 8)
         seed, _, _, *model = calls[0]
         short = _kernels.simulate_pairs(seed, 0, n, *model)
         longer = _kernels.simulate_pairs(seed, 0, n + CHUNK, *model)
@@ -206,11 +227,10 @@ class TestStreaming:
             params = load_config(config).params
             peaks = []
             for n in (2**20, 2**21):
-                cfg = SimConfig(n_pairs=n, seed=2, tau_hat=0.5)
                 tracemalloc.start()
                 try:
                     with ThreadPoolExecutor(max_workers=1) as pool:
-                        pool.submit(simulate, params, cfg).result(timeout=60)
+                        pool.submit(simulate, params, 0.5, n, 2).result(timeout=60)
                     peaks.append(tracemalloc.get_traced_memory()[1] / mib)
                 finally:
                     tracemalloc.stop()
@@ -228,7 +248,7 @@ class TestWorkspace:
         # later call overwrote would show too
         state = policy_state(load_config(config).params, tau)
         p = state.params
-        model = (state, hot_threshold(p.u, state.gap), convention == "paper_literal")
+        model = (state, convention == "paper_literal")
         tables = [_kernels.knot_arrays(d) for d in (p.dist_beta, p.dist_y)]
         ranges = [(0, 3 * CHUNK + 5), (7, CHUNK), (12345, 1000), (0, 1)]
         got = [_kernels.simulate_pairs(97, first, n, *model, *tables) for first, n in ranges]
@@ -247,7 +267,7 @@ class TestWorkspace:
         seed = 2**64 - 1
         state = policy_state(load_config(PIECEWISE_CFG).params, 0.5)
         p = state.params
-        model = (state, hot_threshold(p.u, state.gap), False)
+        model = (state, False)
         tables = [_kernels.knot_arrays(d) for d in (p.dist_beta, p.dist_y)]
         got = _kernels.simulate_pairs(seed, first, 1000, *model, *tables)
         want = simulate_pairs_reference(seed, first, 1000, *model)
@@ -256,11 +276,13 @@ class TestWorkspace:
 
     def test_outcome_codes_round_trip(self):
         # each (unsafe, nhot, ntest, ndisc) has its own code below CODES, and
-        # montecarlo decodes it back
+        # montecarlo's tally of the codes, reshaped to (3, 3, 3, 2), holds
+        # code c at index (ndisc, ntest, nhot, unsafe)
         fields = list(itertools.product(range(2), range(3), range(3), range(3)))
         codes = [u + 2 * h + 6 * t + 18 * d for u, h, t, d in fields]
         assert sorted(codes) == list(range(CODES))
-        assert [_decode(c) for c in codes] == fields
+        tally = np.arange(CODES).reshape(3, 3, 3, 2)
+        assert [int(tally[d, t, h, u]) for u, h, t, d in fields] == codes
         per_pair = decoded(np.array(codes, np.uint8))
         assert list(zip(*(a.tolist() for a in per_pair))) == fields
 
@@ -268,7 +290,7 @@ class TestWorkspace:
         # more threads than cores, switching often; results as when run one
         # at a time, so no two threads write the same buffers
         jobs = [
-            (load_config(cfg).params, SimConfig(n_pairs=CHUNK + 3 * seed, seed=seed, tau_hat=0.5))
+            (load_config(cfg).params, 0.5, CHUNK + 3 * seed, seed)
             for seed, cfg in enumerate([PAPER_CFG, PIECEWISE_CFG] * 3, start=1)
         ]
         serial = [simulate(*job) for job in jobs]
@@ -306,14 +328,14 @@ class TestWorkspace:
 # minor page faults of ten simulations after one warm-up
 FAULTS = """
 import resource, sys
-from stigmagame import SimConfig, simulate
+from stigmagame import simulate
 from stigmagame.cli import load_config
 params = load_config(sys.argv[1]).params
-cfg = SimConfig(n_pairs=int(sys.argv[2]), seed=3, tau_hat=0.5)
-simulate(params, cfg)
+run = (params, 0.5, int(sys.argv[2]), 3)
+simulate(*run)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(10):
-    simulate(params, cfg)
+    simulate(*run)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -321,8 +343,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 class TestAgainstAnalyticChain:
     def test_three_sigma_agreement(self, paper_params):
         for tau in (0.0, 0.5, 1.0):
-            cfg = SimConfig(n_pairs=100_000, seed=20240810, tau_hat=tau)
-            res = simulate(paper_params, cfg)
+            res = simulate(paper_params, tau, 100_000, 20240810)
             targets = analytic_targets(paper_params, tau)
             for key in ("r", "R", "R_H", "W"):
                 gap = abs(getattr(res.hat, key) - getattr(targets, key))
@@ -332,19 +353,19 @@ class TestAgainstAnalyticChain:
         # beta on [0, 2] with beta* = 1.23: the cold players above beta* keep
         # r near 0.70, where capping beta* at 1 reported r = 1 (~410 SE off)
         params = load_config(BETA_ABOVE_ONE_CFG).params
-        res = simulate(params, SimConfig(n_pairs=400_000, seed=1, tau_hat=0.5))
+        res = simulate(params, 0.5, 400_000, 1)
         targets = analytic_targets(params, 0.5)
         for key in ("r", "R", "W"):
             z = (getattr(res.hat, key) - getattr(targets, key)) / getattr(res.stderr, key)
             assert abs(z) < 5.5, (key, z)
 
     def test_zero_policy_exact_acceptance(self, paper_params):
-        res = simulate(paper_params, SimConfig(n_pairs=20_000, seed=3, tau_hat=0.0))
+        res = simulate(paper_params, 0.0, 20_000, 3)
         assert res.hat.S == 0.0
         assert res.hat.R_H == 1.0  # every high-risk player tests when S = 0
 
     def test_full_policy_full_stigma(self, paper_params):
-        res = simulate(paper_params, SimConfig(n_pairs=20_000, seed=3, tau_hat=1.0))
+        res = simulate(paper_params, 1.0, 20_000, 3)
         assert res.hat.S == 1.0
 
     def test_low_risk_players_never_test(self, paper_params):
@@ -357,7 +378,7 @@ class TestAgainstAnalyticChain:
             for y in (-0.0, 0.0, 1e-300, 1.0, p.dist_y.support_hi):
                 assert best_response_test(p.theta_L, y, s, p) == 0, (s, y)
         state = policy_state(p, 0.6)
-        model = (state, hot_threshold(p.u, state.gap), False)
+        model = (state, False)
         tables = [_kernels.knot_arrays(d) for d in (p.dist_beta, p.dist_y)]
         for seed in (1, 7, 42):
             _, code = _kernels.simulate_pairs(seed, 0, 50_000, *model, *tables)
@@ -376,27 +397,20 @@ class TestAgainstAnalyticChain:
             assert best_response_interact(1, 0.5 * cutoff, p, tau) == 0
 
     def test_all_unsafe_regime_exact(self, paper_params):
-        res = simulate(
-            paper_params._replace(u=1.0),
-            SimConfig(n_pairs=20_000, seed=9, tau_hat=0.5),
-        )
+        res = simulate(paper_params._replace(u=1.0), 0.5, 20_000, 9)
         assert res.hat.r == 1.0
         assert res.counts.hot_hot == 20_000
 
     def test_count_identity(self, paper_params):
-        res = simulate(paper_params, SimConfig(n_pairs=40_000, seed=21, tau_hat=0.5))
+        res = simulate(paper_params, 0.5, 40_000, 21)
         c = res.counts
         n = res.n_pairs
         assert c.hot_hot + c.cold_cold + c.hot_cold_unsafe + c.hot_cold_safe == n
         assert res.hat.r == (2 * c.hot_hot + 2 * c.hot_cold_unsafe) / (2 * n)
 
     def test_literal_convention_shifts_b_payoffs(self, paper_params):
-        cfg_c = SimConfig(n_pairs=50_000, seed=4, tau_hat=0.5, convention="corrected")
-        cfg_l = SimConfig(
-            n_pairs=50_000, seed=4, tau_hat=0.5, convention="paper_literal"
-        )
-        res_c = simulate(paper_params, cfg_c)
-        res_l = simulate(paper_params, cfg_l)
+        res_c = simulate(paper_params, 0.5, 50_000, 4, "corrected")
+        res_l = simulate(paper_params, 0.5, 50_000, 4, "paper_literal")
         tgt_c = analytic_targets(paper_params, 0.5, "corrected")
         tgt_l = analytic_targets(paper_params, 0.5, "paper_literal")
         assert abs(res_c.hat.W - tgt_c.W) <= 3.0 * res_c.stderr.W
@@ -419,7 +433,7 @@ class TestConvergence:
         targets = analytic_targets(paper_params, 0.5)
         ses = []
         for n in (1_000, 10_000, 100_000):
-            res = simulate(paper_params, SimConfig(n_pairs=n, seed=20240810, tau_hat=0.5))
+            res = simulate(paper_params, 0.5, n, 20240810)
             for key in ("r", "R", "W"):
                 gap = abs(getattr(res.hat, key) - getattr(targets, key))
                 assert gap <= 4.0 * getattr(res.stderr, key), (n, key)
@@ -433,7 +447,7 @@ class TestConvergence:
         n_seeds = 50
         for seed in range(n_seeds):
             gaps = [
-                abs(simulate(paper_params, SimConfig(n_pairs=n, seed=seed, tau_hat=0.5)).hat.W - target)
+                abs(simulate(paper_params, 0.5, n, seed).hat.W - target)
                 for n in (1_000, 100_000)
             ]
             if gaps[1] <= gaps[0]:

@@ -26,7 +26,7 @@ from stigmagame import (
 from stigmagame import cli
 from stigmagame.coordination import high_risk_fraction
 from stigmagame.distributions import cdf, density
-from stigmagame.montecarlo import Estimates, SimConfig, analytic_targets, simulate
+from stigmagame.montecarlo import Estimates, analytic_targets, simulate
 from stigmagame.signaling import assumption3_margin, continuation_values, policy_state
 from stigmagame.welfare import tau_grid
 
@@ -256,8 +256,7 @@ def test_simulation_agrees_with_the_chain(params, tau, convention, seed):
     the sample spread of W is rounding noise (3.5e-18 on a target near 3),
     and the estimate may miss the target by an ulp or two."""
     n = 2**14
-    cfg = SimConfig(n_pairs=n, seed=seed, tau_hat=tau, convention=convention)
-    res = simulate(params, cfg)
+    res = simulate(params, tau, n, seed, convention)
     targets = analytic_targets(params, tau, convention)
     units = {"r": n, "R": 2 * n, "S": 2 * n, "R_H": 2 * n * res.hat.r}
     for name, hat, se, target in zip(Estimates._fields, res.hat, res.stderr, targets):

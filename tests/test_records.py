@@ -1,6 +1,6 @@
 """Records are NamedTuples, frozen like tuples.
 
-DistributionSpec, ModelParams and SimConfig are checked: the `_checked`
+DistributionSpec and ModelParams are checked: the `_checked`
 decorator wraps their __new__, so every way of building one (the
 constructor, _replace, _make, unpickling) runs the same checks with the
 same messages. The tests find checked records by that wrapper, and each
@@ -19,7 +19,6 @@ from stigmagame import (
     AssumptionViolation,
     DistributionSpec,
     ModelParams,
-    SimConfig,
     evaluate_point,
     piecewise_linear_cdf,
     uniform,
@@ -29,7 +28,6 @@ from stigmagame.cli import load_config
 from conftest import PIECEWISE_CFG
 
 SPEC = piecewise_linear_cdf([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)])
-SIM = SimConfig(n_pairs=10, seed=1, tau_hat=0.5)
 
 # (field changes, error, message) per check, in the order the checks run
 PARAMS_CHECKS = [
@@ -60,29 +58,17 @@ SPEC_CHECKS = [
      "knot probabilities must start at 0 and end at 1"),
     ({"knots_x": (0.0, 1e-160, 1.0)}, ValueError, "a segment density above 1e150 (5e+159)"),
 ]
-SIM_CHECKS = [
-    ({"n_pairs": 0}, ValueError, "n_pairs must be an int >= 1, got 0"),
-    ({"n_pairs": 10.0}, ValueError, "n_pairs must be an int >= 1, got 10.0"),
-    ({"seed": -1}, ValueError, "seed must be an int in [0, 2**64), got -1"),
-    ({"seed": 2**64}, ValueError, f"seed must be an int in [0, 2**64), got {2**64}"),
-    ({"seed": 1.0}, ValueError, "seed must be an int in [0, 2**64), got 1.0"),
-    ({"tau_hat": -0.1}, ValueError, "tau_hat must lie in [0, 1], got -0.1"),
-    ({"convention": "folk"}, ValueError,
-     "convention must be one of ('corrected', 'paper_literal')"),
-]
 # test ids number the rows, so rows added later go last and earlier ids keep theirs
 CHECKS = (
     [("params", *case) for case in PARAMS_CHECKS]
-    + [("spec", *case) for case in SPEC_CHECKS[:6]]
-    + [("sim", *case) for case in SIM_CHECKS]
-    + [("spec", *case) for case in SPEC_CHECKS[6:]]
+    + [("spec", *case) for case in SPEC_CHECKS]
 )
 CHECK_IDS = [f"{kind}-{next(iter(change))}-{i}" for i, (kind, change, *_) in enumerate(CHECKS)]
 
 
 @pytest.fixture
 def checked(paper_params):
-    return {"params": paper_params, "spec": SPEC, "sim": SIM}
+    return {"params": paper_params, "spec": SPEC}
 
 
 @pytest.mark.parametrize("kind, change, error, message", CHECKS, ids=CHECK_IDS)
@@ -133,7 +119,7 @@ def test_every_checked_record_has_rows(checked):
     assert {kind for kind, *_ in CHECKS} == set(checked)
 
 
-@pytest.mark.parametrize("kind", ["params", "spec", "sim"])
+@pytest.mark.parametrize("kind", ["params", "spec"])
 def test_checked_records_show_their_fields(checked, kind):
     cls = type(checked[kind])
     with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__new__\(\) missing"):
@@ -148,7 +134,7 @@ def test_records_are_read_only(checked):
     assert {
         "Period1Outcome", "AssumptionReport", "WelfareReport", "PolicyDecomposition",
         "PresentBiasLoss", "OptimizeResult", "FigureTable", "PairCounts", "SimResult",
-        "RunConfig", "DistributionSpec", "ModelParams", "SimConfig", "SweepRow",
+        "RunConfig", "DistributionSpec", "ModelParams", "SweepRow",
         "PolicyState", "Estimates", "InverseCdf",
     } <= set(records)
     instances = {type(obj): obj for obj in checked.values()}

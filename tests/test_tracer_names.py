@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import stigmagame
-from stigmagame import SimConfig, simulate
+from stigmagame import simulate
 from stigmagame.cli import load_config
 from stigmagame.montecarlo import CHUNK
 
@@ -64,7 +64,7 @@ def test_tracer_counts_kernel_pairs_and_bytes(config):
     n = CHUNK + 7
     try:
         tracer.install()
-        simulate(params, SimConfig(n_pairs=n, seed=5, tau_hat=0.5))
+        simulate(params, 0.5, n, 5)
     finally:
         tracer.uninstall()
     assert tracer.counts["kernels.pairs"] == n

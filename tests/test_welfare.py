@@ -7,7 +7,6 @@ import pytest
 from stigmagame import (
     AssumptionViolation,
     ModelParams,
-    SimConfig,
     check_assumptions,
     decomposition,
     evaluate_point,
@@ -100,11 +99,11 @@ class TestWelfare:
     def test_nonzero_true_risk_rejected(self, paper_params):
         # ModelParams rejects it, so no welfare call can receive it
         with pytest.raises(ValueError, match="tau_true must be 0"):
-            welfare(paper_params._replace(tau_true=0.2))
+            welfare(paper_params._replace(tau_true=0.2), 0.5)
 
     def test_gap_assumption_enforced(self, paper_params):
         with pytest.raises(AssumptionViolation) as info:
-            welfare(paper_params._replace(c_h=0.3))
+            welfare(paper_params._replace(c_h=0.3), 0.5)
         assert info.value.assumption == "assumption 3"
 
     def test_unknown_convention_rejected(self, paper_params):
@@ -214,9 +213,10 @@ class TestSweep:
             assert row == evaluate_point(paper_params, g)
 
     def test_grid_validation(self, paper_params):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^grid must be sorted ascending$"):
             sweep(paper_params, [0.5, 0.25])
-        with pytest.raises(ValueError):
+        # a point outside [0, 1] is policy_state's to reject, as at every point
+        with pytest.raises(ValueError, match=r"^tau_hat must lie in \[0, 1\], got 1.5$"):
             sweep(paper_params, [0.0, 1.5])
 
     def test_chain_runs_once_per_point(self, paper_params, monkeypatch):
@@ -303,7 +303,7 @@ class TestPolicyValue:
             "evaluate_point": lambda: [evaluate_point(p, t) for t in grid],
             "welfare": lambda: [welfare(p, t) for t in grid],
             "decomposition": lambda: [decomposition(p, t) for t in grid[1:]],
-            "simulate": lambda: simulate(p, SimConfig(n_pairs=100, seed=1, tau_hat=0.3)),
+            "simulate": lambda: simulate(p, 0.3, 100, 1),
             "check_assumptions": lambda: check_assumptions(p),
         }
         built = {}
@@ -321,11 +321,10 @@ class TestPolicyValue:
         base = load_config(config).params
         variants = [base._replace(tau_hat=t) for t in (0.0, 0.5, 1.0)]
         for tau in (0.0, 0.3, 0.85, 1.0):
-            sim = SimConfig(n_pairs=3000, seed=11, tau_hat=tau, convention=convention)
             for results in (
                 [evaluate_point(p, tau, convention) for p in variants],
                 [welfare(p, tau, convention) for p in variants],
-                [simulate(p, sim) for p in variants],
+                [simulate(p, tau, 3000, 11, convention) for p in variants],
             ):
                 assert len({repr(r) for r in results}) == 1, (tau, results)
 
