@@ -79,12 +79,6 @@ class TestConfigValidation:
             simulate_with(paper_params, **{field: value})
         assert str(err.value) == f"{INT_MESSAGES[field]}, got {value!r}"
 
-    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["-1", "2**64"])
-    def test_seed_outside_uint64_rejected(self, paper_params, seed):
-        with pytest.raises(ValueError) as err:
-            simulate_with(paper_params, seed=seed)
-        assert str(err.value) == f"{INT_MESSAGES['seed']}, got {seed!r}"
-
     def test_rejects_what_evaluate_point_rejects(self, paper_params):
         params = paper_params._replace(c_h=0.3)
         with pytest.raises(AssumptionViolation):

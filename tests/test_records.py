@@ -5,6 +5,7 @@ decorator wraps their __new__, so every way of building one (the
 constructor, _replace, _make, unpickling) runs the same checks with the
 same messages. The tests find checked records by that wrapper, and each
 must have a row in CHECKS. The other records hold results and check nothing.
+The "sim" rows check simulate's run arguments, given by keyword and by position.
 """
 
 import importlib
@@ -21,6 +22,7 @@ from stigmagame import (
     ModelParams,
     evaluate_point,
     piecewise_linear_cdf,
+    simulate,
     uniform,
 )
 from stigmagame.cli import load_config
@@ -28,6 +30,7 @@ from stigmagame.cli import load_config
 from conftest import PIECEWISE_CFG
 
 SPEC = piecewise_linear_cdf([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)])
+SIM = {"tau_hat": 0.5, "n_pairs": 10, "seed": 1}  # simulate's arguments after params
 
 # (field changes, error, message) per check, in the order the checks run
 PARAMS_CHECKS = [
@@ -58,10 +61,22 @@ SPEC_CHECKS = [
      "knot probabilities must start at 0 and end at 1"),
     ({"knots_x": (0.0, 1e-160, 1.0)}, ValueError, "a segment density above 1e150 (5e+159)"),
 ]
+SIM_CHECKS = [
+    ({"n_pairs": 0}, ValueError, "n_pairs must be an int >= 1, got 0"),
+    ({"n_pairs": 10.0}, ValueError, "n_pairs must be an int >= 1, got 10.0"),
+    ({"seed": -1}, ValueError, "seed must be an int in [0, 2**64), got -1"),
+    ({"seed": 2**64}, ValueError, f"seed must be an int in [0, 2**64), got {2**64}"),
+    ({"seed": 1.0}, ValueError, "seed must be an int in [0, 2**64), got 1.0"),
+    ({"tau_hat": -0.1}, ValueError, "tau_hat must lie in [0, 1], got -0.1"),
+    ({"convention": "folk"}, ValueError,
+     "convention must be one of ('corrected', 'paper_literal'), got 'folk'"),
+]
 # test ids number the rows, so rows added later go last and earlier ids keep theirs
 CHECKS = (
     [("params", *case) for case in PARAMS_CHECKS]
-    + [("spec", *case) for case in SPEC_CHECKS]
+    + [("spec", *case) for case in SPEC_CHECKS[:6]]
+    + [("sim", *case) for case in SIM_CHECKS]
+    + [("spec", *case) for case in SPEC_CHECKS[6:]]
 )
 CHECK_IDS = [f"{kind}-{next(iter(change))}-{i}" for i, (kind, change, *_) in enumerate(CHECKS)]
 
@@ -73,6 +88,11 @@ def checked(paper_params):
 
 @pytest.mark.parametrize("kind, change, error, message", CHECKS, ids=CHECK_IDS)
 def test_replace_runs_every_check(checked, kind, change, error, message):
+    if kind == "sim":  # the arguments by keyword, as the constructor takes fields
+        with pytest.raises(error) as called:
+            simulate(checked["params"], **{**SIM, **change})
+        assert str(called.value) == message
+        return
     base = checked[kind]
     with pytest.raises(error) as replaced:
         base._replace(**change)
@@ -83,6 +103,11 @@ def test_replace_runs_every_check(checked, kind, change, error, message):
 
 @pytest.mark.parametrize("kind, change, error, message", CHECKS, ids=CHECK_IDS)
 def test_make_and_unpickling_run_every_check(checked, kind, change, error, message):
+    if kind == "sim":  # the arguments by position, as _make takes values
+        with pytest.raises(error) as called:
+            simulate(checked["params"], *{**SIM, **change}.values())
+        assert str(called.value) == message
+        return
     cls = type(checked[kind])
     values = {**checked[kind]._asdict(), **change}.values()
     with pytest.raises(error) as made:
@@ -116,7 +141,7 @@ def test_every_checked_record_has_rows(checked):
     `checked` and rows in CHECKS, so every way of building it is tested."""
     wrapped = {cls for cls in _records().values() if hasattr(cls.__new__, "__wrapped__")}
     assert wrapped == {type(obj) for obj in checked.values()}
-    assert {kind for kind, *_ in CHECKS} == set(checked)
+    assert {kind for kind, *_ in CHECKS} == set(checked) | {"sim"}
 
 
 @pytest.mark.parametrize("kind", ["params", "spec"])
