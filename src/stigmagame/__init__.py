@@ -11,10 +11,8 @@ from .distributions import (
     uniform,
 )
 from .signaling import (
-    AssumptionReport,
     AssumptionViolation,
     ModelParams,
-    check_assumptions,
     continuation_values,
     pointwise_continuation,
     stigma_level,
@@ -29,11 +27,13 @@ from .coordination import (
     period1_outcome,
 )
 from .welfare import (
+    AssumptionReport,
     OptimizeResult,
     PolicyDecomposition,
     PresentBiasLoss,
     SweepRow,
     WelfareReport,
+    check_assumptions,
     decomposition,
     evaluate_point,
     first_best_benchmark,

@@ -1,9 +1,10 @@
 """The pair-simulation kernel: one vectorized numpy body, no reductions.
 
-This is the only module that imports numpy, and it holds the inverse CDF
-the kernel samples through, a guide table over u in [0, 1] (1.0 gives the
-last segment's value). montecarlo.simulate imports it on first use,
-so the analytic chain and the other commands never load numpy.
+This is the only module that imports numpy at module level, and it holds
+the inverse CDF the kernel samples through, a guide table over u in [0, 1]
+(1.0 gives the last segment's value). montecarlo.simulate imports it (and
+numpy, for its reductions) on first use, so the analytic chain and the
+other commands never load numpy.
 
 Draws come from a counter-based RNG (splitmix64 output function keyed on
 (seed, global draw counter)). Pair i consumes counters 6i..6i+5 for

@@ -27,11 +27,12 @@ from typing import NamedTuple
 from .distributions import DistributionSpec, piecewise_linear_cdf, uniform
 from .figures import figure_tables, line_chart_svg
 from .montecarlo import Estimates, PairCounts, analytic_targets, simulate
-from .signaling import AssumptionViolation, ModelParams, check_assumptions
+from .signaling import AssumptionViolation, ModelParams
 from .welfare import (
     CONVENTIONS,
     SweepRow,
     _require_preconditions,
+    check_assumptions,
     evaluate_point,
     optimize,
     sweep,
@@ -215,7 +216,7 @@ def _echo_params(params: ModelParams, convention: str) -> None:
 
 def _cmd_check(params, convention, args, out) -> None:
     _echo_params(params, convention)
-    rep = check_assumptions(params)
+    rep = check_assumptions(params, params.tau_hat)
     print(
         f"assumption 1 (testing worthwhile for high risk only): "
         f"OK  margin = {_fmt(rep.a1_margin)}"
@@ -275,7 +276,7 @@ def _cmd_simulate(params, convention, args, out) -> None:
 
 
 def _cmd_figures(params, convention, args, out) -> None:
-    for table in figure_tables(params, convention, args.grid):
+    for table in figure_tables(params, params.tau_hat, args.grid, convention):
         path = out / f"{table.name}.csv"
         _write_csv(path, table.header, table.rows, comments=table.comments)
         print(f"wrote {path}")

@@ -38,20 +38,20 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 
 
 def figure_tables(
-    params: ModelParams, convention: str, grid_points: int
+    params: ModelParams, tau_hat: float, grid_points: int, convention: str = "corrected"
 ) -> list[FigureTable]:
     """Build the five figure tables for the given parameter set.
 
-    1: per-valuation continuation values of both risk types at the
-       configured stigma level; 2: the high-risk curve at several stigma
-       levels; 3: the unsafe-region boundary in the pair-bias plane at the
-       natural and configured policy; 4: the policy sweep panels;
+    1: per-valuation continuation values of both risk types at the stigma
+       level of the policy value tau_hat; 2: the high-risk curve at several
+       stigma levels; 3: the unsafe-region boundary in the pair-bias plane at
+       the natural policy and at tau_hat; 4: the policy sweep panels;
        5: demeaned group welfare and total welfare over the policy grid.
     """
     _require_preconditions(params, convention)
     y_lo, y_hi = params.dist_y.support_lo, params.dist_y.support_hi
     ys = _linspace(y_lo, y_hi, _CURVE_POINTS)
-    now = policy_state(params, params.tau_hat)
+    now = policy_state(params, tau_hat)
 
     fig1 = FigureTable(
         name="fig1",

@@ -21,7 +21,6 @@ __all__ = [
     "AssumptionViolation",
     "ModelParams",
     "PolicyState",
-    "AssumptionReport",
     "rejection_cutoff",
     "stigma_level",
     "testing_threshold",
@@ -29,9 +28,6 @@ __all__ = [
     "continuation_values",
     "policy_state",
     "pointwise_continuation",
-    "positive_fraction",
-    "assumption3_margin",
-    "check_assumptions",
 ]
 
 
@@ -56,10 +52,12 @@ class ModelParams(NamedTuple):
     c_h: infection cost (choice-irrelevant); z: partner's health cost if
     infected; u: period-1 payoff premium of the unsafe choice; M: period-1
     payoff of successful coordination; tau_hat: the configured perceived
-    transmission risk (the policy instrument; the chain takes the value it
-    evaluates as an argument); tau_true: actual transmission risk, which the
-    analysis takes to be 0. dist_beta governs present bias, dist_y
-    interaction valuations; both supports start at 0 or above.
+    transmission risk (the policy instrument); tau_true: actual transmission
+    risk, which the analysis takes to be 0. dist_beta governs present bias,
+    dist_y interaction valuations; both supports start at 0 or above.
+
+    Only the CLI reads tau_hat, and _validate checks it: every library
+    function takes the policy value it evaluates as an argument.
     """
 
     theta_L: float
@@ -112,24 +110,6 @@ class ModelParams(NamedTuple):
             )
 
 
-class AssumptionReport(NamedTuple):
-    """Numeric margins for the three maintained assumptions.
-
-    Assumption 1 always holds here, since ModelParams rejects a violation.
-
-    a2 is enforced by construction in the interaction best response (an
-    untested partner is always accepted), so it is reported as the mass of
-    B players whose valuation falls below the population-average risk
-    cutoff instead of as a hard failure.
-    """
-
-    a1_margin: float
-    a2_violating_mass: float
-    a3_holds: bool
-    a3_margin: float
-    h_bar: float
-
-
 def rejection_cutoff(params: ModelParams, tau_hat: float) -> float:
     """tau_hat*theta_H*z: B rejects a tested partner below this valuation."""
     return tau_hat * params.theta_H * params.z
@@ -180,11 +160,7 @@ def continuation_values(params: ModelParams, S: float) -> tuple[float, float, fl
 
 
 class PolicyState(NamedTuple):
-    """The chain's prefix tau_hat -> S -> (EV_L, EV_H, gap) at one policy value.
-
-    params are the caller's, unchanged: the chain reads the policy value
-    from tau_hat, never from params.tau_hat.
-    """
+    """The chain's prefix tau_hat -> S -> (EV_L, EV_H, gap) at one policy value."""
 
     params: ModelParams
     tau_hat: float
@@ -213,49 +189,3 @@ def pointwise_continuation(params: ModelParams, S: float, y_a: float, risk: str)
     if net > 0.0:
         value += net
     return value
-
-
-def positive_fraction(params: ModelParams, r: float) -> float:
-    """Population infection rate implied by the risk-type mixture."""
-    return r * params.theta_H + (1.0 - r) * params.theta_L
-
-
-def assumption3_margin(params: ModelParams) -> float:
-    """c_h*(theta_H-theta_L) - (theta_H*v-c): the continuation gap at S = 0.
-
-    Assumption 3 requires it to be positive.
-    """
-    return params.c_h * (params.theta_H - params.theta_L) - (
-        params.theta_H * params.v - params.c
-    )
-
-
-def check_assumptions(params: ModelParams) -> AssumptionReport:
-    """Report the three maintained assumptions with their numeric margins.
-
-    Purely diagnostic: nothing is raised here (strict enforcement is a CLI
-    concern). The a2 mass is evaluated at the equilibrium infection rate,
-    which requires running the period-1 chain; when the continuation gap
-    is non-positive every pair coordinates on unsafe, so r = 1 there.
-    """
-    a1_margin = min(
-        params.c - params.theta_L * params.v,
-        params.theta_H * params.v - params.c,
-    )
-    a3_margin = assumption3_margin(params)
-    gap = policy_state(params, params.tau_hat).gap
-    if gap <= 0.0:
-        r = 1.0
-    else:
-        from .coordination import period1_outcome
-
-        r = period1_outcome(params, gap).r
-    h_bar = positive_fraction(params, r)
-    a2_mass = cdf(params.dist_y, params.tau_hat * h_bar * params.z)
-    return AssumptionReport(
-        a1_margin=a1_margin,
-        a2_violating_mass=a2_mass,
-        a3_holds=a3_margin > 0.0,
-        a3_margin=a3_margin,
-        h_bar=h_bar,
-    )

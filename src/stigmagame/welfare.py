@@ -1,4 +1,5 @@
-"""Utilitarian welfare evaluation and the stigma-policy analysis.
+"""Utilitarian welfare evaluation, the stigma-policy analysis and the
+assumption report.
 
 Welfare is experience utility: the present-bias weight is set to 1 when
 summing payoffs, so choosing unsafe out of impatience registers as a loss.
@@ -26,22 +27,24 @@ from .coordination import period1_outcome
 from .signaling import (
     AssumptionViolation,
     ModelParams,
-    assumption3_margin,
     policy_state,
     rejection_cutoff,
     testing_rates,
 )
 # unused here; perfbench/tracer.py patches these names, so they must still resolve
 from .signaling import continuation_values, stigma_level  # noqa: F401
-from .distributions import partial_expectation
+from .distributions import cdf, partial_expectation
 
 __all__ = [
     "CONVENTIONS",
+    "AssumptionReport",
     "WelfareReport",
     "PolicyDecomposition",
     "PresentBiasLoss",
     "SweepRow",
     "OptimizeResult",
+    "assumption3_margin",
+    "check_assumptions",
     "welfare",
     "evaluate_point",
     "first_best_benchmark",
@@ -76,7 +79,9 @@ class PolicyDecomposition(NamedTuple):
     convention, and residual (exact_delta minus their sum) is rounding only.
     deterrence_gain: (r0 - r1)*(gap0 - u), the switchers' gain, negative when
     gap0 < u; suppression_loss: stayers' drop in EV_H, r1*(gap0 - gap1);
-    b_loss: discriminators' forgone valuations, -R1*E[y; y < cutoff].
+    b_loss: discriminators' forgone valuations, W_B(tau_hat) - W_B(0), which
+    is -R1*E[y; y < cutoff] up to the rounding of W_B, since W_B(0) = E[y]
+    (the cutoff at tau_hat = 0 is 0 and valuations are >= 0).
     """
 
     deterrence_gain: float
@@ -120,10 +125,38 @@ class OptimizeResult(NamedTuple):
     trace: tuple[tuple[str, float, float], ...]
 
 
+class AssumptionReport(NamedTuple):
+    """Numeric margins for the three maintained assumptions.
+
+    Assumption 1 always holds here, since ModelParams rejects a violation.
+
+    a2 is enforced by construction in the interaction best response (an
+    untested partner is always accepted), so it is reported as the mass of
+    B players whose valuation falls below the population-average risk
+    cutoff instead of as a hard failure.
+    """
+
+    a1_margin: float
+    a2_violating_mass: float
+    a3_holds: bool
+    a3_margin: float
+    h_bar: float
+
+
 def _check_convention(convention: str) -> str:
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     return convention
+
+
+def assumption3_margin(params: ModelParams) -> float:
+    """c_h*(theta_H-theta_L) - (theta_H*v-c): the continuation gap at S = 0.
+
+    Assumption 3 requires it to be positive.
+    """
+    return params.c_h * (params.theta_H - params.theta_L) - (
+        params.theta_H * params.v - params.c
+    )
 
 
 def _require_preconditions(params: ModelParams, convention: str) -> None:
@@ -140,11 +173,38 @@ def _require_preconditions(params: ModelParams, convention: str) -> None:
         )
 
 
+def check_assumptions(params: ModelParams, tau_hat: float) -> AssumptionReport:
+    """Report the three maintained assumptions with their numeric margins.
+
+    Purely diagnostic: a failing assumption raises nothing here (strict
+    enforcement is a CLI concern). The a2 mass is evaluated at the
+    equilibrium infection rate at the policy value tau_hat, which requires
+    running the period-1 chain; when the continuation gap is non-positive
+    every pair coordinates on unsafe, so r = 1 there.
+    """
+    a1_margin = min(
+        params.c - params.theta_L * params.v,
+        params.theta_H * params.v - params.c,
+    )
+    a3_margin = assumption3_margin(params)
+    gap = policy_state(params, tau_hat).gap
+    r = 1.0 if gap <= 0.0 else period1_outcome(params, gap).r
+    h_bar = r * params.theta_H + (1.0 - r) * params.theta_L
+    a2_mass = cdf(params.dist_y, tau_hat * h_bar * params.z)
+    return AssumptionReport(
+        a1_margin=a1_margin,
+        a2_violating_mass=a2_mass,
+        a3_holds=a3_margin > 0.0,
+        a3_margin=a3_margin,
+        h_bar=h_bar,
+    )
+
+
 def welfare(
     params: ModelParams, tau_hat: float, convention: str = "corrected"
 ) -> WelfareReport:
     """Experience-utility welfare of the full population at the policy value
-    tau_hat (params.tau_hat is not read).
+    tau_hat.
 
     Population A's welfare weights the per-type totals by the equilibrium
     composition; population B's follows the selected convention.
@@ -197,8 +257,7 @@ def decomposition(params: ModelParams, tau_hat: float) -> PolicyDecomposition:
     # EV_L does not depend on S, so EV_H(tau_hat) - EV_H(0) is gap(0) - gap(tau_hat)
     deterrence = (row0.r - row1.r) * (row0.gap - params.u)
     suppression = row1.r * (row0.gap - row1.gap)
-    cutoff = rejection_cutoff(params, tau_hat)
-    b_loss = -row1.R * partial_expectation(params.dist_y, cutoff)
+    b_loss = row1.W_B - row0.W_B
     exact = row1.W - row0.W
     return PolicyDecomposition(
         deterrence_gain=deterrence,
@@ -215,7 +274,7 @@ def _point(
     """Sweep row and welfare report from one evaluation of the chain
     tau_hat -> S -> gap -> beta* -> r -> R -> W.
 
-    The caller has checked the preconditions; p.tau_hat is not read.
+    The caller has checked the preconditions.
     """
     _, _, s, ev_l, ev_h, gap = policy_state(p, tau_hat)
     p1 = period1_outcome(p, gap)

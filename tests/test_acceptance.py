@@ -44,7 +44,7 @@ def paper_config_params():
 def test_criterion_1_paper_parameter_fidelity():
     t0 = time.perf_counter()
     params = paper_config_params()
-    rep = check_assumptions(params)
+    rep = check_assumptions(params, params.tau_hat)
     bound = (params.theta_H * params.v - params.c) / (params.theta_H - params.theta_L)
     inequality_ok = rep.a3_holds and params.c_h > bound and abs(bound - 0.25 / 0.6) < 1e-12
     grid = [i / 100 for i in range(101)]

@@ -12,10 +12,13 @@ imports); records are NamedTuples, and no module imports dataclasses at all.
 
 Each module's `__all__` is its public surface: it names only what exists,
 and it lists every public function and class the module defines. The
-per-tau entry points share one calling convention.
+per-tau entry points share one calling convention. The modules import each
+other without a cycle, and only montecarlo imports a module of the package
+from inside a function.
 """
 
 import ast
+import graphlib
 import importlib
 import inspect
 import pkgutil
@@ -166,6 +169,33 @@ def test_only_the_kernel_imports_numpy_at_module_level():
     assert found[kernel], "the scan no longer sees the kernel's own numpy import"
 
 
+def _package_imports(path: Path):
+    """(imported module, inside a function) for each intra-package import
+    in path, at any depth: `from .x import ...` and `from . import x`."""
+    tree = _tree(path)
+    top = {id(node) for node in _module_level(tree)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for name in [node.module] if node.module else [a.name for a in node.names]:
+                yield name, id(node) not in top
+
+
+def test_package_import_graph_is_acyclic():
+    # the one function-local import keeps numpy off every command but simulate
+    graph, local = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, in_function in _package_imports(path):
+            graph.setdefault(path.stem, set()).add(name)
+            if in_function:
+                local.append(f"{path.stem} -> {name}")
+    assert local == ["montecarlo -> _kernels"]
+    assert "coordination" in graph["welfare"], "the scan no longer sees module-level imports"
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
 def test_no_module_imports_dataclasses():
     # at any level: a function-local import would still cost its first caller
     # about 12 ms (dataclasses pulls in inspect, ast, dis and tokenize)
@@ -210,12 +240,14 @@ def test_per_tau_entry_points_share_one_signature():
     # (params, tau_hat, ..., convention="corrected"): no config record, and
     # no tau_hat that falls back to params.tau_hat
     import stigmagame
+    from stigmagame.figures import figure_tables
 
     for fn in (
         stigmagame.evaluate_point,
         stigmagame.welfare,
         stigmagame.analytic_targets,
         stigmagame.simulate,
+        figure_tables,
     ):
         params = list(inspect.signature(fn).parameters.values())
         assert [p.name for p in params[:2]] == ["params", "tau_hat"], fn.__name__

@@ -9,6 +9,7 @@ import io
 import math
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +28,10 @@ from stigmagame import cli
 from stigmagame.coordination import high_risk_fraction
 from stigmagame.distributions import cdf, density
 from stigmagame.montecarlo import Estimates, analytic_targets, simulate
-from stigmagame.signaling import assumption3_margin, continuation_values, policy_state
-from stigmagame.welfare import tau_grid
+from stigmagame.signaling import continuation_values, policy_state
+from stigmagame.welfare import assumption3_margin, tau_grid
 
+import exact_chain
 from conftest import (
     PAPER_CFG,
     exact_r,
@@ -237,6 +239,38 @@ def test_decomposition_is_exact(params, tau):
     row0, row1 = evaluate_point(params, 0.0), evaluate_point(params, tau)
     assert dec.deterrence_gain == (row0.r - row1.r) * (row0.gap - params.u)
     assert abs(dec.residual) <= 1e-12 * max(1.0, abs(row1.W))
+
+
+def _near(got, exact, scale=None):
+    return abs(got - exact) <= 1e-12 * max(1, abs(exact if scale is None else scale))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(
+    params=st.one_of(valid_params(wide=True), valid_params(wide_y=True)),
+    tau=st.floats(0.0, 1.0),
+    convention=st.sampled_from(["corrected", "paper_literal"]),
+)
+def test_chain_matches_the_exact_rational_chain(params, tau, convention):
+    """Every sweep-row field lies within 1e-12 * max(1, |exact|) of the chain
+    evaluated in exact rationals, and so do the decomposition's deterrence
+    and suppression terms. b_loss is W_B(tau) - W_B(0), a difference of two
+    values near E[y]; it lies within 1e-12 * max(1, E[y]) of the exact one."""
+    row = evaluate_point(params, tau, convention)
+    exact = exact_chain.chain(params, tau, convention)
+    for name, got in row._asdict().items():
+        assert _near(got, exact[name]), (name, got, exact[name])
+    if tau == 0.0:
+        return
+    dec = decomposition(params, tau)
+    e0 = exact_chain.chain(params, 0.0, "corrected")
+    e1 = exact if convention == "corrected" else exact_chain.chain(params, tau, "corrected")
+    deterrence = (e0["r"] - e1["r"]) * (e0["gap"] - Fraction(params.u))
+    assert _near(dec.deterrence_gain, deterrence), (dec.deterrence_gain, deterrence)
+    suppression = e1["r"] * (e0["gap"] - e1["gap"])
+    assert _near(dec.suppression_loss, suppression), (dec.suppression_loss, suppression)
+    b_loss = e1["W_B"] - e0["W_B"]
+    assert _near(dec.b_loss, b_loss, e0["W_B"]), (dec.b_loss, b_loss)
 
 
 @settings(PROPERTY, max_examples=100)

@@ -247,7 +247,7 @@ class TestSuppression:
 
 class TestAssumptionReport:
     def test_paper_values(self, paper_params):
-        rep = check_assumptions(paper_params)
+        rep = check_assumptions(paper_params, 0.5)
         assert rep.a1_margin > 0
         assert rep.a1_margin == pytest.approx(0.25, abs=1e-12)
         assert rep.a3_holds
@@ -259,7 +259,7 @@ class TestAssumptionReport:
     def test_a2_mass_at_equilibrium_infection_rate(self, paper_params):
         # h_bar = r*theta_H + (1-r)*theta_L with r = 512/8281; the violating
         # mass is cdf(uniform(0,2), tau_hat*h_bar*z)
-        rep = check_assumptions(paper_params)
+        rep = check_assumptions(paper_params, 0.5)
         h_bar = R_AT_HALF * 0.8 + (1.0 - R_AT_HALF) * 0.2
         assert rep.h_bar == pytest.approx(h_bar, abs=1e-12)
         assert rep.a2_violating_mass == pytest.approx(0.5 * h_bar * 2.5 / 2.0, abs=1e-12)
@@ -267,14 +267,14 @@ class TestAssumptionReport:
     def test_a3_violation_reported_not_raised(self, paper_params):
         # c_h = 0.3 breaks the zero-stigma gap but gap(S=0.5) stays positive,
         # so the report still reflects an interior composition
-        rep = check_assumptions(paper_params._replace(c_h=0.3))
+        rep = check_assumptions(paper_params._replace(c_h=0.3), 0.5)
         assert not rep.a3_holds
         assert rep.a3_margin < 0.0
         assert paper_params.theta_L < rep.h_bar < paper_params.theta_H
 
     def test_nonpositive_gap_reports_all_high_risk(self, paper_params):
         # c_h = 0.05 drives gap(S=0.5) below zero: every pair plays unsafe
-        rep = check_assumptions(paper_params._replace(c_h=0.05))
+        rep = check_assumptions(paper_params._replace(c_h=0.05), 0.5)
         assert not rep.a3_holds
         assert rep.h_bar == paper_params.theta_H
 

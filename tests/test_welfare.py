@@ -7,6 +7,7 @@ import pytest
 from stigmagame import (
     AssumptionViolation,
     ModelParams,
+    analytic_targets,
     check_assumptions,
     decomposition,
     evaluate_point,
@@ -250,7 +251,7 @@ class TestSweep:
                 return original(p, tau_hat)
 
             monkeypatch.setattr(module, "policy_state", counting_prefix)
-        figure_tables(paper_params, "corrected", len(grid))
+        figure_tables(paper_params, 0.5, len(grid))
         assert len(calls) == len(grid)
         assert len(prefixes) == len(grid) + 1
 
@@ -299,12 +300,12 @@ class TestPolicyValue:
         commands = {
             "sweep": lambda: sweep(p, grid),
             "optimize": lambda: optimize(p),
-            "figure_tables": lambda: figure_tables(p, "corrected", 101),
+            "figure_tables": lambda: figure_tables(p, 0.5, 101),
             "evaluate_point": lambda: [evaluate_point(p, t) for t in grid],
             "welfare": lambda: [welfare(p, t) for t in grid],
             "decomposition": lambda: [decomposition(p, t) for t in grid[1:]],
             "simulate": lambda: simulate(p, 0.3, 100, 1),
-            "check_assumptions": lambda: check_assumptions(p),
+            "check_assumptions": lambda: check_assumptions(p, 0.5),
         }
         built = {}
         for name, command in commands.items():
@@ -317,15 +318,21 @@ class TestPolicyValue:
     @pytest.mark.parametrize("config", [PAPER_CFG, PIECEWISE_CFG], ids=["paper", "piecewise"])
     def test_configured_tau_does_not_leak(self, config, convention):
         # the same evaluated tau_hat gives the same bits whatever tau_hat the
-        # parameters were configured with
+        # parameters were configured with: only the CLI reads params.tau_hat
         base = load_config(config).params
         variants = [base._replace(tau_hat=t) for t in (0.0, 0.5, 1.0)]
+        entry_points = [
+            lambda p, tau: evaluate_point(p, tau, convention),
+            lambda p, tau: welfare(p, tau, convention),
+            lambda p, tau: analytic_targets(p, tau, convention),
+            lambda p, tau: simulate(p, tau, 3000, 11, convention),
+            lambda p, tau: check_assumptions(p, tau),
+            lambda p, tau: figure_tables(p, tau, 11, convention),
+            lambda p, tau: decomposition(p, tau) if tau > 0.0 else None,
+        ]
         for tau in (0.0, 0.3, 0.85, 1.0):
-            for results in (
-                [evaluate_point(p, tau, convention) for p in variants],
-                [welfare(p, tau, convention) for p in variants],
-                [simulate(p, tau, 3000, 11, convention) for p in variants],
-            ):
+            for entry_point in entry_points:
+                results = [entry_point(p, tau) for p in variants]
                 assert len({repr(r) for r in results}) == 1, (tau, results)
 
     @pytest.mark.parametrize("tau", [-0.1, 1.5, math.nan])
