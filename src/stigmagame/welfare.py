@@ -79,9 +79,7 @@ class PolicyDecomposition(NamedTuple):
     convention, and residual (exact_delta minus their sum) is rounding only.
     deterrence_gain: (r0 - r1)*(gap0 - u), the switchers' gain, negative when
     gap0 < u; suppression_loss: stayers' drop in EV_H, r1*(gap0 - gap1);
-    b_loss: discriminators' forgone valuations, W_B(tau_hat) - W_B(0), which
-    is -R1*E[y; y < cutoff] up to the rounding of W_B, since W_B(0) = E[y]
-    (the cutoff at tau_hat = 0 is 0 and valuations are >= 0).
+    b_loss: discriminators' forgone valuations, -R1*E[y; y < cutoff].
     """
 
     deterrence_gain: float
@@ -257,7 +255,8 @@ def decomposition(params: ModelParams, tau_hat: float) -> PolicyDecomposition:
     # EV_L does not depend on S, so EV_H(tau_hat) - EV_H(0) is gap(0) - gap(tau_hat)
     deterrence = (row0.r - row1.r) * (row0.gap - params.u)
     suppression = row1.r * (row0.gap - row1.gap)
-    b_loss = row1.W_B - row0.W_B
+    cutoff = rejection_cutoff(params, tau_hat)
+    b_loss = -row1.R * partial_expectation(params.dist_y, cutoff)
     exact = row1.W - row0.W
     return PolicyDecomposition(
         deterrence_gain=deterrence,

@@ -241,8 +241,8 @@ def test_decomposition_is_exact(params, tau):
     assert abs(dec.residual) <= 1e-12 * max(1.0, abs(row1.W))
 
 
-def _near(got, exact, scale=None):
-    return abs(got - exact) <= 1e-12 * max(1, abs(exact if scale is None else scale))
+def _near(got, exact):
+    return abs(got - exact) <= 1e-12 * max(1, abs(exact))
 
 
 @settings(PROPERTY, max_examples=100)
@@ -253,9 +253,8 @@ def _near(got, exact, scale=None):
 )
 def test_chain_matches_the_exact_rational_chain(params, tau, convention):
     """Every sweep-row field lies within 1e-12 * max(1, |exact|) of the chain
-    evaluated in exact rationals, and so do the decomposition's deterrence
-    and suppression terms. b_loss is W_B(tau) - W_B(0), a difference of two
-    values near E[y]; it lies within 1e-12 * max(1, E[y]) of the exact one."""
+    evaluated in exact rationals, and so do the decomposition's deterrence,
+    suppression and b_loss = W_B(tau) - W_B(0) terms."""
     row = evaluate_point(params, tau, convention)
     exact = exact_chain.chain(params, tau, convention)
     for name, got in row._asdict().items():
@@ -270,7 +269,7 @@ def test_chain_matches_the_exact_rational_chain(params, tau, convention):
     suppression = e1["r"] * (e0["gap"] - e1["gap"])
     assert _near(dec.suppression_loss, suppression), (dec.suppression_loss, suppression)
     b_loss = e1["W_B"] - e0["W_B"]
-    assert _near(dec.b_loss, b_loss, e0["W_B"]), (dec.b_loss, b_loss)
+    assert _near(dec.b_loss, b_loss), (dec.b_loss, b_loss)
 
 
 @settings(PROPERTY, max_examples=100)
