@@ -248,7 +248,7 @@ def _cmd_sweep(params, convention, args, out) -> None:
 
 
 def _cmd_optimize(params, convention, args, out) -> None:
-    res = optimize(params, tol=args.tol, convention=convention, grid_points=args.grid)
+    res = optimize(params, tol=args.tol, convention=convention)
     path = out / "optimize_trace.csv"
     _write_csv(path, ("stage", "tau_hat", "W"), res.trace)
     print(f"tau_star = {_fmt(res.tau_star)}  W_star = {_fmt(res.W_star)}")
@@ -319,9 +319,9 @@ _FLAGS = {
     "--tau": (float, lambda t: 0.0 <= t <= 1.0, "must lie in [0, 1]",
               None, "override tau_hat"),
     "--grid": (int, lambda n: 3 <= n <= MAX_GRID, f"must lie in [3, {MAX_GRID}]",
-               101, "grid resolution"),
+               101, "tau_hat grid points of sweep and figures"),
     "--tol": (float, lambda t: t > 0 and math.isfinite(t),
-              "must be positive and finite", 1e-6, "optimizer tolerance"),
+              "must be positive and finite", 1e-6, "optimizer tolerance per smooth piece of W"),
     "--pairs": (int, lambda n: n >= 1, "must be >= 1", 500_000, "simulated pairs"),
     "--seed": (int, lambda n: 0 <= n < 2**64, "must fit in 64 unsigned bits",
                2024, "simulation seed"),

@@ -1,12 +1,12 @@
 """One-dimensional distributions and quadrature.
 
 A distribution is a piecewise-linear CDF given by knots; uniform on [lo, hi)
-is the two-knot case, not a separate family. The CDF, density, mean and
-truncated first moment each have one code path over the knots, in pure
-Python; the CDF of the sum of two draws, which r reads, is a table built
-once per spec. The simulation's vectorized inverse CDF lives in _kernels,
-next to numpy. The adaptive quadrature is not on the analysis path; the
-tests use it as an independent oracle for the high-risk fraction r.
+is the two-knot case, not a separate family. The CDF and density each have
+one code path over the knots, in pure Python; the mean and truncated first
+moment read a running-sum table and r a table of the CDF of the sum of two
+draws, each built once per spec. The simulation's vectorized inverse CDF
+lives in _kernels, next to numpy. The adaptive quadrature is not on the
+analysis path; the tests use it as an independent oracle for r.
 
 Support convention is half-open [lo, hi): cdf(lo) = 0 and any tie at a
 threshold resolves downward. Boundary mass is zero for the continuous
@@ -74,7 +74,7 @@ class DistributionSpec(NamedTuple("DistributionSpec", [
     """Immutable spec for a bounded 1-D distribution, stored as CDF knots
     (x strictly increasing, p from 0 to 1 non-decreasing, no segment density
     above 1e150), built by :func:`uniform` or :func:`piecewise_linear_cdf`.
-    Its __dict__ caches mean and sum_cdf_table.
+    Its __dict__ caches mean, moment_table and sum_cdf_table.
     """
 
     def _validate(self):
@@ -109,8 +109,18 @@ class DistributionSpec(NamedTuple("DistributionSpec", [
 
     @cached_property
     def mean(self) -> float:
-        """Expected value, computed once: the chain asks for E[y] at every τ."""
-        return partial_expectation(self, self.knots_x[-1])
+        """Expected value, the last of moment_table's running sums; cached, since
+        the chain reads E[y] at every τ."""
+        return self.moment_table[1][-1]
+
+    @cached_property
+    def moment_table(self) -> tuple:
+        """(slopes, totals): each segment's CDF slope and the running sums of the
+        segments' first moments in segment order, totals[k] = E[X; X < x_k]."""
+        xs, ps = self.knots_x, self.knots_p
+        slopes = list(map(truediv, map(sub, ps[1:], ps), map(sub, xs[1:], xs)))
+        terms = [s * (x1 * x1 - x0 * x0) * 0.5 for s, x0, x1 in zip(slopes, xs, xs[1:])]
+        return slopes, list(accumulate(terms, initial=0.0))
 
     @cached_property
     def sum_cdf_table(self) -> tuple:
@@ -143,7 +153,7 @@ class DistributionSpec(NamedTuple("DistributionSpec", [
         coef = [(g / g_div, d / slope_div, k / curv_div) for g, d, k in zip(value, slope, curv)]
         return list(map(itemgetter(0), pairs)), coef
 
-    # cached_property writes mean into __dict__ directly, past these two
+    # cached_property writes mean and the tables into __dict__ directly, past these two
     def __setattr__(self, name, value):
         raise AttributeError(f"DistributionSpec is read-only, cannot set {name!r}")
 
@@ -191,21 +201,18 @@ def density(spec: DistributionSpec, x: float) -> float:
 def partial_expectation(spec: DistributionSpec, t: float) -> float:
     """Truncated first moment E[X * 1{X <= t}].
 
-    Accumulated segment by segment so that spec.mean equals
-    partial_expectation(spec, support_hi) exactly.
+    The full segments below t come from spec.moment_table, so spec.mean
+    equals partial_expectation(spec, support_hi) exactly.
     """
-    xs, ps = spec.knots_x, spec.knots_p
+    xs = spec.knots_x
     if t <= xs[0]:
         return 0.0
-    total = 0.0
-    for k in range(len(xs) - 1):
-        x0, x1 = xs[k], xs[k + 1]
-        if t <= x0:
-            break
-        slope = (ps[k + 1] - ps[k]) / (x1 - x0)
-        hi = x1 if t >= x1 else t
-        total += slope * (hi * hi - x0 * x0) * 0.5
-    return total
+    slopes, totals = spec.moment_table
+    if t >= xs[-1]:
+        return totals[-1]
+    k = bisect_right(xs, t) - 1
+    x0 = xs[k]
+    return totals[k] + slopes[k] * (t * t - x0 * x0) * 0.5
 
 
 def integrate(

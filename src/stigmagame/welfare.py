@@ -21,6 +21,8 @@ is kept selectable for comparison.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from operator import itemgetter
 from typing import NamedTuple
 
 from .coordination import period1_outcome
@@ -118,6 +120,10 @@ class SweepRow(NamedTuple):
 
 
 class OptimizeResult(NamedTuple):
+    """tau_star, W_star and every evaluation as a (stage, tau_hat, W) row:
+    "end" at each end of a smooth piece of W and "refine" inside one, both
+    with M = 0, then the "final" row with the true M."""
+
     tau_star: float
     W_star: float
     trace: tuple[tuple[str, float, float], ...]
@@ -141,12 +147,6 @@ class AssumptionReport(NamedTuple):
     h_bar: float
 
 
-def _check_convention(convention: str) -> str:
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    return convention
-
-
 def assumption3_margin(params: ModelParams) -> float:
     """c_h*(theta_H-theta_L) - (theta_H*v-c): the continuation gap at S = 0.
 
@@ -162,7 +162,8 @@ def _require_preconditions(params: ModelParams, convention: str) -> None:
 
     Public entry points call this once, before any chain evaluation.
     """
-    _check_convention(convention)
+    if convention not in CONVENTIONS:
+        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     gap0 = assumption3_margin(params)
     if gap0 <= 0.0:
         raise AssumptionViolation(
@@ -327,31 +328,38 @@ def sweep(
     return [row for row, _ in _sweep_points(params, grid, convention)]
 
 
+def _pieces(params: ModelParams) -> list[float]:
+    """0, 1 and each tau_hat in (0, 1) where W's slope can jump, sorted: where
+    the cutoff tau_hat*theta_H*z or y* = (theta_H*v - c)/S crosses a y knot.
+    The beta side adds none, since r = G(2*beta*) with G continuously
+    differentiable."""
+    a = params.theta_H * params.z
+    xs, ps = params.dist_y.knots_x, params.dist_y.knots_p
+    net = params.theta_H * params.v - params.c
+    cutoffs = list(xs)
+    for s in (net / x for x in xs if x >= net):  # y* = x where S = G_y(cutoff) = net/x
+        k = bisect_left(ps, s)  # 0 < s <= 1, so k >= 1 and ps[k] > ps[k - 1]
+        cutoffs.append(xs[k - 1] + (s - ps[k - 1]) * (xs[k] - xs[k - 1]) / (ps[k] - ps[k - 1]))
+    return sorted({0.0, 1.0, *(c / a for c in cutoffs if 0.0 < c < a)})
+
+
 _INVPHI = (5.0**0.5 - 1.0) / 2.0
 
 
 def optimize(
-    params: ModelParams,
-    tol: float = 1e-6,
-    convention: str = "corrected",
-    grid_points: int = 101,
+    params: ModelParams, tol: float = 1e-6, convention: str = "corrected"
 ) -> OptimizeResult:
     """Locate the welfare-maximizing tau_hat on [0, 1].
 
-    Coarse grid scan, then golden-section refinement on the bracketing
-    interval; derivative-free because the curve has kinks where the testing
-    threshold leaves the valuation support. The search objective is
-    evaluated with M = 0 (M shifts W uniformly), which keeps the returned
-    argmax bit-identical across M; W_star is then computed with the true M.
-    Trace entries carry the M = 0 objective except the final row.
+    W is smooth between the ends of _pieces: it is evaluated at every end,
+    then golden section refines each piece to tol. tau_star is the first
+    best point of the trace, so a flat W gives 0. The search runs with M = 0
+    (M shifts W uniformly), which keeps the argmax bit-identical across M;
+    W_star is then computed with the true M.
     """
-    _check_convention(convention)
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if grid_points < 3:
-        raise ValueError("grid_points must be >= 3")
     search = params._replace(M=0.0)
-
     trace: list[tuple[str, float, float]] = []
 
     def objective(stage: str, tau: float) -> float:
@@ -359,32 +367,26 @@ def optimize(
         trace.append((stage, tau, w))
         return w
 
-    n = grid_points
-    taus = tau_grid(n)
-    values = [objective("grid", t) for t in taus]
-    best = max(range(n), key=lambda i: values[i])
-    a = taus[max(best - 1, 0)]
-    b = taus[min(best + 1, n - 1)]
-
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1 = objective("refine", x1)
-    f2 = objective("refine", x2)
-    # the probes stop being strictly inside the bracket once it is a few ulps
-    # wide; a only rises and b only falls, so this ends for any tol
-    while b - a > tol and a < x1 < x2 < b:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = objective("refine", x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = objective("refine", x1)
-    tau_star, f_star = (x1, f1) if f1 >= f2 else (x2, f2)
-    # kinks can break unimodality on the bracket; never do worse than the grid
-    if values[best] > f_star:
-        tau_star = taus[best]
+    ends = _pieces(params)
+    for t in ends:
+        objective("end", t)
+    for a, b in zip(ends, ends[1:]):
+        x1 = b - _INVPHI * (b - a)
+        x2 = a + _INVPHI * (b - a)
+        f1 = objective("refine", x1)
+        f2 = objective("refine", x2)
+        # the probes stop being strictly inside the piece once it is a few
+        # ulps wide; a only rises and b only falls, so this ends for any tol
+        while b - a > tol and a < x1 < x2 < b:
+            if f1 < f2:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + _INVPHI * (b - a)
+                f2 = objective("refine", x2)
+            else:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - _INVPHI * (b - a)
+                f1 = objective("refine", x1)
+    tau_star = max(trace, key=itemgetter(2))[1]
     w_star = welfare(params, tau_star, convention).W
     trace.append(("final", tau_star, w_star))
     return OptimizeResult(tau_star=tau_star, W_star=w_star, trace=tuple(trace))

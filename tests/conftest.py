@@ -18,6 +18,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 PAPER_CFG = REPO_ROOT / "paper.cfg"
 # 33-knot piecewise beta and y, generated by perfbench/workloads.py at seed 1
 PIECEWISE_CFG = REPO_ROOT / "tests" / "data" / "piecewise.cfg"
+# W peaks above its natural level, just past a kink a 101-point grid steps over
+KINKED_CFG = REPO_ROOT / "tests" / "data" / "kinked_optimum.cfg"
 
 
 def src_env() -> dict:
@@ -232,6 +234,24 @@ def quadrature_r(spec, beta_star: float) -> float:
         f = density(spec, 0.5 * (a + b))
         mixed += integrate(lambda t: cdf(spec, 2.0 * beta_star - t) * f, a, b, 1e-13)
     return h * h + 2.0 * mixed
+
+
+def partial_expectation_reference(spec, t: float) -> float:
+    """E[X * 1{X <= t}] summed segment by segment, the loop that
+    distributions.partial_expectation's table of running sums must equal
+    bit for bit."""
+    xs, ps = spec.knots_x, spec.knots_p
+    if t <= xs[0]:
+        return 0.0
+    total = 0.0
+    for k in range(len(xs) - 1):
+        x0, x1 = xs[k], xs[k + 1]
+        if t <= x0:
+            break
+        slope = (ps[k + 1] - ps[k]) / (x1 - x0)
+        hi = x1 if t >= x1 else t
+        total += slope * (hi * hi - x0 * x0) * 0.5
+    return total
 
 
 def exact_r(spec, beta_star: float) -> Fraction:

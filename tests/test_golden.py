@@ -46,8 +46,8 @@ GOLDEN = {
         "fig5.svg": "cec23d372e91d181a578d9963420971a7f2e741ff7fdc244f70a5f817678a475",
     },
     ("paper", "optimize"): {
-        "stdout": "ac6390897fbae1712e084b839308d78b68dad5fc2c6964a9588202f4815eedb1",
-        "optimize_trace.csv": "73a86493f2b1dde1c51c9402d3e7df93e3416c23c72531f53ec8c4dbdff47b99",
+        "stdout": "fc7dbcd51ec80e97d9e86b859445c6f13ffd7e27e138b67f934ec1901136ad28",
+        "optimize_trace.csv": "7bb8c22d7ba65f15ac341bfe158d23986b25d33a76baedc069fdaa38a7f2c33d",
     },
     ("paper", "simulate"): {
         "stdout": "db9432a7cc99f02bae37c5b678d71d9f97df41138e9f26c2117f6a45bba428d0",
@@ -77,8 +77,8 @@ GOLDEN = {
         "fig5.svg": "7acd343ec92ca4cc1893e1ec5957b248c2dbf85e9309029f7b7ebba83937deee",
     },
     ("piecewise", "optimize"): {
-        "stdout": "ef7c6230462192cd861a709658a883d465083e08478643d634e209a86df9cd6e",
-        "optimize_trace.csv": "ebc49f53bf06912c2a2e01c52d3816f19505223339d1d64470b680215d1c79fe",
+        "stdout": "b3fa4b72e1d4c2bb969b552cf8616a705830a6ddabc37a807b0b38559065d920",
+        "optimize_trace.csv": "4841b37a4a0292a07033ae2b4b1e9a6ad128d8263a77a5a0f5a8ca7a8a62ca4a",
     },
     ("piecewise", "simulate"): {
         "stdout": "6b3778f2c07336cfaaf0e7b70ba77329ee509eb22f6b8bdf4354200e62c85643",

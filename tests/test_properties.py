@@ -20,21 +20,24 @@ from stigmagame import (
     ModelParams,
     decomposition,
     evaluate_point,
+    optimize,
     piecewise_linear_cdf,
     sweep,
     uniform,
+    welfare,
 )
 from stigmagame import cli
 from stigmagame.coordination import high_risk_fraction
-from stigmagame.distributions import cdf, density
+from stigmagame.distributions import cdf, density, partial_expectation
 from stigmagame.montecarlo import Estimates, analytic_targets, simulate
 from stigmagame.signaling import continuation_values, policy_state
-from stigmagame.welfare import assumption3_margin, tau_grid
+from stigmagame.welfare import _pieces, assumption3_margin, tau_grid
 
 import exact_chain
 from conftest import (
     PAPER_CFG,
     exact_r,
+    partial_expectation_reference,
     ppf,
     ppf_reference,
     quadrature_r,
@@ -156,6 +159,31 @@ def test_inverse_cdf_is_bit_identical_to_search(spec, seed):
     assert bad.size == 0, (u[bad[:5]].tolist(), got[bad[:5]], want[bad[:5]])
 
 
+@settings(PROPERTY, max_examples=60)
+@given(spec=sampling_specs(), seed=st.integers(0, 2**32 - 1))
+def test_truncated_moment_is_bit_identical_to_the_segment_loop(spec, seed):
+    """partial_expectation, read from the spec's table of running sums,
+    equals the segment-by-segment loop bit for bit at both ends of the
+    support, at up to 64 other knots and their neighbouring floats, at -inf
+    and +inf, and at 200 points drawn across and past the support; spec.mean
+    is the loop's value at support_hi."""
+    rng = np.random.default_rng(seed)
+    xs = np.asarray(spec.knots_x)
+    lo, hi = xs[0], xs[-1]
+    knots = np.concatenate([[lo, hi], rng.choice(xs, min(len(xs), 64), replace=False)])
+    ts = np.concatenate([
+        [-math.inf, math.inf],
+        knots,
+        np.nextafter(knots, -math.inf),
+        np.nextafter(knots, math.inf),
+        rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), 200),
+    ]).tolist()
+    got = [partial_expectation(spec, t).hex() for t in ts]
+    want = [partial_expectation_reference(spec, t).hex() for t in ts]
+    assert got == want
+    assert spec.mean.hex() == partial_expectation_reference(spec, spec.support_hi).hex()
+
+
 @PROPERTY
 @given(lo=st.floats(-1e6, 1e6), width=st.floats(1e-6, 1e6), data=st.data())
 def test_uniform_cdf_and_density_are_the_closed_forms(lo, width, data):
@@ -224,6 +252,20 @@ def test_gap_never_falls_below_the_assumption3_margin(params, taus):
     assert all(policy_state(params, t).gap >= margin for t in [0.0, 1.0] + taus)
     rows = sweep(params, tau_grid(5))
     assert all(math.isfinite(x) for row in rows for x in row)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(
+    params=st.one_of(valid_params(), valid_params(wide=True), valid_params(wide_y=True)),
+    convention=st.sampled_from(["corrected", "paper_literal"]),
+)
+def test_optimize_beats_every_grid_point_and_piece_end(params, convention):
+    """At tol 1e-9 no point of a 2001-point grid and no end of a smooth
+    piece of W has a welfare above W_star by more than 1e-12 * max(1, |W_star|)."""
+    res = optimize(params, tol=1e-9, convention=convention)
+    bound = res.W_star + 1e-12 * max(1.0, abs(res.W_star))
+    for tau in tau_grid(2001) + _pieces(params):
+        assert welfare(params, tau, convention).W <= bound, tau
 
 
 @settings(PROPERTY, max_examples=100)

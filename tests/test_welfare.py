@@ -1,5 +1,7 @@
 import math
+import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,9 +24,10 @@ from stigmagame import (
 from stigmagame.cli import load_config
 from stigmagame.figures import figure_tables
 from stigmagame.signaling import policy_state
-from stigmagame.welfare import tau_grid
+from stigmagame.welfare import _pieces, tau_grid
 
-from conftest import PAPER_CFG, PIECEWISE_CFG
+import exact_chain
+from conftest import KINKED_CFG, PAPER_CFG, PIECEWISE_CFG, src_env
 
 
 def expected_chain(tau: float) -> dict:
@@ -256,8 +259,8 @@ class TestSweep:
         assert len(prefixes) == len(grid) + 1
 
     def test_mean_of_y_is_computed_once(self, paper_params, monkeypatch):
-        # E[y] does not depend on tau: one pass over the knots per spec, then
-        # two truncated moments per point (the testing bonus and B's payoff)
+        # E[y] does not depend on tau: it is read from the spec's moment table,
+        # then two truncated moments per point (the testing bonus and B's payoff)
         calls = []
         for short in ("distributions", "signaling", "welfare"):
             module = sys.modules[f"stigmagame.{short}"]
@@ -270,7 +273,7 @@ class TestSweep:
         params = paper_params._replace(dist_y=piecewise_linear_cdf([(0.0, 0.0), (2.0, 1.0)]))
         grid = [i / 16 for i in range(17)]
         rows = sweep(params, grid)
-        assert len(calls) == 2 * len(grid) + 1
+        assert len(calls) == 2 * len(grid)
         assert rows == sweep(paper_params, grid)
 
     @pytest.mark.parametrize(
@@ -371,9 +374,49 @@ class TestOptimize:
         res = optimize(paper_params._replace(dist_beta=patient), tol=1e-6)
         assert res.tau_star <= 1e-6
 
+    def test_kinked_optimum_lies_above_the_natural_level(self):
+        # a 101-point grid scan steps over this peak and returned tau_star = 0
+        res = optimize(load_config(KINKED_CFG).params)
+        assert res.tau_star == pytest.approx(0.946050, abs=1e-6)
+        assert res.W_star >= 4.831282414338837  # the peak of a 200001-point grid
+
+    def test_every_interior_piece_end_is_a_kink(self):
+        # exact one-sided slopes at +-2**-30 jump at each interior piece end,
+        # by far more than they drift one step further out
+        params = load_config(KINKED_CFG).params
+        h = Fraction(1, 2**30)
+        ends = _pieces(params)[1:-1]
+        assert ends
+        for tau in map(Fraction, ends):
+            w = [exact_chain.chain(params, tau + j * h, "corrected")["W"] for j in range(-2, 3)]
+            slopes = [(b - a) / h for a, b in zip(w, w[1:])]
+            jump = abs(slopes[2] - slopes[1])
+            drift = max(abs(slopes[1] - slopes[0]), abs(slopes[3] - slopes[2]))
+            assert jump > 0.01 and jump > 1000 * drift, (float(tau), float(jump), float(drift))
+
+    def test_many_knot_valuations_end_in_bounded_time(self):
+        # every y knot makes up to two pieces; a fresh interpreter under a
+        # timeout turns a per-piece cost that grows with the knots into a failure
+        code = (
+            "import numpy as np\n"
+            "from stigmagame import optimize, piecewise_linear_cdf\n"
+            "from stigmagame.cli import load_config\n"
+            f"params = load_config({str(PAPER_CFG)!r}).params\n"
+            "rng = np.random.default_rng(3)\n"
+            "xs = np.cumsum(rng.uniform(0.1, 1.0, 3000))\n"
+            "ps = np.cumsum(rng.uniform(0.0, 1.0, 3000))\n"
+            "knots = list(zip((2.0 * (xs - xs[0]) / (xs[-1] - xs[0])).tolist(),\n"
+            "                 ((ps - ps[0]) / (ps[-1] - ps[0])).tolist()))\n"
+            "res = optimize(params._replace(dist_y=piecewise_linear_cdf(knots)))\n"
+            "print(res.tau_star, len(res.trace))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, timeout=20
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[1]) > 3000
+
     def test_validation(self, paper_params):
         for tol in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol"):
                 optimize(paper_params, tol=tol)
-        with pytest.raises(ValueError):
-            optimize(paper_params, grid_points=2)
