@@ -1,10 +1,11 @@
 """One-dimensional distributions and quadrature.
 
 A distribution is a piecewise-linear CDF given by knots; uniform on [lo, hi)
-is the two-knot case, not a separate family. The CDF and density each have
-one code path over the knots, in pure Python; the mean and truncated first
-moment read a running-sum table and r a table of the CDF of the sum of two
-draws, each built once per spec. The simulation's vectorized inverse CDF
+is the two-knot case, not a separate family. The CDF and density are pure
+Python over the knots; the mean reads a running-sum table of first moments,
+cdf_and_moment reads the CDF and the truncated first moment at a threshold
+from one search of the knots and that table, and r reads a table of the CDF
+of the sum of two draws; each table is built once per spec. The simulation's vectorized inverse CDF
 lives in _kernels, next to numpy. The adaptive quadrature is not on the
 analysis path; the tests use it as an independent oracle for r.
 
@@ -29,6 +30,7 @@ __all__ = [
     "piecewise_linear_cdf",
     "cdf",
     "density",
+    "cdf_and_moment",
     "partial_expectation",
     "integrate",
 ]
@@ -198,21 +200,29 @@ def density(spec: DistributionSpec, x: float) -> float:
     return (ps[k + 1] - ps[k]) / (xs[k + 1] - xs[k])
 
 
-def partial_expectation(spec: DistributionSpec, t: float) -> float:
-    """Truncated first moment E[X * 1{X <= t}].
+def cdf_and_moment(spec: DistributionSpec, t: float) -> tuple[float, float]:
+    """(cdf(spec, t), E[X * 1{X <= t}]) from one search of the knots.
 
-    The full segments below t come from spec.moment_table, so spec.mean
-    equals partial_expectation(spec, support_hi) exactly.
+    The CDF is cdf's expression, bit for bit. The moment's full segments
+    below t come from spec.moment_table, so spec.mean equals the moment at
+    support_hi exactly.
     """
     xs = spec.knots_x
     if t <= xs[0]:
-        return 0.0
+        return 0.0, 0.0
     slopes, totals = spec.moment_table
     if t >= xs[-1]:
-        return totals[-1]
+        return 1.0, totals[-1]
+    ps = spec.knots_p
     k = bisect_right(xs, t) - 1
     x0 = xs[k]
-    return totals[k] + slopes[k] * (t * t - x0 * x0) * 0.5
+    return (ps[k] + (t - x0) * (ps[k + 1] - ps[k]) / (xs[k + 1] - x0),
+            totals[k] + slopes[k] * (t * t - x0 * x0) * 0.5)
+
+
+def partial_expectation(spec: DistributionSpec, t: float) -> float:
+    """Truncated first moment E[X * 1{X <= t}], cdf_and_moment's second value."""
+    return cdf_and_moment(spec, t)[1]
 
 
 def integrate(

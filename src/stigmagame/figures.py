@@ -107,19 +107,11 @@ def figure_tables(
         name="fig4",
         comments=(),
         header=SweepRow._fields,
-        rows=[row for row, _ in points],
+        rows=[point[0] for point in points],
     )
 
-    groups = [
-        (
-            row.tau_hat,
-            rep.welfare_high,
-            rep.welfare_low,
-            rep.W_B,
-            rep.W,
-        )
-        for row, rep in points
-    ]
+    # terms are (welfare_high, welfare_low, welfare_B_discriminators, welfare_B_accepters)
+    groups = [(row.tau_hat, terms[0], terms[1], row.W_B, row.W) for row, terms, _ in points]
     n = len(groups)
     means = [sum(row[k] for row in groups) / n for k in range(1, 5)]
     fig5 = FigureTable(

@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .distributions import DistributionSpec, _checked, cdf, partial_expectation
+from .distributions import DistributionSpec, _checked, cdf, cdf_and_moment
+# unused here; perfbench/tracer.py patches this name, so it must still resolve
+from .distributions import partial_expectation  # noqa: F401
 
 __all__ = [
     "AssumptionViolation",
@@ -147,16 +149,20 @@ def continuation_values(params: ModelParams, S: float) -> tuple[float, float, fl
     The gap is c_h*(theta_H - theta_L) - bonus, not EV_L - EV_H: both of
     those carry E[y], which cancels on wide valuation supports.
     """
+    return _testing_side(params, S)[1:]
+
+
+def _testing_side(params: ModelParams, S: float) -> tuple[float, float, float, float]:
+    """(R_H, EV_L, EV_H, gap) from one lookup of G_y and E[y; y <= y*] at y*."""
     net = params.theta_H * params.v - params.c
-    y_star = testing_threshold(params, S)
-    bonus = net * cdf(params.dist_y, y_star)
-    bonus -= S * partial_expectation(params.dist_y, y_star)
+    r_h, pe = cdf_and_moment(params.dist_y, testing_threshold(params, S))
+    bonus = net * r_h - S * pe
     mu = params.dist_y.mean
     ev_l = mu - params.theta_L * params.c_h
     ev_h = mu - params.theta_H * params.c_h + bonus
     # net*G <= net (G <= 1) and S*E[y; y <= y*] >= 0 (y >= 0), so in floats
     # bonus <= net and gap >= assumption3_margin, with equality at S = 0
-    return ev_l, ev_h, params.c_h * (params.theta_H - params.theta_L) - bonus
+    return r_h, ev_l, ev_h, params.c_h * (params.theta_H - params.theta_L) - bonus
 
 
 class PolicyState(NamedTuple):

@@ -7,6 +7,11 @@ The chain for a policy value tau_hat is
 
     tau_hat -> S -> (EV_L, EV_H, gap) -> (beta*, H, r) -> (R_H, R) -> W.
 
+It is evaluated by _point with one lookup on the valuation knots per
+threshold: the one at the cutoff tau_hat*theta_H*z gives S and
+E[y; y <= cutoff], the one at y* gives R_H and the testing bonus. A point
+builds only its SweepRow; welfare() wraps the group terms in a WelfareReport.
+
 Two bookkeeping conventions exist for population B's welfare. Under
 "corrected" (the default) a discriminating B player forgoes her valuation
 exactly when matched with a tested partner, so
@@ -29,13 +34,14 @@ from .coordination import period1_outcome
 from .signaling import (
     AssumptionViolation,
     ModelParams,
+    _testing_side,
     policy_state,
     rejection_cutoff,
-    testing_rates,
 )
+from .distributions import cdf, cdf_and_moment
 # unused here; perfbench/tracer.py patches these names, so they must still resolve
 from .signaling import continuation_values, stigma_level  # noqa: F401
-from .distributions import cdf, partial_expectation
+from .distributions import partial_expectation  # noqa: F401
 
 __all__ = [
     "CONVENTIONS",
@@ -209,7 +215,8 @@ def welfare(
     composition; population B's follows the selected convention.
     """
     _require_preconditions(params, convention)
-    return _point(params, tau_hat, convention)[1]
+    row, terms, _ = _point(params, tau_hat, convention)
+    return WelfareReport(row.W_A, row.W_B, row.W, *terms)
 
 
 def first_best_benchmark(params: ModelParams) -> WelfareReport:
@@ -252,12 +259,11 @@ def decomposition(params: ModelParams, tau_hat: float) -> PolicyDecomposition:
         raise ValueError(f"tau_hat must lie in (0, 1], got {tau_hat!r}")
     _require_preconditions(params, "corrected")
     row0 = _point(params, 0.0, "corrected")[0]
-    row1 = _point(params, tau_hat, "corrected")[0]
+    row1, _, pe1 = _point(params, tau_hat, "corrected")
     # EV_L does not depend on S, so EV_H(tau_hat) - EV_H(0) is gap(0) - gap(tau_hat)
     deterrence = (row0.r - row1.r) * (row0.gap - params.u)
     suppression = row1.r * (row0.gap - row1.gap)
-    cutoff = rejection_cutoff(params, tau_hat)
-    b_loss = -row1.R * partial_expectation(params.dist_y, cutoff)
+    b_loss = -row1.R * pe1
     exact = row1.W - row0.W
     return PolicyDecomposition(
         deterrence_gain=deterrence,
@@ -270,26 +276,28 @@ def decomposition(params: ModelParams, tau_hat: float) -> PolicyDecomposition:
 
 def _point(
     p: ModelParams, tau_hat: float, convention: str
-) -> tuple[SweepRow, WelfareReport]:
-    """Sweep row and welfare report from one evaluation of the chain
-    tau_hat -> S -> gap -> beta* -> r -> R -> W.
-
+) -> tuple[SweepRow, tuple[float, float, float, float], float]:
+    """One evaluation of the chain tau_hat -> S -> gap -> beta* -> r -> R -> W:
+    the sweep row, WelfareReport's four group terms (welfare_high to
+    welfare_B_accepters) and the discriminators' moment E[y; y <= cutoff].
     The caller has checked the preconditions.
     """
-    _, _, s, ev_l, ev_h, gap = policy_state(p, tau_hat)
+    if not 0.0 <= tau_hat <= 1.0:
+        raise ValueError(f"tau_hat must lie in [0, 1], got {tau_hat!r}")
+    s, pe = cdf_and_moment(p.dist_y, rejection_cutoff(p, tau_hat))
+    r_h, ev_l, ev_h, gap = _testing_side(p, s)
     p1 = period1_outcome(p, gap)
     r = p1.r
-    r_h, r_pop = testing_rates(p, s, r)
+    r_pop = r * r_h
     w_high = r * (p.M + ev_h)
     w_low = (1.0 - r) * (p.M - p.u + ev_l)
-    pe = partial_expectation(p.dist_y, rejection_cutoff(p, tau_hat))
     w_disc = ((1.0 - r_pop) if convention == "corrected" else r_pop) * pe
     w_acc = p.dist_y.mean - pe
     w_a = w_high + w_low
     w_b = w_disc + w_acc
     w = w_a + w_b
     row = SweepRow(tau_hat, s, gap, p1.H, r, r_h, r_pop, w_a, w_b, w)
-    return row, WelfareReport(w_a, w_b, w, w_high, w_low, w_disc, w_acc)
+    return row, (w_high, w_low, w_disc, w_acc), pe
 
 
 def evaluate_point(
@@ -302,12 +310,12 @@ def evaluate_point(
 
 def _sweep_points(
     params: ModelParams, grid, convention: str
-) -> list[tuple[SweepRow, WelfareReport]]:
-    """Row and report at each point of a sorted tau_hat grid.
+) -> list[tuple[SweepRow, tuple[float, float, float, float], float]]:
+    """_point at each point of a sorted tau_hat grid.
 
     The caller has checked the preconditions; past them every point in
     [0, 1] evaluates, since the gap never falls below the assumption-3
-    margin, and policy_state rejects a point outside it.
+    margin, and _point rejects a point outside it.
     """
     grid = [float(g) for g in grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
@@ -325,7 +333,7 @@ def sweep(
 ) -> list[SweepRow]:
     """Evaluate the full chain on a sorted tau_hat grid, one row per point."""
     _require_preconditions(params, convention)
-    return [row for row, _ in _sweep_points(params, grid, convention)]
+    return [point[0] for point in _sweep_points(params, grid, convention)]
 
 
 def _pieces(params: ModelParams) -> list[float]:

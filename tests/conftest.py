@@ -10,9 +10,15 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from stigmagame import ModelParams, piecewise_linear_cdf, uniform
 from stigmagame._kernels import knot_arrays, ppf_from_knots
-from stigmagame.coordination import hot_threshold
+from stigmagame.coordination import hot_threshold, period1_outcome
 from stigmagame.distributions import cdf, density, integrate
-from stigmagame.signaling import rejection_cutoff
+from stigmagame.signaling import (
+    rejection_cutoff,
+    stigma_level,
+    testing_rates,
+    testing_threshold,
+)
+from stigmagame.welfare import SweepRow, WelfareReport
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PAPER_CFG = REPO_ROOT / "paper.cfg"
@@ -20,6 +26,8 @@ PAPER_CFG = REPO_ROOT / "paper.cfg"
 PIECEWISE_CFG = REPO_ROOT / "tests" / "data" / "piecewise.cfg"
 # W peaks above its natural level, just past a kink a 101-point grid steps over
 KINKED_CFG = REPO_ROOT / "tests" / "data" / "kinked_optimum.cfg"
+# present bias up to 2, so that beta* = u/gap lies above 1 at tau_hat = 0.5
+BETA_ABOVE_ONE_CFG = REPO_ROOT / "tests" / "data" / "beta_above_one.cfg"
 
 
 def src_env() -> dict:
@@ -287,3 +295,31 @@ def random_piecewise_beta(rng: np.random.Generator):
     ps = np.minimum(np.concatenate(([0.0], np.cumsum(mass) / mass.sum())), 1.0)
     ps[-1] = 1.0
     return piecewise_linear_cdf(list(zip(xs.tolist(), ps.tolist())))
+
+
+def point_reference(params: ModelParams, tau_hat: float, convention: str):
+    """(SweepRow, WelfareReport) at tau_hat composed link by link, with a
+    separate CDF read and truncated-moment read at each threshold:
+    stigma_level, continuation_values' arithmetic with the segment-loop
+    moment, period1_outcome, testing_rates, then the moment at the cutoff.
+    welfare._point, which reads both values from one knot lookup per
+    threshold, must equal it bit for bit."""
+    p, y = params, params.dist_y
+    s = stigma_level(p, tau_hat)
+    net = p.theta_H * p.v - p.c
+    y_star = testing_threshold(p, s)
+    bonus = net * cdf(y, y_star)
+    bonus -= s * partial_expectation_reference(y, y_star)
+    ev_l = y.mean - p.theta_L * p.c_h
+    ev_h = y.mean - p.theta_H * p.c_h + bonus
+    gap = p.c_h * (p.theta_H - p.theta_L) - bonus
+    p1 = period1_outcome(p, gap)
+    r_h, r_pop = testing_rates(p, s, p1.r)
+    w_high = p1.r * (p.M + ev_h)
+    w_low = (1.0 - p1.r) * (p.M - p.u + ev_l)
+    pe = partial_expectation_reference(y, rejection_cutoff(p, tau_hat))
+    w_disc = ((1.0 - r_pop) if convention == "corrected" else r_pop) * pe
+    w_acc = y.mean - pe
+    w_a, w_b = w_high + w_low, w_disc + w_acc
+    row = SweepRow(tau_hat, s, gap, p1.H, p1.r, r_h, r_pop, w_a, w_b, w_a + w_b)
+    return row, WelfareReport(w_a, w_b, w_a + w_b, w_high, w_low, w_disc, w_acc)

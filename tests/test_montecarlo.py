@@ -22,16 +22,14 @@ from stigmagame.montecarlo import CHUNK, CODES, PairCounts
 from stigmagame.signaling import policy_state, rejection_cutoff
 
 from conftest import (
+    BETA_ABOVE_ONE_CFG,
     PAPER_CFG,
     PIECEWISE_CFG,
-    REPO_ROOT,
     best_response_interact,
     best_response_test,
     simulate_pairs_reference,
     src_env,
 )
-
-BETA_ABOVE_ONE_CFG = REPO_ROOT / "tests" / "data" / "beta_above_one.cfg"
 
 
 def simulate_with(params, **changes):

@@ -13,11 +13,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from stigmagame import (
     ModelParams,
+    SweepRow,
+    WelfareReport,
     decomposition,
     evaluate_point,
     optimize,
@@ -30,14 +32,17 @@ from stigmagame import cli
 from stigmagame.coordination import high_risk_fraction
 from stigmagame.distributions import cdf, density, partial_expectation
 from stigmagame.montecarlo import Estimates, analytic_targets, simulate
-from stigmagame.signaling import continuation_values, policy_state
+from stigmagame.signaling import continuation_values, policy_state, rejection_cutoff
 from stigmagame.welfare import _pieces, assumption3_margin, tau_grid
 
 import exact_chain
 from conftest import (
+    BETA_ABOVE_ONE_CFG,
+    KINKED_CFG,
     PAPER_CFG,
     exact_r,
     partial_expectation_reference,
+    point_reference,
     ppf,
     ppf_reference,
     quadrature_r,
@@ -312,6 +317,36 @@ def test_chain_matches_the_exact_rational_chain(params, tau, convention):
     assert _near(dec.suppression_loss, suppression), (dec.suppression_loss, suppression)
     b_loss = e1["W_B"] - e0["W_B"]
     assert _near(dec.b_loss, b_loss), (dec.b_loss, b_loss)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(
+    params=valid_params(wide=True) | valid_params(wide_y=True),
+    convention=st.sampled_from(["corrected", "paper_literal"]),
+    taus=st.lists(st.floats(0.0, 1.0), max_size=8),
+)
+@example(cli.load_config(BETA_ABOVE_ONE_CFG).params, "corrected", [0.5])
+@example(cli.load_config(BETA_ABOVE_ONE_CFG).params, "paper_literal", [0.5])
+@example(cli.load_config(KINKED_CFG).params, "corrected", [0.94605])
+@example(cli.load_config(KINKED_CFG).params, "paper_literal", [0.94605])
+def test_point_is_bit_identical_to_the_link_by_link_chain(params, convention, taus):
+    """At 0, 1, every end of a smooth piece of W and the drawn taus, every
+    SweepRow and WelfareReport field equals conftest.point_reference's by
+    float.hex, and so does the decomposition's b_loss = -R * E[y; y < cutoff].
+    tau = 0 puts the cutoff at 0, so S = 0 and y* = +inf."""
+    for tau in [0.0, 1.0, *_pieces(params), *taus]:
+        row, report = point_reference(params, tau, convention)
+        assert tau > 0.0 or row.S == 0.0
+        for name, got, want in zip(
+            SweepRow._fields + WelfareReport._fields,
+            evaluate_point(params, tau, convention) + welfare(params, tau, convention),
+            row + report,
+        ):
+            assert got.hex() == want.hex(), (tau, name, got, want)
+        if tau > 0.0:
+            pe = partial_expectation_reference(params.dist_y, rejection_cutoff(params, tau))
+            want = -row.R * pe  # R does not depend on the convention
+            assert decomposition(params, tau).b_loss.hex() == want.hex(), tau
 
 
 @settings(PROPERTY, max_examples=100)

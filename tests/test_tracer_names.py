@@ -3,10 +3,12 @@
 perfbench/tracer.py looks each name up in its stigmagame module at install
 time, so a refactor that drops or renames one breaks `perfbench/run.py
 --trace 1`. These tests load the tracer by file path: one checks that every
-name it patches still resolves to a callable, the others that its kernel
-hooks still read the pair count, the output arrays and the inverse-CDF draws
-of a real simulation, also in a fresh interpreter where the kernel module is
-imported by name rather than by the package.
+name it patches still resolves to a callable, one that its chain counts
+read one period1_outcome per sweep point and one welfare call per optimize
+objective evaluation, the others that its kernel hooks still read the pair
+count, the output arrays and the inverse-CDF draws of a real simulation,
+also in a fresh interpreter where the kernel module is imported by name
+rather than by the package.
 """
 
 import importlib
@@ -20,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import stigmagame
-from stigmagame import simulate
+from stigmagame import optimize, simulate, sweep
 from stigmagame.cli import load_config
 from stigmagame.montecarlo import CHUNK
 
@@ -49,6 +51,27 @@ def test_every_traced_name_resolves():
         )
     ]
     assert missing == []
+
+
+def test_tracer_counts_one_chain_per_point_and_each_objective_call():
+    # welfare.chain_evals_per_point reads the traced period1_outcome calls
+    # that welfare makes, and welfare.optimize_objective_evals the traced
+    # calls of welfare.welfare; both must count what the chain really does
+    for info in pkgutil.iter_modules(stigmagame.__path__):
+        importlib.import_module(f"stigmagame.{info.name}")
+    params = load_config(PAPER_CFG).params
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        sweep(params, [i / 16 for i in range(17)])
+        after_sweep = dict(tracer.counts)
+        res = optimize(params)
+        after_optimize = dict(tracer.counts)
+    finally:
+        tracer.uninstall()
+    assert after_sweep["welfare.period1_outcome"] == 17
+    assert after_sweep.get("welfare.welfare", 0) == 0
+    assert after_optimize["welfare.welfare"] == len(res.trace)
 
 
 @pytest.mark.parametrize("config", [PAPER_CFG, PIECEWISE_CFG], ids=["paper", "piecewise"])

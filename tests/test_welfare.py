@@ -2,12 +2,14 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from stigmagame import (
     AssumptionViolation,
+    DistributionSpec,
     ModelParams,
     analytic_targets,
     check_assumptions,
@@ -27,7 +29,7 @@ from stigmagame.signaling import policy_state
 from stigmagame.welfare import _pieces, tau_grid
 
 import exact_chain
-from conftest import KINKED_CFG, PAPER_CFG, PIECEWISE_CFG, src_env
+from conftest import KINKED_CFG, PAPER_CFG, PIECEWISE_CFG, exact_r, src_env
 
 
 def expected_chain(tau: float) -> dict:
@@ -219,7 +221,7 @@ class TestSweep:
     def test_grid_validation(self, paper_params):
         with pytest.raises(ValueError, match="^grid must be sorted ascending$"):
             sweep(paper_params, [0.5, 0.25])
-        # a point outside [0, 1] is policy_state's to reject, as at every point
+        # a point outside [0, 1] is the chain's to reject, as at every point
         with pytest.raises(ValueError, match=r"^tau_hat must lie in \[0, 1\], got 1.5$"):
             sweep(paper_params, [0.0, 1.5])
 
@@ -244,7 +246,7 @@ class TestSweep:
         assert len(calls) == len(grid)
         calls.clear()
         # the figures add one chain prefix, at the configured tau_hat; the
-        # natural one is the sweep's first row
+        # sweep's points, the natural one among them, build none
         prefixes = []
         for short in ("welfare", "figures"):
             module = sys.modules[f"stigmagame.{short}"]
@@ -256,24 +258,39 @@ class TestSweep:
             monkeypatch.setattr(module, "policy_state", counting_prefix)
         figure_tables(paper_params, 0.5, len(grid))
         assert len(calls) == len(grid)
-        assert len(prefixes) == len(grid) + 1
+        assert prefixes == [0.5]
 
     def test_mean_of_y_is_computed_once(self, paper_params, monkeypatch):
-        # E[y] does not depend on tau: it is read from the spec's moment table,
-        # then two truncated moments per point (the testing bonus and B's payoff)
-        calls = []
-        for short in ("distributions", "signaling", "welfare"):
-            module = sys.modules[f"stigmagame.{short}"]
-
-            def counting(spec, t, original=module.partial_expectation):
-                calls.append(t)
-                return original(spec, t)
-
-            monkeypatch.setattr(module, "partial_expectation", counting)
+        # E[y] does not depend on tau: it is computed once per spec, then each
+        # point makes two lookups on the valuation knots, one at the cutoff (S
+        # and B's payoff) and one at y* (R_H and the testing bonus)
         params = paper_params._replace(dist_y=piecewise_linear_cdf([(0.0, 0.0), (2.0, 1.0)]))
+        lookups = []
+        for short in ("distributions", "signaling", "welfare", "coordination"):
+            module = sys.modules[f"stigmagame.{short}"]
+            for name in ("cdf", "cdf_and_moment", "partial_expectation"):
+                if hasattr(module, name):
+
+                    def counting(spec, t, original=getattr(module, name)):
+                        if spec is params.dist_y:
+                            lookups.append(t)
+                        return original(spec, t)
+
+                    monkeypatch.setattr(module, name, counting)
+        mean = DistributionSpec.__dict__["mean"]
+        means = []
+
+        def counting_mean(spec):
+            means.append(spec)
+            return mean.func(spec)
+
+        patched = cached_property(counting_mean)
+        patched.__set_name__(DistributionSpec, "mean")
+        monkeypatch.setattr(DistributionSpec, "mean", patched)
         grid = [i / 16 for i in range(17)]
         rows = sweep(params, grid)
-        assert len(calls) == 2 * len(grid)
+        assert len(lookups) == 2 * len(grid)
+        assert means == [params.dist_y]
         assert rows == sweep(paper_params, grid)
 
     @pytest.mark.parametrize(
@@ -393,6 +410,21 @@ class TestOptimize:
             jump = abs(slopes[2] - slopes[1])
             drift = max(abs(slopes[1] - slopes[0]), abs(slopes[3] - slopes[2]))
             assert jump > 0.01 and jump > 1000 * drift, (float(tau), float(jump), float(drift))
+
+    def test_beta_side_points_are_not_kinks(self):
+        # r = G(2*beta*) with G continuously differentiable, so no beta knot
+        # and no midpoint (x_j + x_k)/2, where G's quadratic changes, is a
+        # piece end: exact one-sided slopes of r at +-2**-30 jump there by no
+        # more than they drift one step further out, an O(h) change
+        spec = load_config(KINKED_CFG).params.dist_beta
+        h = Fraction(1, 2**30)
+        xs = [Fraction(x) for x in spec.knots_x]
+        for beta in sorted({(a + b) / 2 for a in xs for b in xs}):
+            r = [exact_r(spec, beta + j * h) for j in range(-2, 3)]
+            slopes = [(b - a) / h for a, b in zip(r, r[1:])]
+            jump = abs(slopes[2] - slopes[1])
+            drift = max(abs(slopes[1] - slopes[0]), abs(slopes[3] - slopes[2]))
+            assert jump <= drift, (float(beta), float(jump), float(drift))
 
     def test_many_knot_valuations_end_in_bounded_time(self):
         # every y knot makes up to two pieces; a fresh interpreter under a
