@@ -61,7 +61,7 @@ class InverseCdf(NamedTuple):
     B = len(lo) - 1 holds u in [j/B, (j+1)/B) (bucket B: u = 1.0), starts in
     segment lo[j] and steps once when u >= step[j]; slow (None if empty) flags
     buckets with more than one knot boundary, where that step may fall short.
-    One segment (every uniform) has no guide: lo, step and slow are None."""
+    One segment (every uniform) has no guide (lo, step, slow None): x0 + u dx."""
 
     ps: np.ndarray
     segments: np.ndarray
@@ -97,30 +97,28 @@ def ppf_from_knots(u, table: InverseCdf, out=None):
     searchsorted(ps, u, "right") - 1, 0, n - 2), then x0 + (u - p0) * (x1 -
     x0) / (p1 - p0), or x0 if the segment has no mass. That happens only at
     u = 1.0 = p0, where dx = -0.0 gives x0 + (-0.0) = x0 exactly, x0 = -0.0
-    included."""
+    included. One segment is x0 + u * dx: its p0 is +-0.0 and p1 - p0 is 1.0,
+    so for u >= +0.0 neither u - p0 nor the division changes a bit."""
     t, v = table, np.asarray(u, dtype=np.float64).reshape(-1)
+    x = np.empty_like(v) if out is None else out
     if t.lo is None:  # one segment (every uniform): no guide
-        def column(row):  # x0, p0, dx, safe
-            return t.segments[row, 0]
-    else:
-        (g,), (flag,) = _rows("ppf_f64", float, 1, v.size), _rows("ppf_bool", bool, 1, v.size)
-        j, k = _rows("ppf_intp", np.intp, 2, v.size)
-        np.copyto(j, np.multiply(v, len(t.lo) - 1, out=g), casting="unsafe")
-        # indices are in range; mode="raise" would stage out in a copy. The
-        # method, not np.take's Python wrapper: about 1 us less per call
-        t.lo.take(j, out=k, mode="clip")
-        np.add(k, np.less_equal(t.step.take(j, out=g, mode="clip"), v, out=flag), out=k)
-        if t.slow is not None:
-            s = np.flatnonzero(t.slow.take(j, out=flag, mode="clip"))
-            k[s] = np.searchsorted(t.ps, v[s], side="right") - 1
-
-        def column(row):
-            return t.segments[row].take(k, out=g, mode="clip")
-    x = np.subtract(v, column(1), out=np.empty_like(v) if out is None else out)
-    np.multiply(x, column(2), out=x)
-    np.divide(x, column(3), out=x)
-    np.add(column(0), x, out=x)
-    return x.reshape(np.shape(u))
+        x0, _, dx, _ = t.segments[:, 0]
+        return np.add(x0, np.multiply(v, dx, out=x), out=x).reshape(np.shape(u))
+    (g,), (flag,) = _rows("ppf_f64", float, 1, v.size), _rows("ppf_bool", bool, 1, v.size)
+    j, k = _rows("ppf_intp", np.intp, 2, v.size)
+    np.copyto(j, np.multiply(v, len(t.lo) - 1, out=g), casting="unsafe")
+    # indices are in range; mode="raise" would stage out in a copy. The
+    # method, not np.take's Python wrapper: about 1 us less per call
+    t.lo.take(j, out=k, mode="clip")
+    np.add(k, np.less_equal(t.step.take(j, out=g, mode="clip"), v, out=flag), out=k)
+    if t.slow is not None:
+        s = np.flatnonzero(t.slow.take(j, out=flag, mode="clip"))
+        k[s] = np.searchsorted(t.ps, v[s], side="right") - 1
+    # x0 + (u - p0) * dx / safe, each column gathered by segment into g
+    np.subtract(v, t.segments[1].take(k, out=g, mode="clip"), out=x)
+    np.multiply(x, t.segments[2].take(k, out=g, mode="clip"), out=x)
+    np.divide(x, t.segments[3].take(k, out=g, mode="clip"), out=x)
+    return np.add(t.segments[0].take(k, out=g, mode="clip"), x, out=x).reshape(np.shape(u))
 
 
 def _unit_array(z: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -186,11 +184,10 @@ def simulate_pairs(
 
     np.less(b1, beta_star, out=hot1)
     np.less(b2, beta_star, out=hot2)
-    # unsafe: both hot, or b1 + b2 < 2 beta*. The sum test is the mixed pairs'
-    # rule, and it holds for no cold pair: two values >= beta* add, rounded,
-    # to >= 2 beta*, which is exact
+    # unsafe iff b1 + b2 < 2 beta*, the mixed pairs' rule: cold pairs add, rounded,
+    # to >= 2 beta* (exact or inf), and hot pairs, each draw <= prev(beta*) and,
+    # like every knot, far below 2**1023, to a finite sum <= 2 prev(beta*) < 2 beta*
     np.less(np.add(b1, b2, out=tmp), 2.0 * beta_star, out=unsafe)
-    np.logical_or(unsafe, np.logical_and(hot1, hot2, out=e), out=unsafe)
 
     # the net gain from testing theta v - c, and ua = pay1 + t net - theta c_h
     # + m y_a less its last term, as tables by 2 unsafe + t (the gain does not

@@ -45,6 +45,11 @@ _NON_NEGATIVE = ("v", "c", "c_h", "z", "u", "M")
 MAX_BETA_KNOTS = 512  # the table behind r holds about knots**2 / 2 breakpoints
 
 
+def _check_tau(tau_hat: float) -> None:
+    if not 0.0 <= tau_hat <= 1.0:
+        raise ValueError(f"tau_hat must lie in [0, 1], got {tau_hat!r}")
+
+
 @_checked
 class ModelParams(NamedTuple):
     """Exogenous scalars plus the two population distributions.
@@ -84,8 +89,7 @@ class ModelParams(NamedTuple):
         for name, val in zip(_NON_NEGATIVE, (self.v, self.c, self.c_h, self.z, self.u, self.M)):
             if not 0.0 <= val < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {val!r}")
-        if not 0.0 <= self.tau_hat <= 1.0:
-            raise ValueError(f"tau_hat must lie in [0, 1], got {self.tau_hat!r}")
+        _check_tau(self.tau_hat)
         if self.tau_true != 0.0:
             raise ValueError(
                 f"tau_true must be 0 (the analysis assumes no actual transmission "
@@ -178,8 +182,7 @@ class PolicyState(NamedTuple):
 
 def policy_state(params: ModelParams, tau_hat: float) -> PolicyState:
     """Stigma and continuation values at the policy value tau_hat in [0, 1]."""
-    if not 0.0 <= tau_hat <= 1.0:
-        raise ValueError(f"tau_hat must lie in [0, 1], got {tau_hat!r}")
+    _check_tau(tau_hat)
     s = stigma_level(params, tau_hat)
     return PolicyState(params, tau_hat, s, *continuation_values(params, s))
 

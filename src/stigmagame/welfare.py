@@ -34,6 +34,7 @@ from .coordination import period1_outcome
 from .signaling import (
     AssumptionViolation,
     ModelParams,
+    _check_tau,
     _testing_side,
     policy_state,
     rejection_cutoff,
@@ -282,8 +283,7 @@ def _point(
     welfare_B_accepters) and the discriminators' moment E[y; y <= cutoff].
     The caller has checked the preconditions.
     """
-    if not 0.0 <= tau_hat <= 1.0:
-        raise ValueError(f"tau_hat must lie in [0, 1], got {tau_hat!r}")
+    _check_tau(tau_hat)
     s, pe = cdf_and_moment(p.dist_y, rejection_cutoff(p, tau_hat))
     r_h, ev_l, ev_h, gap = _testing_side(p, s)
     p1 = period1_outcome(p, gap)

@@ -278,6 +278,26 @@ class TestWorkspace:
         per_pair = decoded(np.array(codes, np.uint8))
         assert list(zip(*(a.tolist() for a in per_pair))) == fields
 
+    @pytest.mark.parametrize(
+        "config, limit",
+        [(PAPER_CFG, 1_343_488), (PIECEWISE_CFG, 1_753_088)],
+        ids=["paper", "piecewise"],
+    )
+    def test_workspace_bytes_per_chunk(self, config, limit):
+        # the arrays one CHUNK-pair simulate leaves in a new thread's workspace:
+        # 82 B per pair, and 25 B more (the guide table's scratch) once a
+        # distribution has more than one segment. The 4 MiB traced peak of
+        # TestStreaming would still pass with about 1 MB more of workspace
+        params = load_config(config).params
+
+        def run():
+            simulate(params, 0.5, CHUNK, 1)
+            return sum(a.nbytes for a in vars(_kernels._local).values())
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            held = pool.submit(run).result(timeout=60)
+        assert held <= limit, (config.name, held)
+
     def test_concurrent_threads_match_serial(self):
         # more threads than cores, switching often; results as when run one
         # at a time, so no two threads write the same buffers

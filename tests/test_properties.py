@@ -137,19 +137,28 @@ def sampling_specs(draw):
     return piecewise_linear_cdf(list(zip(xs.tolist(), ps.tolist())))
 
 
+# two-knot specs take ppf_from_knots' one-segment branch, x0 + u * dx, which
+# sampling_specs draws in about 1 example of 80
 @settings(PROPERTY, max_examples=150)
+@example(spec=uniform(0.0, 1.0), seed=1)
+@example(spec=uniform(0.0, 2.0), seed=2)
+@example(spec=piecewise_linear_cdf([(-0.0, 0.0), (1.5, 1.0)]), seed=3)
+@example(spec=piecewise_linear_cdf([(0.25, -0.0), (1.5, 1.0)]), seed=4)
+@example(spec=uniform(1e6, 1e6 + 3.5), seed=5)
+@example(spec=uniform(0.0, 1e-150), seed=6)
+@example(spec=uniform(-0.0, 1e150), seed=7)
 @given(spec=sampling_specs(), seed=st.integers(0, 2**64 - 1))
 def test_inverse_cdf_is_bit_identical_to_search(spec, seed):
     """The kernel's inverse CDF equals the search formula bit for bit at 0,
     at every knot p and its neighbouring floats, at every guide-table bucket
-    edge j/B and the float below it, at 1 - 2**-53 and 1.0, and at 10**4
-    counter draws."""
+    edge j/B and the float below it, at 2**-53, 1 - 2**-53 and 1.0, and at
+    10**4 counter draws."""
     ps = np.asarray(spec.knots_p)
     buckets = 1 << (4 * (len(ps) - 1) - 1).bit_length()
     edges = np.arange(buckets + 1) / buckets
     counters = np.arange(10_000, dtype=np.uint64)
     u = np.concatenate([
-        [0.0, 1.0 - 2.0**-53, 1.0],
+        [0.0, 2.0**-53, 1.0 - 2.0**-53, 1.0],
         ps,
         np.nextafter(ps, -1.0),
         np.nextafter(ps, 2.0),
@@ -162,6 +171,31 @@ def test_inverse_cdf_is_bit_identical_to_search(spec, seed):
     want = ppf_reference(spec, u).view(np.uint64)
     bad = np.flatnonzero(got != want)
     assert bad.size == 0, (u[bad[:5]].tolist(), got[bad[:5]], want[bad[:5]])
+
+
+@PROPERTY
+@example(beta_star=5e-324, a=1.0, b=1.0)
+@example(beta_star=3e-310, a=2e-310, b=1.0)
+@example(beta_star=1e150, a=1e300, b=1e150)
+@example(beta_star=2.0**1023, a=2.0**1023, b=1e308)
+@example(beta_star=1.7976931348623157e308, a=1e308, b=1e308)
+@example(beta_star=math.inf, a=1e308, b=1e308)
+@given(
+    beta_star=st.floats(5e-324, math.inf) | st.floats(1e150, math.inf),
+    a=st.floats(0.0, 1.7976931348623157e308),
+    b=st.floats(0.0, 1.7976931348623157e308),
+)
+def test_pair_sum_sorts_both_hot_and_both_cold_pairs(beta_star, a, b):
+    """The kernel calls a pair unsafe iff b1 + b2 < 2 beta*, with no separate
+    both-hot term: two draws below beta*, each at most prev(beta*) and below
+    2**1023 as every knot is, add, rounded, to less than 2 beta* (exact, or
+    inf from beta* = 2**1023 up); two draws at or above it add to at least
+    2 beta*. Subnormal beta*, beta* >= 1e150 and 2 beta* = inf included."""
+    top = min(math.nextafter(beta_star, 0.0), math.nextafter(2.0**1023, 0.0))
+    hot_a, hot_b = min(a, top), min(b, top)
+    assert hot_a < beta_star and hot_b < beta_star
+    assert hot_a + hot_b < 2.0 * beta_star
+    assert max(a, beta_star) + max(b, beta_star) >= 2.0 * beta_star
 
 
 @settings(PROPERTY, max_examples=60)
