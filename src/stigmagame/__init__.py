@@ -16,7 +16,6 @@ from .signaling import (
     continuation_values,
     pointwise_continuation,
     stigma_level,
-    testing_rates,
     testing_threshold,
 )
 from .coordination import (

@@ -25,7 +25,8 @@ import numpy as np
 
 from .coordination import hot_threshold
 from .distributions import DistributionSpec
-from .signaling import PolicyState, rejection_cutoff
+from .signaling import ModelParams, rejection_cutoff
+from .welfare import SweepRow
 
 __all__ = ["InverseCdf", "active_backend", "knot_arrays", "ppf_from_knots", "simulate_pairs"]
 
@@ -147,25 +148,26 @@ def simulate_pairs(
     seed: int,
     first_pair: int,
     n_pairs: int,
-    state: PolicyState,
+    params: ModelParams,
+    row: SweepRow,
     literal_b: bool,
     beta_cdf: InverseCdf,
     y_cdf: InverseCdf,
 ):
     """Per-pair arrays for pairs first_pair .. first_pair + n_pairs - 1.
 
-    state supplies the policy value tau_hat, the stigma level S, the gap
-    (and so the hot threshold beta*) and the parameters, beta_cdf and y_cdf
-    the knot_arrays tables of its two distributions. literal_b selects the
-    paper_literal welfare of B.
+    row, the welfare.SweepRow of params at the policy value, supplies
+    tau_hat, the stigma level S and the gap (and so the hot threshold
+    beta*); beta_cdf and y_cdf are the knot_arrays tables of params' two
+    distributions. literal_b selects the paper_literal welfare of B.
     Returns (w, code), both new: pair welfare as float64, and as uint8 the
     pair's outcome code unsafe + 2 nhot + 6 ntest + 18 ndisc (0-53), where
     unsafe is 1 for a pair that plays unsafe and nhot, ntest and ndisc count
     its hot players, testing A players and discriminating B players (0-2).
     """
-    p, stigma, n = state.params, state.S, n_pairs
-    beta_star = hot_threshold(p.u, state.gap)
-    cutoff = rejection_cutoff(p, state.tau_hat)
+    p, stigma, n = params, row.S, n_pairs
+    beta_star = hot_threshold(p.u, row.gap)
+    cutoff = rejection_cutoff(p, row.tau_hat)
     golden = getattr(_local, "golden", None)  # 6 i GOLDEN for i < n, kept across calls
     if golden is None or len(golden) < n:
         golden = _local.golden = np.arange(n, dtype=np.uint64) * np.uint64(6 * _GOLDEN % 2**64)
@@ -196,17 +198,18 @@ def simulate_pairs(
     gain = [theta[i // 2] * p.v - p.c for i in range(4)]
     base = [pay1[i // 2] + (i % 2) * gain[i] - theta[i // 2] * p.c_h for i in range(4)]
     gain, base = np.array(gain), np.array(base)
-    row, index = b1.view(np.intp), b2.view(np.intp)  # in the beta draws' rows, no longer needed
-    np.copyto(row, unsafe)
-    np.add(row, row, out=row)
-    gain.take(row, out=net, mode="clip")  # in range; "raise" would stage out in a copy
+    # 2 unsafe, and index 2 unsafe + t, in the beta draws' rows, no longer needed
+    twice, index = b1.view(np.intp), b2.view(np.intp)
+    np.copyto(twice, unsafe)
+    np.add(twice, twice, out=twice)
+    gain.take(twice, out=net, mode="clip")  # in range; "raise" would stage out in a copy
     w, ua2 = np.empty(n), ya1  # w holds ua1 until ua2 is added; ya1 is done by then
     for t, m, d, ya, yb, ua in ((t1, m1, d1, ya1, yb1, w), (t2, m2, d2, ya2, yb2, ua2)):
         # t: tests, net - S y_a > 0; d: y_b below the cutoff; m: not (d and t)
         np.greater(np.subtract(net, np.multiply(stigma, ya, out=tmp), out=tmp), 0.0, out=t)
         np.less(yb, cutoff, out=d)
         np.logical_not(np.logical_and(d, t, out=m), out=m)
-        base.take(np.add(row, t, out=index), out=ua, mode="clip")
+        base.take(np.add(twice, t, out=index), out=ua, mode="clip")
         np.add(ua, np.multiply(_floats(m, tmp), ya, out=tmp), out=ua)
 
     # w = 0.5 (ua1 + ua2 + ub1 + ub2); ub = m y_b, or (t if d else 1) y_b literally

@@ -11,10 +11,10 @@ import math
 from typing import NamedTuple
 
 from .coordination import hot_threshold
-from .signaling import ModelParams, pointwise_continuation, policy_state
+from .signaling import ModelParams, pointwise_continuation
 # unused here; perfbench/tracer.py patches these names, so they must still resolve
 from .signaling import continuation_values, stigma_level  # noqa: F401
-from .welfare import SweepRow, _require_preconditions, _sweep_points, tau_grid
+from .welfare import SweepRow, _point, _require_preconditions, _sweep_points, tau_grid
 from .welfare import sweep  # noqa: F401  perfbench/tracer.py spans figures.sweep
 
 __all__ = ["FigureTable", "figure_tables", "line_chart_svg"]
@@ -51,7 +51,7 @@ def figure_tables(
     _require_preconditions(params, convention)
     y_lo, y_hi = params.dist_y.support_lo, params.dist_y.support_hi
     ys = _linspace(y_lo, y_hi, _CURVE_POINTS)
-    now = policy_state(params, tau_hat)
+    now = _point(params, tau_hat, convention)[0]
 
     fig1 = FigureTable(
         name="fig1",

@@ -2,10 +2,10 @@
 
 Finite populations are pushed through both periods using only the
 pair-level decision rules: draw present bias for 2*n_pairs players, settle
-each pair's coordination (the hot threshold beta* of the chain's policy
-state is the single analytic input), assign risk types, then draw
-valuations and play out testing and interaction. Per-capita experience
-utility (bias weight 1) estimates W.
+each pair's coordination (the hot threshold beta*, from the gap of the
+chain's SweepRow at tau_hat, is the single analytic input), assign risk
+types, then draw valuations and play out testing and interaction.
+Per-capita experience utility (bias weight 1) estimates W.
 
 Payoffs are expected values in the risk type; actual infection status never
 enters the utility calculus, so sampling it would only add variance.
@@ -24,11 +24,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .signaling import ModelParams, policy_state
+from .signaling import ModelParams
 # unused here; perfbench/tracer.py patches these names, so they must still resolve
 from .coordination import period1_outcome  # noqa: F401
 from .signaling import continuation_values, stigma_level  # noqa: F401
-from .welfare import _require_preconditions, evaluate_point
+from .welfare import evaluate_point
 
 __all__ = [
     "SimResult",
@@ -93,8 +93,7 @@ def simulate(
         raise ValueError(f"n_pairs must be an int >= 1, got {n_pairs!r}")
     if type(seed) is not int or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
-    _require_preconditions(params, convention)
-    state = policy_state(params, tau_hat)
+    row = evaluate_point(params, tau_hat, convention)
     n, p = n_pairs, params
     bound = p.M + p.u + p.v + p.c + p.c_h + 2.0 * p.dist_y.support_hi  # of every pair's |w|
     if not 4.0 * bound * bound * n < math.inf:  # so the sums and squares below stay finite
@@ -113,7 +112,7 @@ def simulate(
     w_m2 = 0.0
     for first in range(0, n, CHUNK):
         m = min(CHUNK, n - first)
-        w, code = _kernels.simulate_pairs(seed, first, m, state, literal_b, *cdfs)
+        w, code = _kernels.simulate_pairs(seed, first, m, params, row, literal_b, *cdfs)
         # Chan, Golub & LeVeque (1979): add the chunk's centred sum of squares
         # (in place on w, a new array) plus the shift between the two means
         w_sum = float(np.sum(w))

@@ -22,13 +22,10 @@ from .distributions import partial_expectation  # noqa: F401
 __all__ = [
     "AssumptionViolation",
     "ModelParams",
-    "PolicyState",
     "rejection_cutoff",
     "stigma_level",
     "testing_threshold",
-    "testing_rates",
     "continuation_values",
-    "policy_state",
     "pointwise_continuation",
 ]
 
@@ -133,17 +130,6 @@ def testing_threshold(params: ModelParams, S: float) -> float:
     return (params.theta_H * params.v - params.c) / S
 
 
-def testing_rates(params: ModelParams, S: float, r: float) -> tuple[float, float]:
-    """(R_H, R): testing rate among high-risk players and in population A.
-
-    At S = 0 the threshold is +inf rather than a division by zero, and the
-    CDF saturates there (R_H = 1, R = r) as it does at every threshold
-    beyond the valuation support.
-    """
-    r_h = cdf(params.dist_y, testing_threshold(params, S))
-    return r_h, r * r_h
-
-
 def continuation_values(params: ModelParams, S: float) -> tuple[float, float, float]:
     """(EV_L, EV_H, gap): expected period-2 payoffs by risk type.
 
@@ -167,24 +153,6 @@ def _testing_side(params: ModelParams, S: float) -> tuple[float, float, float, f
     # net*G <= net (G <= 1) and S*E[y; y <= y*] >= 0 (y >= 0), so in floats
     # bonus <= net and gap >= assumption3_margin, with equality at S = 0
     return r_h, ev_l, ev_h, params.c_h * (params.theta_H - params.theta_L) - bonus
-
-
-class PolicyState(NamedTuple):
-    """The chain's prefix tau_hat -> S -> (EV_L, EV_H, gap) at one policy value."""
-
-    params: ModelParams
-    tau_hat: float
-    S: float
-    EV_L: float
-    EV_H: float
-    gap: float
-
-
-def policy_state(params: ModelParams, tau_hat: float) -> PolicyState:
-    """Stigma and continuation values at the policy value tau_hat in [0, 1]."""
-    _check_tau(tau_hat)
-    s = stigma_level(params, tau_hat)
-    return PolicyState(params, tau_hat, s, *continuation_values(params, s))
 
 
 def pointwise_continuation(params: ModelParams, S: float, y_a: float, risk: str) -> float:

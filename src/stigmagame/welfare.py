@@ -36,12 +36,12 @@ from .signaling import (
     ModelParams,
     _check_tau,
     _testing_side,
-    policy_state,
     rejection_cutoff,
+    stigma_level,
 )
 from .distributions import cdf, cdf_and_moment
 # unused here; perfbench/tracer.py patches these names, so they must still resolve
-from .signaling import continuation_values, stigma_level  # noqa: F401
+from .signaling import continuation_values  # noqa: F401
 from .distributions import partial_expectation  # noqa: F401
 
 __all__ = [
@@ -193,7 +193,8 @@ def check_assumptions(params: ModelParams, tau_hat: float) -> AssumptionReport:
         params.theta_H * params.v - params.c,
     )
     a3_margin = assumption3_margin(params)
-    gap = policy_state(params, tau_hat).gap
+    _check_tau(tau_hat)
+    gap = _testing_side(params, stigma_level(params, tau_hat))[3]
     r = 1.0 if gap <= 0.0 else period1_outcome(params, gap).r
     h_bar = r * params.theta_H + (1.0 - r) * params.theta_L
     a2_mass = cdf(params.dist_y, tau_hat * h_bar * params.z)

@@ -15,7 +15,6 @@ from stigmagame.distributions import cdf, density, integrate
 from stigmagame.signaling import (
     rejection_cutoff,
     stigma_level,
-    testing_rates,
     testing_threshold,
 )
 from stigmagame.welfare import SweepRow, WelfareReport
@@ -91,15 +90,15 @@ def unit_reference(seed: int, counters: np.ndarray) -> np.ndarray:
     return (z >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
-def simulate_pairs_reference(seed, first_pair, n_pairs, state, literal_b):
+def simulate_pairs_reference(seed, first_pair, n_pairs, params, row, literal_b):
     """The pair kernel in expression form, every intermediate a new array,
     drawing through ppf_reference: the oracle that _kernels.simulate_pairs
     (same arguments, plus the two knot_arrays tables) must equal byte for
-    byte in both outputs, w and the outcome code. Like the kernel, it takes
-    the hot threshold beta* from the state's gap."""
-    p, stigma = state.params, state.S
-    beta_star = hot_threshold(p.u, state.gap)
-    cutoff = rejection_cutoff(p, state.tau_hat)
+    byte in both outputs, w and the outcome code. Like the kernel, it reads
+    S, tau_hat and the gap (so the hot threshold beta*) from the SweepRow."""
+    p, stigma = params, row.S
+    beta_star = hot_threshold(p.u, row.gap)
+    cutoff = rejection_cutoff(p, row.tau_hat)
     base = (np.arange(n_pairs, dtype=np.uint64) + np.uint64(first_pair)) * np.uint64(6)
     b1, b2, ya1, ya2, yb1, yb2 = (
         ppf_reference(p.dist_beta if k < 2 else p.dist_y, unit_reference(seed, base + np.uint64(k)))
@@ -301,20 +300,22 @@ def point_reference(params: ModelParams, tau_hat: float, convention: str):
     """(SweepRow, WelfareReport) at tau_hat composed link by link, with a
     separate CDF read and truncated-moment read at each threshold:
     stigma_level, continuation_values' arithmetic with the segment-loop
-    moment, period1_outcome, testing_rates, then the moment at the cutoff.
+    moment (its CDF read at y* is R_H), period1_outcome, then the moment at
+    the cutoff.
     welfare._point, which reads both values from one knot lookup per
     threshold, must equal it bit for bit."""
     p, y = params, params.dist_y
     s = stigma_level(p, tau_hat)
     net = p.theta_H * p.v - p.c
     y_star = testing_threshold(p, s)
-    bonus = net * cdf(y, y_star)
+    r_h = cdf(y, y_star)
+    bonus = net * r_h
     bonus -= s * partial_expectation_reference(y, y_star)
     ev_l = y.mean - p.theta_L * p.c_h
     ev_h = y.mean - p.theta_H * p.c_h + bonus
     gap = p.c_h * (p.theta_H - p.theta_L) - bonus
     p1 = period1_outcome(p, gap)
-    r_h, r_pop = testing_rates(p, s, p1.r)
+    r_pop = p1.r * r_h
     w_high = p1.r * (p.M + ev_h)
     w_low = (1.0 - p1.r) * (p.M - p.u + ev_l)
     pe = partial_expectation_reference(y, rejection_cutoff(p, tau_hat))

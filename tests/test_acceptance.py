@@ -8,15 +8,12 @@ import numpy as np
 from stigmagame import (
     analytic_targets,
     check_assumptions,
-    continuation_values,
+    evaluate_point,
     high_risk_fraction,
     optimize,
-    period1_outcome,
     present_bias_loss,
     simulate,
-    stigma_level,
     sweep,
-    testing_rates,
     uniform,
     welfare,
 )
@@ -68,10 +65,8 @@ def test_criterion_2_monotonicity_suite():
         p = random_valid_params(rng)
         prev_s, prev_rh, prev_gap, prev_r = -1.0, 2.0, -1.0, 2.0
         for tau in taus:
-            s = stigma_level(p, tau)
-            _, _, gap = continuation_values(p, s)
-            r = period1_outcome(p, gap).r
-            r_h, _ = testing_rates(p, s, r)
+            row = evaluate_point(p, tau)
+            s, gap, r, r_h = row.S, row.gap, row.r, row.R_H
             if s < prev_s - 1e-10 or r_h > prev_rh + 1e-10:
                 violations += 1
             if gap < prev_gap - 1e-10 or r > prev_r + 1e-10:
@@ -156,8 +151,8 @@ def test_criterion_5_welfare_curve_shape():
 def test_criterion_6_limits_and_kinks():
     t0 = time.perf_counter()
     params = paper_config_params()
-    r_h0, r0 = testing_rates(params, 0.0, 8.0 / 49.0)
-    zero_ok = r_h0 == 1.0 and r0 == 8.0 / 49.0
+    row0 = evaluate_point(params, 0.0)
+    zero_ok = row0.R_H == 1.0 and row0.R == row0.r
     rows = sweep(params, [i / 1000 for i in range(126)])  # tau_hat up to 0.125
     kink_ok = all(row.R_H == 1.0 for row in rows)
     above = sweep(params, [0.126, 0.2])

@@ -19,7 +19,7 @@ from stigmagame import (
 from stigmagame import _kernels
 from stigmagame.cli import load_config
 from stigmagame.montecarlo import CHUNK, CODES, PairCounts
-from stigmagame.signaling import policy_state, rejection_cutoff
+from stigmagame.signaling import rejection_cutoff
 
 from conftest import (
     BETA_ABOVE_ONE_CFG,
@@ -37,8 +37,7 @@ def simulate_with(params, **changes):
     return simulate(params, **{"tau_hat": 0.5, "n_pairs": 10, "seed": 1, **changes})
 
 
-# the two checks simulate runs itself; tau_hat and the convention are checked
-# by policy_state and _require_preconditions, as for evaluate_point
+# the two checks simulate runs itself; evaluate_point checks tau_hat and the convention
 INT_MESSAGES = {
     "n_pairs": "n_pairs must be an int >= 1",
     "seed": "seed must be an int in [0, 2**64)",
@@ -238,9 +237,8 @@ class TestWorkspace:
         # largest call first, so a stale workspace row would show in the
         # smaller ones; all results are held until the end, so one that a
         # later call overwrote would show too
-        state = policy_state(load_config(config).params, tau)
-        p = state.params
-        model = (state, convention == "paper_literal")
+        p = load_config(config).params
+        model = (p, evaluate_point(p, tau), convention == "paper_literal")
         tables = [_kernels.knot_arrays(d) for d in (p.dist_beta, p.dist_y)]
         ranges = [(0, 3 * CHUNK + 5), (7, CHUNK), (12345, 1000), (0, 1)]
         got = [_kernels.simulate_pairs(97, first, n, *model, *tables) for first, n in ranges]
@@ -257,9 +255,8 @@ class TestWorkspace:
         # and counters near 6 * 2**61 every key wraps, and the outputs must
         # still be those of unit_reference's uint64 arithmetic
         seed = 2**64 - 1
-        state = policy_state(load_config(PIECEWISE_CFG).params, 0.5)
-        p = state.params
-        model = (state, False)
+        p = load_config(PIECEWISE_CFG).params
+        model = (p, evaluate_point(p, 0.5), False)
         tables = [_kernels.knot_arrays(d) for d in (p.dist_beta, p.dist_y)]
         got = _kernels.simulate_pairs(seed, first, 1000, *model, *tables)
         want = simulate_pairs_reference(seed, first, 1000, *model)
@@ -389,8 +386,7 @@ class TestAgainstAnalyticChain:
         for s in (0.0, 0.5, 1.0):
             for y in (-0.0, 0.0, 1e-300, 1.0, p.dist_y.support_hi):
                 assert best_response_test(p.theta_L, y, s, p) == 0, (s, y)
-        state = policy_state(p, 0.6)
-        model = (state, False)
+        model = (p, evaluate_point(p, 0.6), False)
         tables = [_kernels.knot_arrays(d) for d in (p.dist_beta, p.dist_y)]
         for seed in (1, 7, 42):
             _, code = _kernels.simulate_pairs(seed, 0, 50_000, *model, *tables)

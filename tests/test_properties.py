@@ -32,7 +32,7 @@ from stigmagame import cli
 from stigmagame.coordination import high_risk_fraction
 from stigmagame.distributions import cdf, density, partial_expectation
 from stigmagame.montecarlo import Estimates, analytic_targets, simulate
-from stigmagame.signaling import continuation_values, policy_state, rejection_cutoff
+from stigmagame.signaling import continuation_values, rejection_cutoff
 from stigmagame.welfare import _pieces, assumption3_margin, tau_grid
 
 import exact_chain
@@ -288,7 +288,7 @@ def test_chain_is_monotone_in_tau(params, taus):
 def test_gap_never_falls_below_the_assumption3_margin(params, taus):
     margin = assumption3_margin(params)
     assert continuation_values(params, 0.0)[2] == margin
-    assert all(policy_state(params, t).gap >= margin for t in [0.0, 1.0] + taus)
+    assert all(evaluate_point(params, t).gap >= margin for t in [0.0, 1.0] + taus)
     rows = sweep(params, tau_grid(5))
     assert all(math.isfinite(x) for row in rows for x in row)
 

@@ -160,7 +160,7 @@ def test_records_are_read_only(checked):
         "Period1Outcome", "AssumptionReport", "WelfareReport", "PolicyDecomposition",
         "PresentBiasLoss", "OptimizeResult", "FigureTable", "PairCounts", "SimResult",
         "RunConfig", "DistributionSpec", "ModelParams", "SweepRow",
-        "PolicyState", "Estimates", "InverseCdf",
+        "Estimates", "InverseCdf",
     } <= set(records)
     instances = {type(obj): obj for obj in checked.values()}
     for name, cls in records.items():

@@ -8,13 +8,12 @@ from stigmagame import (
     ModelParams,
     check_assumptions,
     continuation_values,
+    evaluate_point,
     pointwise_continuation,
     stigma_level,
-    testing_rates,
     testing_threshold,
     uniform,
 )
-from stigmagame.coordination import period1_outcome
 
 from conftest import best_response_interact, best_response_test, random_valid_params
 
@@ -83,26 +82,28 @@ class TestTestingThreshold:
 
 
 class TestTestingRates:
+    # R_H = G_y(y*) and R = r*R_H, as the chain's row holds them
     def test_paper_point(self, paper_params):
-        r_h, r_pop = testing_rates(paper_params, 0.5, R_AT_HALF)
-        assert r_h == pytest.approx(0.25, abs=1e-15)
-        assert r_pop == pytest.approx(0.25 * R_AT_HALF, abs=1e-15)
+        row = evaluate_point(paper_params, 0.5)  # S = tau_hat on this set
+        assert row.R_H == pytest.approx(0.25, abs=1e-15)
+        assert row.R == pytest.approx(0.25 * R_AT_HALF, abs=1e-15)
 
     def test_zero_stigma_limit(self, paper_params):
-        assert testing_rates(paper_params, 0.0, 0.1) == (1.0, 0.1)
+        row = evaluate_point(paper_params, 0.0)
+        assert (row.S, row.R_H, row.R) == (0.0, 1.0, row.r)
 
     def test_threshold_beyond_support(self, paper_params):
         # y* = 0.25/S reaches the support top 2 exactly at S = 0.125
-        r_h, r_pop = testing_rates(paper_params, 0.125, 0.1)
-        assert r_h == 1.0
-        assert r_pop == 0.1
+        row = evaluate_point(paper_params, 0.125)
+        assert row.S == 0.125
+        assert row.R_H == 1.0
+        assert row.R == row.r
 
     def test_population_rate_factorizes(self, paper_params):
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            s, r = rng.uniform(0.0, 1.0, size=2)
-            r_h, r_pop = testing_rates(paper_params, float(s), float(r))
-            assert r_pop == r * r_h
+        for tau in rng.uniform(0.0, 1.0, size=20):
+            row = evaluate_point(paper_params, float(tau))
+            assert row.R == row.r * row.R_H
 
 
 class TestBestResponses:
@@ -236,13 +237,10 @@ class TestSuppression:
             taus = np.sort(rng.uniform(0.0, 1.0, size=8))
             s_prev, rh_prev = -1.0, 2.0
             for t in taus:
-                s = stigma_level(p, float(t))
-                _, _, gap = continuation_values(p, s)
-                r = period1_outcome(p, gap).r
-                r_h, _ = testing_rates(p, s, r)
-                assert s >= s_prev - 1e-10
-                assert r_h <= rh_prev + 1e-10
-                s_prev, rh_prev = s, r_h
+                row = evaluate_point(p, float(t))
+                assert row.S >= s_prev - 1e-10
+                assert row.R_H <= rh_prev + 1e-10
+                s_prev, rh_prev = row.S, row.R_H
 
 
 class TestAssumptionReport:

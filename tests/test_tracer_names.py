@@ -3,7 +3,9 @@
 perfbench/tracer.py looks each name up in its stigmagame module at install
 time, so a refactor that drops or renames one breaks `perfbench/run.py
 --trace 1`. These tests load the tracer by file path: one checks that every
-name it patches still resolves to a callable, one that its chain counts
+name it patches still resolves to a callable, one that every name a module
+imports only for the tracer (a `# noqa: F401` import) is one it patches
+there, so no such import outlives its use, one that its chain counts
 read one period1_outcome per sweep point and one welfare call per optimize
 objective evaluation, the others that its kernel hooks still read the pair
 count, the output arrays and the inverse-CDF draws of a real simulation,
@@ -11,6 +13,7 @@ also in a fresh interpreter where the kernel module is imported by name
 rather than by the package.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -51,6 +54,23 @@ def test_every_traced_name_resolves():
         )
     ]
     assert missing == []
+
+
+def test_every_unused_import_is_a_traced_name():
+    tracer = _load_tracer()
+    patched = {(short, attr) for short, attr, _ in tracer.SPANS + tracer.COUNTS}
+    patched |= {(short, "period1_outcome") for short in tracer.PERIOD1_CALLERS}
+    unused = []
+    for path in sorted(Path(stigmagame.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and any(
+                "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]
+            ):
+                unused += [(path.stem, alias.asname or alias.name) for alias in node.names]
+    assert unused
+    assert [name for name in unused if name not in patched] == []
 
 
 def test_tracer_counts_one_chain_per_point_and_each_objective_call():

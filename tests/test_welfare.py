@@ -25,7 +25,6 @@ from stigmagame import (
 )
 from stigmagame.cli import load_config
 from stigmagame.figures import figure_tables
-from stigmagame.signaling import policy_state
 from stigmagame.welfare import _pieces, tau_grid
 
 import exact_chain
@@ -245,20 +244,13 @@ class TestSweep:
         sweep(paper_params, grid)
         assert len(calls) == len(grid)
         calls.clear()
-        # the figures add one chain prefix, at the configured tau_hat; the
-        # sweep's points, the natural one among them, build none
-        prefixes = []
-        for short in ("welfare", "figures"):
-            module = sys.modules[f"stigmagame.{short}"]
-
-            def counting_prefix(p, tau_hat, original=module.policy_state):
-                prefixes.append(tau_hat)
-                return original(p, tau_hat)
-
-            monkeypatch.setattr(module, "policy_state", counting_prefix)
+        # the figures add one point, at the configured tau_hat, and the
+        # simulation reads its one row
         figure_tables(paper_params, 0.5, len(grid))
-        assert len(calls) == len(grid)
-        assert prefixes == [0.5]
+        assert len(calls) == len(grid) + 1
+        calls.clear()
+        simulate(paper_params, 0.5, 10, 1)
+        assert len(calls) == 1
 
     def test_mean_of_y_is_computed_once(self, paper_params, monkeypatch):
         # E[y] does not depend on tau: it is computed once per spec, then each
@@ -357,7 +349,13 @@ class TestPolicyValue:
 
     @pytest.mark.parametrize("tau", [-0.1, 1.5, math.nan])
     def test_tau_outside_unit_interval_rejected(self, paper_params, tau):
-        for evaluate in (evaluate_point, welfare, policy_state):
+        for evaluate in (
+            evaluate_point,
+            welfare,
+            check_assumptions,
+            lambda p, tau: figure_tables(p, tau, 3),
+            lambda p, tau: simulate(p, tau, 1, 1),
+        ):
             with pytest.raises(ValueError, match=r"tau_hat must lie in \[0, 1\]"):
                 evaluate(paper_params, tau)
 
@@ -425,6 +423,25 @@ class TestOptimize:
             jump = abs(slopes[2] - slopes[1])
             drift = max(abs(slopes[1] - slopes[0]), abs(slopes[3] - slopes[2]))
             assert jump <= drift, (float(beta), float(jump), float(drift))
+
+    @pytest.mark.parametrize("convention", ["corrected", "paper_literal"])
+    @pytest.mark.parametrize("config", [PIECEWISE_CFG, KINKED_CFG], ids=["piecewise", "kinked"])
+    def test_no_slope_jump_off_the_piece_ends(self, config, convention):
+        # a second difference of W on a 20001-point grid more than 100 times
+        # both of its neighbours three steps out, and above rounding (a W
+        # linear in tau has second differences of an ulp or 0), is a slope
+        # jump; each must lie within two steps of a _pieces end
+        params = load_config(config).params
+        n = 20_001
+        w = np.array([row.W for row in sweep(params, tau_grid(n), convention)])
+        d2 = np.abs(np.diff(w, 2))  # d2[k] is centred on grid point k + 1
+        k = np.arange(3, len(d2) - 3)
+        spike = (d2[k] > 100.0 * np.maximum(d2[k - 3], d2[k + 3])) & (d2[k] > 1e-12)
+        spikes = k[spike] + 1
+        ends = np.array(_pieces(params)) * (n - 1)
+        assert len(spikes) > 0
+        far = [i / (n - 1) for i in spikes if np.min(np.abs(ends - i)) > 2.0]
+        assert far == []
 
     def test_many_knot_valuations_end_in_bounded_time(self):
         # every y knot makes up to two pieces; a fresh interpreter under a
