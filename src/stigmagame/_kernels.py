@@ -7,10 +7,11 @@ numpy, for its reductions) on first use, so the analytic chain and the
 other commands never load numpy.
 
 Draws come from a counter-based RNG (splitmix64 output function keyed on
-(seed, global draw counter)). Pair i consumes counters 6i..6i+5 for
-(beta_1, beta_2, y_a1, y_a2, y_b1, y_b2), so a pair's outputs depend only
-on the seed and its global index: the caller may run any contiguous range
-of pairs, in any chunking, and a smaller run is a prefix of a larger one.
+(seed, global counter)). Pair i hashes counters 3i..3i+2, whose outputs'
+low and high 32 bits, times 2**-32, are (beta_1, beta_2), (y_a1, y_a2) and
+(y_b1, y_b2); so a pair's draws depend only on the seed and its index, any
+chunking of a pair range gives the same pairs, and a smaller run is a
+prefix of a larger one.
 
 Intermediates go to per-thread scratch arrays (numpy out=) that later
 calls reuse, so a call allocates only the arrays it returns.
@@ -18,6 +19,7 @@ calls reuse, so a call allocates only the arrays it returns.
 
 from __future__ import annotations
 
+import sys
 import threading
 from typing import NamedTuple
 
@@ -32,10 +34,11 @@ __all__ = ["InverseCdf", "active_backend", "knot_arrays", "ppf_from_knots", "sim
 
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's increment
 # 0-d arrays, not numpy scalars: a ufunc call with one costs ~0.4 us less
-_MIX1, _MIX2, _S30, _S27, _S31, _S11 = (
-    np.array(c, np.uint64) for c in (0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31, 11)
+_MIX1, _MIX2, _S30, _S27, _S31 = (
+    np.array(c, np.uint64) for c in (0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31)
 )
-_INV53 = np.array(1.0 / 9007199254740992.0)  # 2**-53
+_INV32 = np.array(2.0**-32)
+_LOW, _HIGH = (0, 1) if sys.byteorder == "little" else (1, 0)  # offsets in a uint32 view
 
 
 def active_backend() -> str:
@@ -122,21 +125,6 @@ def ppf_from_knots(u, table: InverseCdf, out=None):
     return np.add(t.segments[0].take(k, out=g, mode="clip"), x, out=x).reshape(np.shape(u))
 
 
-def _unit_array(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Uniform [0, 1) doubles into out (float64, z's shape): splitmix64's
-    output function of the keyed states z = seed + (counter + 1) * GOLDEN
-    mod 2**64 (uint64), which it overwrites. out is its shift scratch until
-    the last pass writes the doubles."""
-    shift = out.view(np.uint64)
-    for s, mix in ((_S30, _MIX1), (_S27, _MIX2)):
-        np.bitwise_xor(z, np.right_shift(z, s, out=shift), out=z)
-        np.multiply(z, mix, out=z)
-    np.bitwise_xor(z, np.right_shift(z, _S31, out=shift), out=z)
-    np.right_shift(z, _S11, out=z)
-    # z < 2**53 now, so its int64 view converts the same and faster
-    return np.multiply(z.view(np.int64), _INV53, out=out)
-
-
 def _floats(flags: np.ndarray, out: np.ndarray) -> np.ndarray:
     """flags as 1.0 and 0.0 in out: a copy and a float product cost less than
     numpy's bool-by-float loop, with the same bits."""
@@ -168,21 +156,30 @@ def simulate_pairs(
     p, stigma, n = params, row.S, n_pairs
     beta_star = hot_threshold(p.u, row.gap)
     cutoff = rejection_cutoff(p, row.tau_hat)
-    golden = getattr(_local, "golden", None)  # 6 i GOLDEN for i < n, kept across calls
+    golden = getattr(_local, "golden", None)  # 3 i GOLDEN for i < n, kept across calls
     if golden is None or len(golden) < n:
-        golden = _local.golden = np.arange(n, dtype=np.uint64) * np.uint64(6 * _GOLDEN % 2**64)
+        golden = _local.golden = np.arange(n, dtype=np.uint64) * np.uint64(3 * _GOLDEN % 2**64)
     f64 = _rows("f64", float, 8, n)
     b1, b2, ya1, ya2, yb1, yb2, tmp, net = f64
     hot1, hot2, unsafe, t1, t2, d1, d2, m1, m2, e = _rows("bool", bool, 10, n)
 
-    # draws k and k + 1 in one pass of the RNG, which halves its numpy calls:
-    # their rows hold the RNG states until drawn, tmp and net the uniforms
-    for k, table in ((0, beta_cdf), (2, y_cdf), (4, y_cdf)):
-        # counter 6 (first_pair + i) + j keyed as seed + (counter + 1) GOLDEN, mod 2**64
-        keys = [[((6 * first_pair + j + 1) * _GOLDEN + seed) % 2**64] for j in (k, k + 1)]
-        states = np.add(golden[:n], np.array(keys, np.uint64), out=f64[k:k + 2].view(np.uint64))
-        for u, x in zip(_unit_array(states, out=f64[6:]), f64[k:k + 2]):
-            ppf_from_knots(u, table, out=x)
+    # draws 2j and 2j + 1 are the low and high halves of the output of counter
+    # 3 (first_pair + i) + j, keyed as seed + (counter + 1) GOLDEN mod 2**64. Its
+    # state sits in draw 2j + 1's row, net's row is the shift scratch, and tmp
+    # holds the high uniform until drawn
+    shift = net.view(np.uint64)
+    for j, table in enumerate((beta_cdf, y_cdf, y_cdf)):
+        low, high = f64[2 * j:2 * j + 2]
+        key = np.array(((3 * first_pair + j + 1) * _GOLDEN + seed) % 2**64, np.uint64)
+        z = np.add(golden[:n], key, out=high.view(np.uint64))
+        for s, mix in ((_S30, _MIX1), (_S27, _MIX2)):
+            np.bitwise_xor(z, np.right_shift(z, s, out=shift), out=z)
+            np.multiply(z, mix, out=z)
+        np.bitwise_xor(z, np.right_shift(z, _S31, out=shift), out=z)
+        np.multiply(z.view(np.uint32)[_LOW::2], _INV32, out=low)
+        np.multiply(z.view(np.uint32)[_HIGH::2], _INV32, out=tmp)
+        ppf_from_knots(low, table, out=low)
+        ppf_from_knots(tmp, table, out=high)
 
     np.less(b1, beta_star, out=hot1)
     np.less(b2, beta_star, out=hot2)

@@ -83,7 +83,7 @@ class DistributionSpec(NamedTuple("DistributionSpec", [
         xs, ps = self.knots_x, self.knots_p
         if len(xs) != len(ps) or len(xs) < 2:
             raise ValueError("need at least two (x, p) knots")
-        # partial_expectation squares the knots
+        # moment_table and cdf_and_moment square the knots
         if any(not math.isfinite(x * x) for x in xs):
             raise ValueError(
                 "knot positions must be finite with finite squares (|x| <= 1.34e154)"

@@ -82,12 +82,13 @@ def ppf_reference(spec, u) -> np.ndarray:
 
 def unit_reference(seed: int, counters: np.ndarray) -> np.ndarray:
     """splitmix64's output function keyed on (seed, counter), as uniform
-    [0, 1) doubles: the kernel's RNG written as one expression per step."""
+    doubles in [0, 1 - 2**-32]: row 0 from each output's low 32 bits, row 1
+    from its high 32 bits. The kernel's RNG written as one expression per step."""
     z = np.uint64(seed) + (counters + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    return np.array([z & np.uint64(0xFFFFFFFF), z >> np.uint64(32)]) * 2.0**-32
 
 
 def simulate_pairs_reference(seed, first_pair, n_pairs, params, row, literal_b):
@@ -99,10 +100,11 @@ def simulate_pairs_reference(seed, first_pair, n_pairs, params, row, literal_b):
     p, stigma = params, row.S
     beta_star = hot_threshold(p.u, row.gap)
     cutoff = rejection_cutoff(p, row.tau_hat)
-    base = (np.arange(n_pairs, dtype=np.uint64) + np.uint64(first_pair)) * np.uint64(6)
+    # draw k of pair i: half k % 2 (low, high) of counter 3 i + k // 2's output
+    base = (np.arange(n_pairs, dtype=np.uint64) + np.uint64(first_pair)) * np.uint64(3)
+    units = [unit_reference(seed, base + np.uint64(j)) for j in range(3)]
     b1, b2, ya1, ya2, yb1, yb2 = (
-        ppf_reference(p.dist_beta if k < 2 else p.dist_y, unit_reference(seed, base + np.uint64(k)))
-        for k in range(6)
+        ppf_reference(p.dist_beta if k < 2 else p.dist_y, units[k // 2][k % 2]) for k in range(6)
     )
 
     hot1 = b1 < beta_star

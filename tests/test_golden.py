@@ -50,8 +50,8 @@ GOLDEN = {
         "optimize_trace.csv": "7bb8c22d7ba65f15ac341bfe158d23986b25d33a76baedc069fdaa38a7f2c33d",
     },
     ("paper", "simulate"): {
-        "stdout": "db9432a7cc99f02bae37c5b678d71d9f97df41138e9f26c2117f6a45bba428d0",
-        "sim.csv": "74b745185f3f3dd8a4ff44c9737cb2abe77918c7c8d4e99a76b14e38265ee693",
+        "stdout": "d213ae5bb7b9abe5663ef19f6d1c90c78cd7959f9d05e47f12ce9ade0371a56b",
+        "sim.csv": "437ac9d7303c8ed08e85df2e5c88b473f7a3bcb9cd13218627de41531bac713f",
     },
     ("paper", "sweep"): {
         "stdout": "38f1c5b092311c587991a484dd0c644e8b53a5378d5e78e334a847f5b295dedf",
@@ -81,8 +81,8 @@ GOLDEN = {
         "optimize_trace.csv": "4841b37a4a0292a07033ae2b4b1e9a6ad128d8263a77a5a0f5a8ca7a8a62ca4a",
     },
     ("piecewise", "simulate"): {
-        "stdout": "6b3778f2c07336cfaaf0e7b70ba77329ee509eb22f6b8bdf4354200e62c85643",
-        "sim.csv": "fee94247304c32152c4f757bcc2cd79bfc0089314591d9914c8c89b8ffee3d47",
+        "stdout": "5563cb1c2c95381920e381ffddfdb10428ecae8aba1a5c9d0d7bf2d4a8728499",
+        "sim.csv": "e05cdd5433763155405ae60dda0f7f69d19491968109103d30fb56c8ddf31300",
     },
     ("piecewise", "sweep"): {
         "stdout": "38f1c5b092311c587991a484dd0c644e8b53a5378d5e78e334a847f5b295dedf",

@@ -1,14 +1,15 @@
 """What the package's modules import and export.
 
-numpy is loaded by the pair simulation only. The analytic chain is pure
-Python, so `import stigmagame` and the check, evaluate, sweep, optimize and
-figures commands must not pay for importing numpy. One test runs those
-commands in a fresh interpreter and inspects sys.modules; another reads the
-source, so a module-level numpy import is caught even on a path no command
-reaches. Importing the CLI builds no argparse parser either; main() builds
-it once per process. The set-up path (import, load a config, evaluate one
-point) loads none of argparse, dataclasses and inspect (which dataclasses
-imports); records are NamedTuples, and no module imports dataclasses at all.
+numpy is loaded by the pair simulation only, and numpy.random never. The
+analytic chain is pure Python, so `import stigmagame` and the check,
+evaluate, sweep, optimize and figures commands must not pay for importing
+numpy. Two tests run commands in a fresh interpreter and inspect
+sys.modules; another reads the source, so a module-level numpy import is
+caught even on a path no command reaches. Importing the CLI builds no
+argparse parser either; main() builds it once per process. The set-up path
+(import, load a config, evaluate one point) loads none of argparse,
+dataclasses and inspect (which dataclasses imports); records are
+NamedTuples, and no module imports dataclasses at all.
 
 Each module's `__all__` is its public surface: it names only what exists,
 and it lists every public function and class the module defines. The
@@ -67,6 +68,28 @@ def test_numpy_loads_only_when_a_simulation_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == ["False", "True"]
+
+
+SIMULATE = """
+import contextlib, io, sys
+from stigmagame import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]])
+assert rc == 0, rc
+print("numpy" in sys.modules, "numpy.random" in sys.modules)
+"""
+
+
+def test_simulation_leaves_numpy_random_unloaded(tmp_path):
+    # the kernel hashes its own draws; importing numpy.random would raise a
+    # bare interpreter's max RSS by about 6 MB
+    proc = subprocess.run(
+        [sys.executable, "-c", SIMULATE, str(PAPER_CFG), str(tmp_path)],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["True", "False"]
 
 
 PARSERS = """

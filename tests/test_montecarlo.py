@@ -100,24 +100,24 @@ class TestDeterminism:
 # hot_cold_unsafe and hot_cold_safe
 PIECEWISE_GOLDEN = {
     ("corrected", 0.3): (
-        ("0x1.7ac0336a54f97p-3", "0x1.2950bb241d6e8p-4", "0x1.91ea21d63185ep-2", "0x1.54231e70229a7p-2", "0x1.5a4faeaf02562p+1"),
-        ("0x1.cb0fd6026f4efp-11", "0x1.f7e0b67621e6ep-12", "0x1.daad86608f43ep-10", "0x1.89c93ed9571dfp-11", "0x1.5e8e264ff0396p-10"),
-        (18626, 94353, 17735, 65899),
+        ("0x1.7beadc233bc54p-3", "0x1.26db69e7a4d34p-4", "0x1.8d5e12fe3cfe8p-2", "0x1.5357ca6dae9e8p-2", "0x1.5a963e00f3395p+1"),
+        ("0x1.cb9b8d8674c59p-11", "0x1.f461b3726fde2p-12", "0x1.d8fa9f14a4576p-10", "0x1.898deed33f053p-11", "0x1.5f32e715a2a7bp-10"),
+        (18641, 94348, 17832, 65792),
     ),
     ("corrected", 0.85): (
-        ("0x1.2273713f98960p-3", "0x1.963d5aef131c3p-6", "0x1.660e074571bbap-3", "0x1.c097145988c02p-1", "0x1.593174607be84p+1"),
-        ("0x1.9c8001725619ap-11", "0x1.17efba506d098p-12", "0x1.a5a08836732e2p-10", "0x1.136957a943588p-11", "0x1.653117c9d8ca8p-10"),
-        (13938, 105856, 13946, 62873),
+        ("0x1.23cb6f0246fc3p-3", "0x1.8ab2c380ba297p-6", "0x1.5a47c6512b4edp-3", "0x1.c051bf77c0e31p-1", "0x1.598d5c6ae2f2ep+1"),
+        ("0x1.9d4b86330ed41p-11", "0x1.127fe4cb98abap-12", "0x1.9f1e958069605p-10", "0x1.13ea6a8a8d51ap-11", "0x1.655af268a0d2ep-10"),
+        (14088, 105843, 13925, 62757),
     ),
     ("paper_literal", 0.3): (
-        ("0x1.7ac0336a54f97p-3", "0x1.2950bb241d6e8p-4", "0x1.91ea21d63185ep-2", "0x1.54231e70229a7p-2", "0x1.50015bfaf5030p+1"),
-        ("0x1.cb0fd6026f4efp-11", "0x1.f7e0b67621e6ep-12", "0x1.daad86608f43ep-10", "0x1.89c93ed9571dfp-11", "0x1.7481719d78cddp-10"),
-        (18626, 94353, 17735, 65899),
+        ("0x1.7beadc233bc54p-3", "0x1.26db69e7a4d34p-4", "0x1.8d5e12fe3cfe8p-2", "0x1.5357ca6dae9e8p-2", "0x1.5055c965447ecp+1"),
+        ("0x1.cb9b8d8674c59p-11", "0x1.f461b3726fde2p-12", "0x1.d8fa9f14a4576p-10", "0x1.898deed33f053p-11", "0x1.751843a2ff3c4p-10"),
+        (18641, 94348, 17832, 65792),
     ),
     ("paper_literal", 0.85): (
-        ("0x1.2273713f98960p-3", "0x1.963d5aef131c3p-6", "0x1.660e074571bbap-3", "0x1.c097145988c02p-1", "0x1.ff3cbe235d8e5p+0"),
-        ("0x1.9c8001725619ap-11", "0x1.17efba506d098p-12", "0x1.a5a08836732e2p-10", "0x1.136957a943588p-11", "0x1.57c32594d8d60p-10"),
-        (13938, 105856, 13946, 62873),
+        ("0x1.23cb6f0246fc3p-3", "0x1.8ab2c380ba297p-6", "0x1.5a47c6512b4edp-3", "0x1.c051bf77c0e31p-1", "0x1.ff974578e1fbfp+0"),
+        ("0x1.9d4b86330ed41p-11", "0x1.127fe4cb98abap-12", "0x1.9f1e958069605p-10", "0x1.13ea6a8a8d51ap-11", "0x1.58900879f80c6p-10"),
+        (14088, 105843, 13925, 62757),
     ),
 }
 
@@ -262,6 +262,36 @@ class TestWorkspace:
         want = simulate_pairs_reference(seed, first, 1000, *model)
         for name, a, b in zip(("w", "code"), got, want):
             assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("seed", [1, 2**64 - 1])
+    def test_each_output_gives_its_low_and_high_half(self, seed, monkeypatch):
+        # the uniforms the kernel draws through, in its call order: draws 2j and
+        # 2j + 1 of each pair. Taking one half twice would give b1 == b2 (so
+        # r-hat = R_H-hat) with means still near 1/2; over 2**18 counters each
+        # half is a multiple of 2**-32 in [0, 1 - 2**-32] with mean within 5
+        # sigma of 1/2, and the two halves are uncorrelated, |rho| < 5 / sqrt(n)
+        drawn, ppf = [], _kernels.ppf_from_knots
+
+        def recording(u, table, out=None):
+            drawn.append(u.copy())
+            return ppf(u, table, out=out)
+
+        monkeypatch.setattr(_kernels, "ppf_from_knots", recording)
+        p = load_config(PAPER_CFG).params
+        tables = [_kernels.knot_arrays(d) for d in (p.dist_beta, p.dist_y)]
+        n = 2**18
+        _kernels.simulate_pairs(seed, 0, -(-n // 3), p, evaluate_point(p, 0.5), False, *tables)
+        low, high = (np.concatenate(drawn[half::2])[:n] for half in (0, 1))
+        for u in (low, high):
+            assert u.min() >= 0.0 and u.max() <= 1.0 - 2.0**-32
+            assert np.array_equal(np.floor(u * 2.0**32), u * 2.0**32)
+            assert abs(u.mean() - 0.5) < 5.0 / math.sqrt(12 * n), u.mean()
+        assert abs(np.corrcoef(low, high)[0, 1]) < 5.0 / math.sqrt(n)
+
+    def test_paper_run_has_hot_cold_pairs(self, paper_params):
+        # with b1 == b2 no pair would mix a hot and a cold player
+        c = simulate(paper_params, 0.5, 2**16, 1).counts
+        assert c.hot_cold_unsafe > 0 and c.hot_cold_safe > 0, c
 
     def test_outcome_codes_round_trip(self):
         # each (unsafe, nhot, ntest, ndisc) has its own code below CODES, and

@@ -152,7 +152,7 @@ def test_inverse_cdf_is_bit_identical_to_search(spec, seed):
     """The kernel's inverse CDF equals the search formula bit for bit at 0,
     at every knot p and its neighbouring floats, at every guide-table bucket
     edge j/B and the float below it, at 2**-53, 1 - 2**-53 and 1.0, and at
-    10**4 counter draws."""
+    both halves' draws of 10**4 counters."""
     ps = np.asarray(spec.knots_p)
     buckets = 1 << (4 * (len(ps) - 1) - 1).bit_length()
     edges = np.arange(buckets + 1) / buckets
@@ -164,7 +164,7 @@ def test_inverse_cdf_is_bit_identical_to_search(spec, seed):
         np.nextafter(ps, 2.0),
         edges,
         np.nextafter(edges, -1.0),
-        unit_reference(seed, counters),
+        unit_reference(seed, counters).ravel(),
     ])
     u = np.clip(u, 0.0, 1.0)
     got = ppf(spec, u).view(np.uint64)
