@@ -1,10 +1,9 @@
 """The pair-simulation kernel: one vectorized numpy body, no reductions.
 
 This is the only module that imports numpy at module level, and it holds
-the inverse CDF the kernel samples through, a guide table over u in [0, 1]
-(1.0 gives the last segment's value). montecarlo.simulate imports it (and
-numpy, for its reductions) on first use, so the analytic chain and the
-other commands never load numpy.
+the inverse CDF the kernel samples through, a guide table over u in [0, 1].
+montecarlo.simulate imports it (and numpy, for its reductions) on first
+use, so the analytic chain and the other commands never load numpy.
 
 Draws come from a counter-based RNG (splitmix64 output function keyed on
 (seed, global counter)). Pair i hashes counters 3i..3i+2, whose outputs'
@@ -50,22 +49,22 @@ _local = threading.local()
 
 
 def _rows(owner: str, dtype, count: int, n: int) -> np.ndarray:
-    """owner's count scratch rows of n dtype values in this thread, kept for
-    later calls and replaced only for a larger n; threads never share them."""
+    """owner's contiguous (count, n) dtype scratch in this thread, kept for
+    later calls and replaced only for a larger one; threads never share it."""
     block = getattr(_local, owner, None)
-    if block is None or block.shape[1] < n:
-        block = np.empty((count, n), dtype)
+    if block is None or block.size < count * n:
+        block = np.empty(count * n, dtype)
         setattr(_local, owner, block)
-    return block[:, :n]
+    return block[:count * n].reshape(count, n)
 
 
 class InverseCdf(NamedTuple):
     """A distribution's inverse-CDF guide table (Chen & Asau 1974; Devroye
-    1986, III.2.4). segments: rows x0, p0, dx, safe per segment. Bucket j of
-    B = len(lo) - 1 holds u in [j/B, (j+1)/B) (bucket B: u = 1.0), starts in
-    segment lo[j] and steps once when u >= step[j]; slow (None if empty) flags
-    buckets with more than one knot boundary, where that step may fall short.
-    One segment (every uniform) has no guide (lo, step, slow None): x0 + u dx."""
+    1986, III.2.4). segments: rows x0, p0, slope (width over mass, or -0.0)
+    per segment. Bucket j of B = len(lo) - 1 holds u in [j/B, (j+1)/B) (bucket
+    B: u = 1.0), starts in segment lo[j] and steps once when u >= step[j]; slow
+    (None if empty) flags buckets with more than one knot boundary, where that
+    step may fall short. One segment has no guide (lo, step, slow None)."""
 
     ps: np.ndarray
     segments: np.ndarray
@@ -80,9 +79,9 @@ def knot_arrays(spec: DistributionSpec) -> InverseCdf:
     xs = np.asarray(spec.knots_x, dtype=np.float64)
     ps = np.asarray(spec.knots_p, dtype=np.float64)
     last, den = len(ps) - 2, ps[1:] - ps[:-1]
-    # a segment without mass gets dx = -0.0, see ppf_from_knots
-    dx = np.where(den > 0.0, xs[1:] - xs[:-1], -0.0)
-    segments = np.array([xs[:-1], ps[:-1], dx, np.where(den > 0.0, den, 1.0)])
+    # finite where den > 0 (DistributionSpec checks it); -0.0 elsewhere, see ppf_from_knots
+    slope = np.divide(xs[1:] - xs[:-1], den, out=np.full(last + 1, -0.0), where=den > 0.0)
+    segments = np.array([xs[:-1], ps[:-1], slope])
     if not last:
         return InverseCdf(ps, segments, None, None, None)
     buckets = 1 << (4 * last + 3).bit_length()
@@ -93,23 +92,25 @@ def knot_arrays(spec: DistributionSpec) -> InverseCdf:
     return InverseCdf(ps, segments, lo, step, np.append(slow, False) if slow.any() else None)
 
 
-def ppf_from_knots(u, table: InverseCdf, out=None):
+def ppf_from_knots(u, table: InverseCdf, out=None, scratch=None):
     """Inverse CDF for u in [0, 1], vectorized, into out (a float64 array of
-    u's size) or a new array: a draw takes its bucket's segment and at most
-    one step; only draws in slow buckets search. Every value, u = 1.0
-    included, equals the search formula bit for bit: segment k = clip(
-    searchsorted(ps, u, "right") - 1, 0, n - 2), then x0 + (u - p0) * (x1 -
-    x0) / (p1 - p0), or x0 if the segment has no mass. That happens only at
-    u = 1.0 = p0, where dx = -0.0 gives x0 + (-0.0) = x0 exactly, x0 = -0.0
-    included. One segment is x0 + u * dx: its p0 is +-0.0 and p1 - p0 is 1.0,
-    so for u >= +0.0 neither u - p0 nor the division changes a bit."""
+    u's size) or a new array, gathering into scratch (a float64 and a bool
+    array of u's size; None: this thread's own). A draw takes its bucket's
+    segment and at most one step; only draws in slow buckets search. Every
+    value equals the search formula bit for bit: segment k = clip(searchsorted(
+    ps, u, "right") - 1, 0, n - 2), the last with p0 <= u, then x0 + (u - p0) *
+    slope. Only u = 1.0 finds a segment without mass (p0 = 1.0, by the clip;
+    bucket B never steps): (+0.0) * (-0.0) = -0.0, and x0 + (-0.0) = x0 exactly,
+    x0 = -0.0 included. One segment is x0 + u * slope: its p0 is +-0.0 and p1 -
+    p0 is 1.0, so slope = x1 - x0 and u - p0 = u for u >= +0.0."""
     t, v = table, np.asarray(u, dtype=np.float64).reshape(-1)
     x = np.empty_like(v) if out is None else out
     if t.lo is None:  # one segment (every uniform): no guide
-        x0, _, dx, _ = t.segments[:, 0]
-        return np.add(x0, np.multiply(v, dx, out=x), out=x).reshape(np.shape(u))
-    (g,), (flag,) = _rows("ppf_f64", float, 1, v.size), _rows("ppf_bool", bool, 1, v.size)
-    j, k = _rows("ppf_intp", np.intp, 2, v.size)
+        x0, _, slope = t.segments[:, 0]
+        return np.add(x0, np.multiply(v, slope, out=x), out=x).reshape(np.shape(u))
+    if scratch is None:  # this thread's own rows
+        scratch = _rows("ppf_f64", float, 1, v.size)[0], _rows("ppf_bool", bool, 1, v.size)[0]
+    (g, flag), (j, k) = scratch, _rows("ppf_intp", np.intp, 2, v.size)
     np.copyto(j, np.multiply(v, len(t.lo) - 1, out=g), casting="unsafe")
     # indices are in range; mode="raise" would stage out in a copy. The
     # method, not np.take's Python wrapper: about 1 us less per call
@@ -118,10 +119,9 @@ def ppf_from_knots(u, table: InverseCdf, out=None):
     if t.slow is not None:
         s = np.flatnonzero(t.slow.take(j, out=flag, mode="clip"))
         k[s] = np.searchsorted(t.ps, v[s], side="right") - 1
-    # x0 + (u - p0) * dx / safe, each column gathered by segment into g
+    # x0 + (u - p0) * slope, each column gathered by segment into g
     np.subtract(v, t.segments[1].take(k, out=g, mode="clip"), out=x)
     np.multiply(x, t.segments[2].take(k, out=g, mode="clip"), out=x)
-    np.divide(x, t.segments[3].take(k, out=g, mode="clip"), out=x)
     return np.add(t.segments[0].take(k, out=g, mode="clip"), x, out=x).reshape(np.shape(u))
 
 
@@ -147,7 +147,8 @@ def simulate_pairs(
     row, the welfare.SweepRow of params at the policy value, supplies
     tau_hat, the stigma level S and the gap (and so the hot threshold
     beta*); beta_cdf and y_cdf are the knot_arrays tables of params' two
-    distributions. literal_b selects the paper_literal welfare of B.
+    distributions, each read by one inverse-CDF call per counter, on the
+    2 n_pairs draws it gives. literal_b selects the paper_literal welfare of B.
     Returns (w, code), both new: pair welfare as float64, and as uint8 the
     pair's outcome code unsafe + 2 nhot + 6 ntest + 18 ndisc (0-53), where
     unsafe is 1 for a pair that plays unsafe and nhot, ntest and ndisc count
@@ -159,30 +160,27 @@ def simulate_pairs(
     golden = getattr(_local, "golden", None)  # 3 i GOLDEN for i < n, kept across calls
     if golden is None or len(golden) < n:
         golden = _local.golden = np.arange(n, dtype=np.uint64) * np.uint64(3 * _GOLDEN % 2**64)
-    f64 = _rows("f64", float, 8, n)
-    b1, b2, ya1, ya2, yb1, yb2, tmp, net = f64
-    hot1, hot2, unsafe, t1, t2, d1, d2, m1, m2, e = _rows("bool", bool, 10, n)
+    b1, b2, ya1, ya2, yb1, yb2, tmp, net = f64 = _rows("f64", float, 8, n)
+    hot1, hot2, unsafe, t1, t2, d1, d2, m1, m2, e = bools = _rows("bool", bool, 10, n)
 
-    # draws 2j and 2j + 1 are the low and high halves of the output of counter
-    # 3 (first_pair + i) + j, keyed as seed + (counter + 1) GOLDEN mod 2**64. Its
-    # state sits in draw 2j + 1's row, net's row is the shift scratch, and tmp
-    # holds the high uniform until drawn
-    shift = net.view(np.uint64)
-    for j, table in enumerate((beta_cdf, y_cdf, y_cdf)):
-        low, high = f64[2 * j:2 * j + 2]
+    # rows 2j and 2j + 1 (draws, one contiguous view) take the low and high halves
+    # of counter 3 (first_pair + i) + j's output, keyed as seed + (counter + 1)
+    # GOLDEN mod 2**64, hashed in tmp's row with net's as the shift scratch. One
+    # inverse-CDF call maps both rows, gathering into tmp and net, flags in hot1, hot2
+    z, shift = tmp.view(np.uint64), net.view(np.uint64)
+    scratch = f64[6:].reshape(-1), bools[:2].reshape(-1)
+    for j, (draws, table) in enumerate(zip(f64[:6].reshape(3, -1), (beta_cdf, y_cdf, y_cdf))):
         key = np.array(((3 * first_pair + j + 1) * _GOLDEN + seed) % 2**64, np.uint64)
-        z = np.add(golden[:n], key, out=high.view(np.uint64))
+        np.add(golden[:n], key, out=z)
         for s, mix in ((_S30, _MIX1), (_S27, _MIX2)):
             np.bitwise_xor(z, np.right_shift(z, s, out=shift), out=z)
             np.multiply(z, mix, out=z)
         np.bitwise_xor(z, np.right_shift(z, _S31, out=shift), out=z)
-        np.multiply(z.view(np.uint32)[_LOW::2], _INV32, out=low)
-        np.multiply(z.view(np.uint32)[_HIGH::2], _INV32, out=tmp)
-        ppf_from_knots(low, table, out=low)
-        ppf_from_knots(tmp, table, out=high)
+        np.multiply(z.view(np.uint32)[_LOW::2], _INV32, out=draws[:n])
+        np.multiply(z.view(np.uint32)[_HIGH::2], _INV32, out=draws[n:])
+        ppf_from_knots(draws, table, out=draws, scratch=scratch)
 
-    np.less(b1, beta_star, out=hot1)
-    np.less(b2, beta_star, out=hot2)
+    np.less(f64[:2], beta_star, out=bools[:2])  # hot1, hot2
     # unsafe iff b1 + b2 < 2 beta*, the mixed pairs' rule: cold pairs add, rounded,
     # to >= 2 beta* (exact or inf), and hot pairs, each draw <= prev(beta*) and,
     # like every knot, far below 2**1023, to a finite sum <= 2 prev(beta*) < 2 beta*
@@ -192,9 +190,8 @@ def simulate_pairs(
     # + m y_a less its last term, as tables by 2 unsafe + t (the gain does not
     # depend on t), each value in the per-pair expression's operation order
     theta, pay1 = (p.theta_L, p.theta_H), (p.M - p.u, p.M)
-    gain = [theta[i // 2] * p.v - p.c for i in range(4)]
-    base = [pay1[i // 2] + (i % 2) * gain[i] - theta[i // 2] * p.c_h for i in range(4)]
-    gain, base = np.array(gain), np.array(base)
+    gain = np.array([theta[i // 2] * p.v - p.c for i in range(4)])
+    base = np.array([pay1[i // 2] + (i % 2) * gain[i] - theta[i // 2] * p.c_h for i in range(4)])
     # 2 unsafe, and index 2 unsafe + t, in the beta draws' rows, no longer needed
     twice, index = b1.view(np.intp), b2.view(np.intp)
     np.copyto(twice, unsafe)

@@ -73,10 +73,10 @@ def _checked(cls):
 class DistributionSpec(NamedTuple("DistributionSpec", [
     ("knots_x", tuple[float, ...]), ("knots_p", tuple[float, ...]),
 ])):
-    """Immutable spec for a bounded 1-D distribution, stored as CDF knots
-    (x strictly increasing, p from 0 to 1 non-decreasing, no segment density
-    above 1e150), built by :func:`uniform` or :func:`piecewise_linear_cdf`.
-    Its __dict__ caches mean, moment_table and sum_cdf_table.
+    """Immutable spec for a bounded 1-D distribution, stored as CDF knots (x
+    strictly increasing, p from 0 to 1 non-decreasing, each segment's density
+    at most 1e150 and width over mass finite), built by :func:`uniform` or
+    :func:`piecewise_linear_cdf`. Its __dict__ caches mean, moment_table and sum_cdf_table.
     """
 
     def _validate(self):
@@ -100,6 +100,9 @@ class DistributionSpec(NamedTuple("DistributionSpec", [
         top = max(map(truediv, map(sub, ps[1:], ps), map(sub, xs[1:], xs)))
         if top > 1e150:
             raise ValueError(f"a segment density above 1e150 ({top:.3g})")
+        # knot_arrays' inverse-CDF slope, width over mass, overflows on a subnormal mass
+        if math.inf in (w / m for w, m in zip(map(sub, xs[1:], xs), map(sub, ps[1:], ps)) if m):
+            raise ValueError("a segment whose width over mass overflows")
 
     @property
     def support_lo(self) -> float:

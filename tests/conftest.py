@@ -70,7 +70,21 @@ def ppf(spec, q):
 def ppf_reference(spec, u) -> np.ndarray:
     """The search-and-interpolate inverse CDF, the oracle that ppf_from_knots
     must equal bit for bit: the segment k = clip(searchsorted(ps, u,
-    "right") - 1, 0, n - 2), linear within it, its left end if it has no mass."""
+    "right") - 1, 0, n - 2), then x0 + (u - p0) * slope with slope its width
+    over its mass, or its left end if it has no mass."""
+    xs = np.asarray(spec.knots_x, dtype=np.float64)
+    ps = np.asarray(spec.knots_p, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    den = ps[1:] - ps[:-1]
+    slope = (xs[1:] - xs[:-1]) / np.where(den > 0.0, den, 1.0)
+    k = np.clip(np.searchsorted(ps, u, side="right") - 1, 0, len(ps) - 2)
+    return np.where(den[k] > 0.0, xs[k] + (u - ps[k]) * slope[k], xs[k])
+
+
+def ppf_division_reference(spec, u) -> np.ndarray:
+    """ppf_reference with the segment's width multiplied in before its mass
+    divides, x0 + (u - p0) * (x1 - x0) / (p1 - p0): the form the slope's
+    rounding is measured against."""
     xs = np.asarray(spec.knots_x, dtype=np.float64)
     ps = np.asarray(spec.knots_p, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)

@@ -189,6 +189,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"key '{key}': a segment density above 1e150 (inf)" in err
 
+    @pytest.mark.parametrize("key", ["dist_y", "dist_beta"])
+    def test_overflowing_inverse_slope_exits_2(self, tmp_path, capsys, key):
+        # width 1 over mass 5e-324 is inf: the inverse CDF's slope table would
+        # draw nan at u = 0, where the division form drew 0.0
+        (tmp_path / "knots.csv").write_text("x,p\n0,0\n1,5e-324\n2,1\n", encoding="utf-8")
+        path = write_cfg(tmp_path, edited_cfg(**{key: "piecewise:knots.csv"}))
+        assert cli.main(["simulate", "--config", str(path), "--pairs", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert f"key '{key}': a segment whose width over mass overflows" in err
+
     @pytest.mark.parametrize("command", ["check", "evaluate", "simulate"])
     @pytest.mark.parametrize("config", ["negative_y.cfg", "negative_beta.cfg"])
     def test_negative_support_exits_2(self, tmp_path, capsys, command, config):

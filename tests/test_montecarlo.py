@@ -248,11 +248,30 @@ class TestWorkspace:
             for name, a, b in zip(("w", "code"), out, ref):
                 assert a.tobytes() == b.tobytes(), (first, n, name)
 
+    def test_rows_stay_contiguous_as_calls_shrink(self):
+        # after a CHUNK-pair call a smaller one takes the first count * n values
+        # of each workspace block. Rows cut as a strided view of the larger
+        # block would make the kernel's view of two adjacent rows a copy, and
+        # the draws written to that copy would be lost
+        p = load_config(PIECEWISE_CFG).params
+        model = (p, evaluate_point(p, 0.5), False)
+        tables = [_kernels.knot_arrays(d) for d in (p.dist_beta, p.dist_y)]
+        sizes = (CHUNK, 1000, 3)
+
+        def run():  # in a new thread, so that its workspace starts at CHUNK pairs
+            return [_kernels.simulate_pairs(5, 0, n, *model, *tables) for n in sizes]
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            got = pool.submit(run).result(timeout=60)
+        for n, out in zip(sizes, got):
+            for name, a, b in zip(("w", "code"), out, simulate_pairs_reference(5, 0, n, *model)):
+                assert a.tobytes() == b.tobytes(), (n, name)
+
     @pytest.mark.parametrize("first", [2**61 - 3, 2**61 + 12345])
     def test_rng_keys_wrap_like_the_reference(self, first):
-        # the kernel keys a draw with one add of the scalar ((6 first + k + 1)
-        # GOLDEN + seed) mod 2**64 to its cached 6 i GOLDEN; at seed 2**64 - 1
-        # and counters near 6 * 2**61 every key wraps, and the outputs must
+        # the kernel keys counter j with one add of the scalar ((3 first + j + 1)
+        # GOLDEN + seed) mod 2**64 to its cached 3 i GOLDEN; at seed 2**64 - 1
+        # and counters near 3 * 2**61 every key wraps, and the outputs must
         # still be those of unit_reference's uint64 arithmetic
         seed = 2**64 - 1
         p = load_config(PIECEWISE_CFG).params
@@ -265,23 +284,25 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("seed", [1, 2**64 - 1])
     def test_each_output_gives_its_low_and_high_half(self, seed, monkeypatch):
-        # the uniforms the kernel draws through, in its call order: draws 2j and
-        # 2j + 1 of each pair. Taking one half twice would give b1 == b2 (so
-        # r-hat = R_H-hat) with means still near 1/2; over 2**18 counters each
-        # half is a multiple of 2**-32 in [0, 1 - 2**-32] with mean within 5
-        # sigma of 1/2, and the two halves are uncorrelated, |rho| < 5 / sqrt(n)
+        # the uniforms the kernel draws through, one call per counter j of each
+        # pair: [draw 2j of every pair | draw 2j + 1 of every pair]. Taking one
+        # half twice would give b1 == b2 (so r-hat = R_H-hat) with means still
+        # near 1/2; over 2**18 counters each half is a multiple of 2**-32 in
+        # [0, 1 - 2**-32] with mean within 5 sigma of 1/2, and the two halves
+        # are uncorrelated, |rho| < 5 / sqrt(n)
         drawn, ppf = [], _kernels.ppf_from_knots
 
-        def recording(u, table, out=None):
+        def recording(u, table, **kwargs):
             drawn.append(u.copy())
-            return ppf(u, table, out=out)
+            return ppf(u, table, **kwargs)
 
         monkeypatch.setattr(_kernels, "ppf_from_knots", recording)
         p = load_config(PAPER_CFG).params
         tables = [_kernels.knot_arrays(d) for d in (p.dist_beta, p.dist_y)]
-        n = 2**18
-        _kernels.simulate_pairs(seed, 0, -(-n // 3), p, evaluate_point(p, 0.5), False, *tables)
-        low, high = (np.concatenate(drawn[half::2])[:n] for half in (0, 1))
+        n, pairs = 2**18, -(-2**18 // 3)
+        _kernels.simulate_pairs(seed, 0, pairs, p, evaluate_point(p, 0.5), False, *tables)
+        assert [u.shape for u in drawn] == [(2 * pairs,)] * 3
+        low, high = (np.concatenate([u.reshape(2, -1)[half] for u in drawn])[:n] for half in (0, 1))
         for u in (low, high):
             assert u.min() >= 0.0 and u.max() <= 1.0 - 2.0**-32
             assert np.array_equal(np.floor(u * 2.0**32), u * 2.0**32)
@@ -307,14 +328,16 @@ class TestWorkspace:
 
     @pytest.mark.parametrize(
         "config, limit",
-        [(PAPER_CFG, 1_343_488), (PIECEWISE_CFG, 1_753_088)],
+        [(PAPER_CFG, 1_343_488), (PIECEWISE_CFG, 1_867_776)],
         ids=["paper", "piecewise"],
     )
     def test_workspace_bytes_per_chunk(self, config, limit):
         # the arrays one CHUNK-pair simulate leaves in a new thread's workspace:
-        # 82 B per pair, and 25 B more (the guide table's scratch) once a
-        # distribution has more than one segment. The 4 MiB traced peak of
-        # TestStreaming would still pass with about 1 MB more of workspace
+        # 82 B per pair, and 32 B more once a distribution has more than one
+        # segment: the guide table's two index rows for the 2 CHUNK draws of
+        # one inverse-CDF call, whose gathers and flags reuse the kernel's rows.
+        # The 4 MiB traced peak of TestStreaming would still pass with about
+        # 1 MB more of workspace
         params = load_config(config).params
 
         def run():

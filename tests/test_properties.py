@@ -44,6 +44,7 @@ from conftest import (
     partial_expectation_reference,
     point_reference,
     ppf,
+    ppf_division_reference,
     ppf_reference,
     quadrature_r,
     random_piecewise_beta,
@@ -137,22 +138,10 @@ def sampling_specs(draw):
     return piecewise_linear_cdf(list(zip(xs.tolist(), ps.tolist())))
 
 
-# two-knot specs take ppf_from_knots' one-segment branch, x0 + u * dx, which
-# sampling_specs draws in about 1 example of 80
-@settings(PROPERTY, max_examples=150)
-@example(spec=uniform(0.0, 1.0), seed=1)
-@example(spec=uniform(0.0, 2.0), seed=2)
-@example(spec=piecewise_linear_cdf([(-0.0, 0.0), (1.5, 1.0)]), seed=3)
-@example(spec=piecewise_linear_cdf([(0.25, -0.0), (1.5, 1.0)]), seed=4)
-@example(spec=uniform(1e6, 1e6 + 3.5), seed=5)
-@example(spec=uniform(0.0, 1e-150), seed=6)
-@example(spec=uniform(-0.0, 1e150), seed=7)
-@given(spec=sampling_specs(), seed=st.integers(0, 2**64 - 1))
-def test_inverse_cdf_is_bit_identical_to_search(spec, seed):
-    """The kernel's inverse CDF equals the search formula bit for bit at 0,
-    at every knot p and its neighbouring floats, at every guide-table bucket
-    edge j/B and the float below it, at 2**-53, 1 - 2**-53 and 1.0, and at
-    both halves' draws of 10**4 counters."""
+def sampling_points(spec, seed):
+    """0, 2**-53, 1 - 2**-53 and 1.0, every knot p and its neighbouring
+    floats, every guide-table bucket edge j/B and the float below it, and
+    both halves' draws of 10**4 counters, clipped to [0, 1]."""
     ps = np.asarray(spec.knots_p)
     buckets = 1 << (4 * (len(ps) - 1) - 1).bit_length()
     edges = np.arange(buckets + 1) / buckets
@@ -166,11 +155,47 @@ def test_inverse_cdf_is_bit_identical_to_search(spec, seed):
         np.nextafter(edges, -1.0),
         unit_reference(seed, counters).ravel(),
     ])
-    u = np.clip(u, 0.0, 1.0)
+    return np.clip(u, 0.0, 1.0)
+
+
+# two-knot specs take ppf_from_knots' one-segment branch, x0 + u * slope, which
+# sampling_specs draws in about 1 example of 80
+@settings(PROPERTY, max_examples=150)
+@example(spec=uniform(0.0, 1.0), seed=1)
+@example(spec=uniform(0.0, 2.0), seed=2)
+@example(spec=piecewise_linear_cdf([(-0.0, 0.0), (1.5, 1.0)]), seed=3)
+@example(spec=piecewise_linear_cdf([(0.25, -0.0), (1.5, 1.0)]), seed=4)
+@example(spec=uniform(1e6, 1e6 + 3.5), seed=5)
+@example(spec=uniform(0.0, 1e-150), seed=6)
+@example(spec=uniform(-0.0, 1e150), seed=7)
+@given(spec=sampling_specs(), seed=st.integers(0, 2**64 - 1))
+def test_inverse_cdf_is_bit_identical_to_search(spec, seed):
+    """The kernel's inverse CDF equals the search formula bit for bit at
+    sampling_points."""
+    u = sampling_points(spec, seed)
     got = ppf(spec, u).view(np.uint64)
     want = ppf_reference(spec, u).view(np.uint64)
     bad = np.flatnonzero(got != want)
     assert bad.size == 0, (u[bad[:5]].tolist(), got[bad[:5]], want[bad[:5]])
+
+
+# a segment across 0: the product (u - p0) * slope runs up to the width 1.69,
+# whose ulp is twice that of max(|x0|, |x1|) = 0.98, and the two forms differ
+# there by 4 ulp of 0.98 (2 of 1.69)
+@settings(PROPERTY, max_examples=150)
+@example(spec=piecewise_linear_cdf([(-0.98, 0.0), (0.71, 0.65), (1.71, 1.0)]), seed=1)
+@given(spec=sampling_specs(), seed=st.integers(0, 2**64 - 1))
+def test_slope_form_is_within_two_ulp_of_division_form(spec, seed):
+    """The inverse CDF's x0 + (u - p0) * slope, its slope rounded once per
+    segment, lies within 2 ulp of max(|x0|, |x1|, x1 - x0) of the division
+    form x0 + (u - p0) * (x1 - x0) / (p1 - p0), at sampling_points."""
+    xs, ps = np.asarray(spec.knots_x), np.asarray(spec.knots_p)
+    u = sampling_points(spec, seed)
+    k = np.clip(np.searchsorted(ps, u, side="right") - 1, 0, len(ps) - 2)
+    scale = np.maximum.reduce([np.abs(xs[k]), np.abs(xs[k + 1]), xs[k + 1] - xs[k]])
+    gap = np.abs(ppf(spec, u) - ppf_division_reference(spec, u))
+    bad = np.flatnonzero(gap > 2.0 * np.spacing(scale))
+    assert bad.size == 0, (u[bad[:5]].tolist(), gap[bad[:5]], scale[bad[:5]])
 
 
 @PROPERTY

@@ -60,6 +60,7 @@ SPEC_CHECKS = [
     ({"knots_p": (0.1, 0.5, 1.0)}, ValueError,
      "knot probabilities must start at 0 and end at 1"),
     ({"knots_x": (0.0, 1e-160, 1.0)}, ValueError, "a segment density above 1e150 (5e+159)"),
+    ({"knots_p": (0.0, 5e-324, 1.0)}, ValueError, "a segment whose width over mass overflows"),
 ]
 SIM_CHECKS = [
     ({"n_pairs": 0}, ValueError, "n_pairs must be an int >= 1, got 0"),
