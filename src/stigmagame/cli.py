@@ -25,8 +25,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .distributions import DistributionSpec, piecewise_linear_cdf, uniform
-from .figures import figure_tables, line_chart_svg
-from .montecarlo import Estimates, PairCounts, analytic_targets, simulate
 from .signaling import AssumptionViolation, ModelParams
 from .welfare import (
     CONVENTIONS,
@@ -211,7 +209,20 @@ def _echo_params(params: ModelParams, convention: str) -> None:
     print(f"# convention = {convention}")
 
 
-# command handlers take (params, convention, args, out) and raise on failure
+# command handlers take (params, convention, args, out) and raise on failure.
+# figures and montecarlo load with the first command that uses them; handlers call
+# their functions via _cli, so a name patched here (perfbench/tracer.py) is the one run.
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name in ("figure_tables", "line_chart_svg"):
+        from . import figures as module
+    elif name in ("simulate", "analytic_targets"):
+        from . import montecarlo as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(module, name))
 
 
 def _cmd_check(params, convention, args, out) -> None:
@@ -255,34 +266,30 @@ def _cmd_optimize(params, convention, args, out) -> None:
     print(f"wrote {path} ({len(res.trace)} rows)")
 
 
-_SIM_HEADER = (
-    ("tau_hat", "n_pairs", "seed")
-    + tuple(f"{n}_{c}" for n in Estimates._fields for c in ("hat", "se", "analytic"))
-    + PairCounts._fields
-)
-
-
 def _cmd_simulate(params, convention, args, out) -> None:
     tau = params.tau_hat
-    tgt = analytic_targets(params, tau, convention)
-    res = simulate(params, tau, args.pairs, args.seed, convention)
+    tgt = _cli.analytic_targets(params, tau, convention)
+    res = _cli.simulate(params, tau, args.pairs, args.seed, convention)
+    header = (("tau_hat", "n_pairs", "seed")
+              + tuple(f"{n}_{c}" for n in res.hat._fields for c in ("hat", "se", "analytic"))
+              + res.counts._fields)
     estimates = list(zip(res.hat, res.stderr, tgt))
     row = (tau, res.n_pairs, args.seed) + sum(estimates, ()) + res.counts
     path = out / "sim.csv"
-    _write_csv(path, _SIM_HEADER, [row])
-    for name, (est, se, target) in zip(Estimates._fields, estimates):
+    _write_csv(path, header, [row])
+    for name, (est, se, target) in zip(res.hat._fields, estimates):
         print(f"{name}: {_fmt(est)} +/- {_fmt(se)}  (analytic {_fmt(target)})")
     print(f"wrote {path}")
 
 
 def _cmd_figures(params, convention, args, out) -> None:
-    for table in figure_tables(params, params.tau_hat, args.grid, convention):
+    for table in _cli.figure_tables(params, params.tau_hat, args.grid, convention):
         path = out / f"{table.name}.csv"
         _write_csv(path, table.header, table.rows, comments=table.comments)
         print(f"wrote {path}")
         if args.svg:
             svg_path = out / f"{table.name}.svg"
-            _write(svg_path, line_chart_svg(table))
+            _write(svg_path, _cli.line_chart_svg(table))
             print(f"wrote {svg_path}")
 
 

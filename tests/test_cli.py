@@ -1,3 +1,4 @@
+import hashlib
 import math
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 from stigmagame import cli, evaluate_point
 
 from conftest import PAPER_CFG, REPO_ROOT, src_env
+from test_golden import COMMANDS, CONFIGS, GOLDEN
 
 GOOD_CFG = PAPER_CFG.read_text(encoding="utf-8")
 DATA = REPO_ROOT / "tests" / "data"
@@ -655,3 +657,18 @@ class TestParserReuse:
         assert (code, err) == (0, "")
         assert texts == [out, out]
         assert "usage: stigmagame" in out
+
+
+@pytest.mark.parametrize("command", ["figures", "simulate"])
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_a_lazy_command_alone_writes_the_golden_bytes(config, command, tmp_path):
+    # the first command of a fresh interpreter loads figures or montecarlo
+    # itself, through the CLI module run as __main__
+    out = tmp_path / "out"
+    argv = [*COMMANDS[command], "--config", str(CONFIGS[config]), "--out", str(out)]
+    code, stdout, err = fresh_main(argv, tmp_path)
+    assert (code, err) == (0, "")
+    texts = {"stdout": stdout.replace(str(out), "<out>").encode("utf-8")}
+    texts.update((path.name, path.read_bytes()) for path in sorted(out.iterdir()))
+    hashes = {name: hashlib.sha256(text).hexdigest() for name, text in texts.items()}
+    assert hashes == GOLDEN[config, command]

@@ -3,25 +3,30 @@
 numpy is loaded by the pair simulation only, and numpy.random never. The
 analytic chain is pure Python, so `import stigmagame` and the check,
 evaluate, sweep, optimize and figures commands must not pay for importing
-numpy. Two tests run commands in a fresh interpreter and inspect
+numpy. Tests run commands in a fresh interpreter and inspect
 sys.modules; another reads the source, so a module-level numpy import is
 caught even on a path no command reaches. Importing the CLI builds no
 argparse parser either; main() builds it once per process. The set-up path
 (import, load a config, evaluate one point) loads none of argparse,
 dataclasses and inspect (which dataclasses imports); records are
-NamedTuples, and no module imports dataclasses at all.
+NamedTuples, and no module imports dataclasses at all. Neither does it load
+figures or montecarlo: the package and the CLI import them on first use,
+through a module `__getattr__`, and the analytic commands never do.
 
 Each module's `__all__` is its public surface: it names only what exists,
 and it lists every public function and class the module defines. The
 per-tau entry points share one calling convention. The modules import each
-other without a cycle, and only montecarlo imports a module of the package
-from inside a function.
+other without a cycle. Only the lazy loads import a module of the package
+from inside a function: montecarlo its kernel, the package montecarlo, and
+the CLI figures and montecarlo.
 """
 
 import ast
+import contextlib
 import graphlib
 import importlib
 import inspect
+import io
 import pkgutil
 import subprocess
 import sys
@@ -125,24 +130,47 @@ def test_cli_builds_its_parser_on_first_use_only():
     assert proc.stdout.split() == ["0", "7", "7"]
 
 
+# the set-up probe's exact steps, then the analytic commands, then the
+# command given after the config and the output directory; after each step
+# it prints which of the watched modules are loaded
 SETUP = """
-import sys
+import contextlib, io, sys
 import stigmagame
 from stigmagame.cli import load_config
 cfg = load_config(sys.argv[1])
 stigmagame.evaluate_point(cfg.params, cfg.params.tau_hat, cfg.convention)
-print(sorted({"argparse", "dataclasses", "inspect"} & set(sys.modules)))
+LAZY = ("numpy", "stigmagame.figures", "stigmagame.montecarlo")
+print("setup", *[name for name in ("argparse", "dataclasses", "inspect", *LAZY)
+                 if name in sys.modules])
+from stigmagame import cli
+for argv in (["check"], ["evaluate"], ["sweep"], ["optimize"], sys.argv[3:]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv + ["--config", sys.argv[1], "--out", sys.argv[2]])
+    assert rc == 0, (argv, rc)
+    print(argv[0], *[name for name in LAZY if name in sys.modules])
 """
+ANALYTIC = ["setup", "check", "evaluate", "sweep", "optimize"]
+
+
+def _setup_run(config, out, *command) -> list[str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", SETUP, str(config), str(out), *command],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.splitlines()
 
 
 @pytest.mark.parametrize("config", [PAPER_CFG, PIECEWISE_CFG], ids=["paper", "piecewise"])
-def test_setup_path_loads_no_argparse_or_dataclasses(config):
-    proc = subprocess.run(
-        [sys.executable, "-c", SETUP, str(config)],
-        env=src_env(), capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+def test_setup_path_loads_no_argparse_or_dataclasses(config, tmp_path):
+    lines = _setup_run(config, tmp_path, "figures", "--svg")
+    assert lines == ANALYTIC + ["figures stigmagame.figures"]
+
+
+@pytest.mark.parametrize("config", [PAPER_CFG, PIECEWISE_CFG], ids=["paper", "piecewise"])
+def test_simulate_loads_montecarlo_and_not_figures(config, tmp_path):
+    lines = _setup_run(config, tmp_path, "simulate", "--pairs", "1000")
+    assert lines == ANALYTIC + ["simulate numpy stigmagame.montecarlo"]
 
 
 def _module_level(node):
@@ -192,6 +220,67 @@ def test_only_the_kernel_imports_numpy_at_module_level():
     assert found[kernel], "the scan no longer sees the kernel's own numpy import"
 
 
+def test_package_and_cli_load_figures_and_montecarlo_lazily():
+    # a module-level import on a path no test runs would put both back on
+    # the set-up path
+    def lazy_loads(nodes):
+        return [
+            line
+            for line, names in _imports(nodes)
+            if any({"figures", "montecarlo"} & set(n.split(".")) for n in names)
+        ]
+
+    for name in ("__init__.py", "cli.py"):
+        tree = _tree(PACKAGE / name)
+        assert lazy_loads(_module_level(tree)) == [], name
+        assert lazy_loads(ast.walk(tree)), f"the scan no longer sees {name}'s function-local loads"
+
+
+def test_lazy_names_are_the_montecarlo_objects():
+    import stigmagame
+    from stigmagame import Estimates, SimResult, analytic_targets, montecarlo, simulate
+
+    lazy = {"Estimates": Estimates, "SimResult": SimResult,
+            "analytic_targets": analytic_targets, "simulate": simulate}
+    for name, obj in lazy.items():
+        assert obj is getattr(montecarlo, name), name
+        assert name in dir(stigmagame), name
+
+
+def test_an_unknown_name_raises_attribute_error():
+    import stigmagame
+    from stigmagame import cli
+
+    for module in (stigmagame, cli):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+
+
+@pytest.mark.parametrize("name, argv, calls", [
+    ("simulate", ["simulate", "--pairs", "100"], 1),
+    ("analytic_targets", ["simulate", "--pairs", "100"], 1),
+    ("figure_tables", ["figures", "--grid", "5"], 1),
+    ("line_chart_svg", ["figures", "--grid", "5", "--svg"], 5),
+], ids=["simulate", "analytic_targets", "figure_tables", "line_chart_svg"])
+def test_a_name_patched_on_the_cli_is_the_one_its_command_calls(
+    name, argv, calls, monkeypatch, tmp_path
+):
+    # perfbench/tracer.py wraps these four names on the cli module
+    from stigmagame import cli
+
+    seen = []
+    original = getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main([*argv, "--config", str(PAPER_CFG), "--out", str(tmp_path)])
+    assert (rc, seen) == (0, [name] * calls)
+
+
 def _package_imports(path: Path):
     """(imported module, inside a function) for each intra-package import
     in path, at any depth: `from .x import ...` and `from . import x`."""
@@ -204,14 +293,17 @@ def _package_imports(path: Path):
 
 
 def test_package_import_graph_is_acyclic():
-    # the one function-local import keeps numpy off every command but simulate
+    # the function-local imports keep numpy off every command but simulate,
+    # and figures and montecarlo off the set-up path
     graph, local = {}, []
     for path in sorted(PACKAGE.glob("*.py")):
         for name, in_function in _package_imports(path):
             graph.setdefault(path.stem, set()).add(name)
             if in_function:
                 local.append(f"{path.stem} -> {name}")
-    assert local == ["montecarlo -> _kernels"]
+    assert local == [
+        "__init__ -> montecarlo", "cli -> figures", "cli -> montecarlo", "montecarlo -> _kernels"
+    ]
     assert "coordination" in graph["welfare"], "the scan no longer sees module-level imports"
     try:
         graphlib.TopologicalSorter(graph).prepare()

@@ -116,12 +116,19 @@ def test_tracer_counts_kernel_pairs_and_bytes(config):
     assert tracer.counts["kernels.simulate_pairs"] == 2
 
 
-# perfbench/run.py's import order: the package, then _kernels by name (the
-# package itself no longer imports it), then the tracer, then a CLI run
+# perfbench/run.py's order: the package, then _kernels by name (the package
+# itself does not import it), then untraced runs of every command (its peak
+# simulation and first pass, which load figures and montecarlo), then the
+# tracer, then a traced CLI run
 RUN_ORDER = """
-import importlib.util, json, sys
+import contextlib, importlib.util, io, json, sys
 import stigmagame
 from stigmagame import _kernels, cli
+
+for command in ("sweep", "optimize", "figures", "check", "evaluate", "simulate"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, "--config", sys.argv[2], "--out", sys.argv[3],
+                         "--pairs", sys.argv[4]]) == 0, command
 
 spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
 module = importlib.util.module_from_spec(spec)
