@@ -1,18 +1,17 @@
 """Command-line surface: config parsing and the six analysis commands.
 
-Commands: check | evaluate | sweep | optimize | simulate | figures.
-Config files are flat `key = value` text (UTF-8, a byte-order mark skipped,
+Commands: check | evaluate | sweep | optimize | simulate | figures. Each
+takes --config, --convention and --out and only the run settings it reads
+(`_COMMANDS`); any other flag, or an abbreviated one, exits 2. Config
+files are flat `key = value` text (UTF-8, a byte-order mark skipped,
 # comments); each flag's default and range live in the parser, which
 checks every range before the config is read. Exit codes: 0 success, 2
-config error (a flag outside its range, a config or knot file that is not
-UTF-8, an assumption-1 violation, tau_true != 0, a valuation or
-present-bias support below 0, over 512 beta knots, a segment density above
-1e150 in either distribution, an --out that cannot be created or written;
-README.md lists all), 3 assumption-3 failure (the welfare commands always;
-check only under --strict). Past those checks every point of the chain
-evaluates. `--tau` replaces tau_hat for every command. All CSV output
-uses a fixed column order with 12-significant-digit floats, so repeated
-runs with the same config are byte-identical.
+config error (README.md's CLI section lists every cause), 3 assumption-3
+failure (the welfare commands always; check only under --strict). Past
+those checks every point of the chain evaluates. `--tau` replaces tau_hat
+for check, evaluate, simulate and figures. All CSV output uses a fixed
+column order with 12-significant-digit floats, so repeated runs with the
+same config are byte-identical.
 """
 
 from __future__ import annotations
@@ -226,6 +225,8 @@ def __getattr__(name):
 
 
 def _cmd_check(params, convention, args, out) -> None:
+    if args.strict:
+        _require_preconditions(params, convention)
     _echo_params(params, convention)
     rep = check_assumptions(params, params.tau_hat)
     print(
@@ -293,20 +294,22 @@ def _cmd_figures(params, convention, args, out) -> None:
             print(f"wrote {svg_path}")
 
 
-# the one list of commands: name -> (handler, help)
+# the one list of commands: name -> (handler, the run settings it reads, help)
 _COMMANDS = {
-    "check": (_cmd_check, "print the assumption report"),
-    "evaluate": (_cmd_evaluate, "print one sweep row at the configured tau_hat"),
-    "sweep": (_cmd_sweep, "write sweep.csv over a tau_hat grid"),
-    "optimize": (_cmd_optimize, "locate the welfare-maximizing tau_hat"),
-    "simulate": (_cmd_simulate, "run the agent-based cross-check, write sim.csv"),
-    "figures": (_cmd_figures, "write fig1.csv..fig5.csv (and SVGs with --svg)"),
+    "check": (_cmd_check, ("--tau", "--strict"), "print the assumption report"),
+    "evaluate": (_cmd_evaluate, ("--tau",), "print one sweep row at the configured tau_hat"),
+    "sweep": (_cmd_sweep, ("--grid",), "write sweep.csv over a tau_hat grid"),
+    "optimize": (_cmd_optimize, ("--tol",), "locate the welfare-maximizing tau_hat"),
+    "simulate": (_cmd_simulate, ("--tau", "--pairs", "--seed"),
+                 "run the agent-based cross-check, write sim.csv"),
+    "figures": (_cmd_figures, ("--tau", "--grid", "--svg"),
+                "write fig1.csv..fig5.csv (and SVGs with --svg)"),
 }
 
 
-def _ranged(flag: str, convert, ok, rule: str):
-    """An argparse type for `flag`: convert the text, then reject a value
-    outside the flag's range with "<flag> <rule>, got <value>"."""
+def _ranged(flag: str, convert, ok, rule: str, default, descr: str) -> dict:
+    """add_argument's keywords for `flag`: its type converts the text, then
+    rejects a value outside the flag's range with "<flag> <rule>, got <value>"."""
 
     def parse(text: str):
         value = convert(text)
@@ -316,22 +319,28 @@ def _ranged(flag: str, convert, ok, rule: str):
         return value
 
     parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
-    return parse
+    if default is not None:
+        descr += " (default %(default)s)"
+    return {"type": parse, "default": default, "help": descr}
 
 
-# the range-checked run settings, each declared once here with its type,
-# valid range and the range's wording, default and help; a value outside
-# the range exits 2 from the parser
+# the run settings, each declared once here: a range-checked one with its
+# type, valid range and the range's wording, default and help (a value
+# outside the range exits 2 from the parser), a switch with its help
 _FLAGS = {
-    "--tau": (float, lambda t: 0.0 <= t <= 1.0, "must lie in [0, 1]",
-              None, "override tau_hat"),
-    "--grid": (int, lambda n: 3 <= n <= MAX_GRID, f"must lie in [3, {MAX_GRID}]",
-               101, "tau_hat grid points of sweep and figures"),
-    "--tol": (float, lambda t: t > 0 and math.isfinite(t),
-              "must be positive and finite", 1e-6, "optimizer tolerance per smooth piece of W"),
-    "--pairs": (int, lambda n: n >= 1, "must be >= 1", 500_000, "simulated pairs"),
-    "--seed": (int, lambda n: 0 <= n < 2**64, "must fit in 64 unsigned bits",
-               2024, "simulation seed"),
+    "--tau": _ranged("--tau", float, lambda t: 0.0 <= t <= 1.0, "must lie in [0, 1]",
+                     None, "override tau_hat"),
+    "--grid": _ranged("--grid", int, lambda n: 3 <= n <= MAX_GRID,
+                      f"must lie in [3, {MAX_GRID}]", 101, "tau_hat grid points"),
+    "--tol": _ranged("--tol", float, lambda t: t > 0 and math.isfinite(t),
+                     "must be positive and finite", 1e-6,
+                     "optimizer tolerance per smooth piece of W"),
+    "--pairs": _ranged("--pairs", int, lambda n: n >= 1, "must be >= 1", 500_000,
+                       "simulated pairs"),
+    "--seed": _ranged("--seed", int, lambda n: 0 <= n < 2**64,
+                      "must fit in 64 unsigned bits", 2024, "simulation seed"),
+    "--strict": {"action": "store_true", "help": "exit 3 when assumption 3 fails"},
+    "--svg": {"action": "store_true", "help": "also render SVGs"},
 }
 
 
@@ -344,27 +353,21 @@ def _build_parser():
         prog="stigmagame",
         description="Testing-stigma policy analysis: equilibrium chain, "
         "welfare sweep, and agent-based cross-check.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, descr) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=descr)
+    for name, (_, flags, descr) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=descr, allow_abbrev=False)
         sp.add_argument("--config", required=True, help="path to key=value config")
-        for flag, (convert, ok, rule, default, text) in _FLAGS.items():
-            if default is not None:
-                text += " (default %(default)s)"
-            parse = _ranged(flag, convert, ok, rule)
-            sp.add_argument(flag, type=parse, default=default, help=text)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
         sp.add_argument(
             "--convention",
             choices=CONVENTIONS,
             help="population-B welfare bookkeeping (default: the config's)",
         )
-        sp.add_argument("--strict", action="store_true",
-                        help="check: exit 3 when assumption 3 fails")
         sp.add_argument("--out", type=Path, default=".",
                         help="output directory (default %(default)s)")
-        if name == "figures":
-            sp.add_argument("--svg", action="store_true", help="also render SVGs")
     return parser
 
 
@@ -379,11 +382,10 @@ def main(argv=None) -> int:
     except (AssumptionViolation, ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    params = cfg.params if args.tau is None else cfg.params._replace(tau_hat=args.tau)
+    tau = getattr(args, "tau", None)  # only the commands that take --tau
+    params = cfg.params if tau is None else cfg.params._replace(tau_hat=tau)
     convention = args.convention or cfg.convention
     try:
-        if args.strict:
-            _require_preconditions(params, convention)
         _COMMANDS[args.command][0](params, convention, args, args.out)
     except AssumptionViolation as exc:
         print(f"assumption failure: {exc}", file=sys.stderr)

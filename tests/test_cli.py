@@ -16,6 +16,9 @@ from test_golden import COMMANDS, CONFIGS, GOLDEN
 
 GOOD_CFG = PAPER_CFG.read_text(encoding="utf-8")
 DATA = REPO_ROOT / "tests" / "data"
+# each command's quickest run, passing only flags that the command takes
+QUICK = {"check": [], "evaluate": [], "sweep": ["--grid", "5"], "optimize": [],
+         "simulate": ["--pairs", "1000"], "figures": ["--grid", "5"]}
 
 
 def write_cfg(tmp_path, text, name="model.cfg"):
@@ -206,7 +209,7 @@ class TestExitCodes:
     def test_negative_support_exits_2(self, tmp_path, capsys, command, config):
         # valuations or present bias below 0 lie outside the closed forms
         argv = [command, "--config", str(DATA / config), "--out", str(tmp_path)]
-        assert cli.main(argv + ["--pairs", "1000"]) == 2
+        assert cli.main(argv + QUICK[command]) == 2
         assert "support must start at 0 or above" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
@@ -236,15 +239,21 @@ class TestExitCodes:
         assert "pair welfare up to 1e+308 overflows a float" in capsys.readouterr().err
         assert not (tmp_path / "out" / "sim.csv").exists()
 
-    def test_bad_flag_values(self, tmp_path):
-        args = ["sweep", "--config", str(PAPER_CFG), "--out", str(tmp_path)]
-        assert cli.main(args + ["--grid", "1"]) == 2
-        for tol in ("0", "nan", "inf", "-inf"):
-            assert cli.main(args + [f"--tol={tol}"]) == 2, tol
-        assert cli.main(args + ["--pairs", "0"]) == 2
-        assert cli.main(args + ["--tau", "1.5"]) == 2
+    def test_bad_flag_values(self, tmp_path, capsys):
+        # each value goes to a command that reads its flag
+        cases = [("sweep", "--grid", "1", "must lie in [3, 1000001]")]
+        cases += [("optimize", "--tol", tol, "must be positive and finite")
+                  for tol in ("0", "nan", "inf", "-inf")]
+        cases += [("simulate", "--pairs", "0", "must be >= 1"),
+                  ("evaluate", "--tau", "1.5", "must lie in [0, 1]")]
+        for command, flag, value, rule in cases:
+            argv = [command, "--config", str(PAPER_CFG), "--out", str(tmp_path)]
+            assert cli.main(argv + [f"{flag}={value}"]) == 2, (flag, value)
+            err = capsys.readouterr().err
+            assert f"error: argument {flag}: {flag} {rule}, got " in err, err
+        assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["sweep", "optimize", "figures"])
+    @pytest.mark.parametrize("command", ["sweep", "figures"])
     def test_oversized_grid_exits_2_at_once(self, tmp_path, capsys, command):
         t0 = time.perf_counter()
         argv = [command, "--config", str(PAPER_CFG), "--grid", "100000000"]
@@ -267,7 +276,7 @@ class TestExitCodes:
         blocker.write_text("kept\n", encoding="utf-8")
         out = blocker / below if below else blocker
         argv = [command, "--config", str(PAPER_CFG), "--out", str(out)]
-        assert cli.main(argv + ["--grid", "5", "--pairs", "1000"]) == 2
+        assert cli.main(argv + QUICK[command]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and str(out) in err
         assert blocker.read_text(encoding="utf-8") == "kept\n"
@@ -288,8 +297,9 @@ class TestExitCodes:
         assert cli.main(["sweep", *argv]) == 0
         assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 101
         args = cli._build_parser().parse_args(["optimize", "--config", "x.cfg"])
-        assert (args.tol, args.out, args.tau) == (1e-6, Path("."), None)
+        assert (args.tol, args.out) == (1e-6, Path("."))
         assert args.convention is None
+        assert cli._build_parser().parse_args(["evaluate", "--config", "x.cfg"]).tau is None
 
 
 class TestEvaluate:
@@ -580,10 +590,13 @@ class TestExitCodeMatrix:
     def test_exit_code(self, tmp_path, capsys, command, config):
         path = write_cfg(tmp_path, edited_cfg(**self.CONFIGS[config]))
         argv = command.split() + ["--config", str(path), "--out", str(tmp_path)]
-        argv += ["--grid", "5", "--pairs", "1000"]
-        assert cli.main(argv) == self.EXPECTED[command, config]
+        argv += QUICK[argv[0]]
+        rc = cli.main(argv)
+        assert rc == self.EXPECTED[command, config]
         err = capsys.readouterr().err
         assert "numerical failure" not in err
+        prefix = {0: "", 2: "config error: ", 3: "assumption failure: "}[rc]
+        assert err.startswith(prefix), err
 
 
 class TestTauFlag:
@@ -617,6 +630,55 @@ class TestTauFlag:
         assert natural_09 == natural_05 == "# hot threshold natural = 0.285714285714"
         assert policy_05 == "# hot threshold policy  = 0.175824175824"
         assert policy_09 == "# hot threshold policy  = 0.171632896305"
+
+
+class TestFlagsPerCommand:
+    """Each command takes only the run settings it reads (README's CLI table):
+    a non-default value of one it takes changes its output or exit code, and
+    any other flag, or an abbreviated one, exits 2 before anything is written."""
+
+    TAKES = {
+        "check": ("--tau", "--strict"),
+        "evaluate": ("--tau",),
+        "sweep": ("--grid",),
+        "optimize": ("--tol",),
+        "simulate": ("--tau", "--pairs", "--seed"),
+        "figures": ("--tau", "--grid", "--svg"),
+    }
+    # a non-default in-range value of each flag; the switches take none
+    VALUES = {"--tau": ["0.9"], "--grid": ["7"], "--tol": ["1e-3"],
+              "--pairs": ["2000"], "--seed": ["7"], "--strict": [], "--svg": []}
+
+    @staticmethod
+    def run(argv, out, capsys):
+        """(exit code, stdout, files written), and stderr."""
+        out.mkdir()
+        rc = cli.main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        return (rc, captured.out.replace(str(out), "<out>"), files), captured.err
+
+    @pytest.mark.parametrize("flag", sorted(VALUES))
+    @pytest.mark.parametrize("command", sorted(TAKES))
+    def test_a_flag_is_read_or_refused(self, tmp_path, capsys, command, flag):
+        # --strict shows only on a config that fails assumption 3 (c_h = 0.3)
+        config = write_cfg(tmp_path, edited_cfg(c_h="0.3")) if flag == "--strict" else PAPER_CFG
+        argv = [command, "--config", str(config)]
+        result, err = self.run(argv + [flag, *self.VALUES[flag]], tmp_path / "flag", capsys)
+        if flag in self.TAKES[command]:
+            plain, _ = self.run(argv, tmp_path / "plain", capsys)
+            assert plain[0] == 0
+            assert result != plain
+        else:
+            assert result == (2, "", {})
+            assert f"error: unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize("argv", [["optimize", "--t", "0.3"],
+                                      ["sweep", "--conv", "paper_literal"]])
+    def test_no_flag_is_abbreviated(self, tmp_path, capsys, argv):
+        result, err = self.run(argv + ["--config", str(PAPER_CFG)], tmp_path / "out", capsys)
+        assert result == (2, "", {})
+        assert f"error: unrecognized arguments: {' '.join(argv[1:])}" in err
 
 
 def fresh_main(argv, cwd):

@@ -506,6 +506,15 @@ flag_values = st.fixed_dictionaries({
     flag: weighted((19, st.sampled_from(inside)), (1, st.sampled_from(outside)))
     for flag, (inside, outside) in FLAG_RANGES.items()
 })
+# the run settings each command takes; any other flag would exit 2 unread
+COMMAND_FLAGS = {
+    "check": ("--tau", "--strict"),
+    "evaluate": ("--tau",),
+    "sweep": ("--grid",),
+    "optimize": ("--tol",),
+    "simulate": ("--tau", "--pairs", "--seed"),
+    "figures": ("--tau", "--grid", "--svg"),
+}
 
 
 @settings(PROPERTY, max_examples=250)
@@ -516,15 +525,16 @@ flag_values = st.fixed_dictionaries({
     convention=st.sampled_from(["corrected", "paper_literal"] * 2 + ["paper"]),
     extra=st.sampled_from([""] * 6 + ["gamma = 1", "theta_L = 0.2", "no equals sign"]),
     tau=tau_flag,
-    strict=st.booleans(),
+    switch=st.booleans(),
     flags=flag_values,
 )
 def test_config_fuzz_exits_with_a_documented_code(
-    command, edits, dists, convention, extra, tau, strict, flags
+    command, edits, dists, convention, extra, tau, switch, flags
 ):
     """Every generated config ends within 1 s in exit 0, 2 or 3, and a
     successful evaluate prints only finite numbers; a flag outside its
-    range exits 2 and names the (first such) flag."""
+    range exits 2 and names the (first such) flag. Each command gets only
+    the flags it takes, `switch` turning on its --strict or --svg."""
     lines = dict(PAPER_LINES, convention=convention)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -541,8 +551,10 @@ def test_config_fuzz_exits_with_a_documented_code(
         argv = [command, "--config", str(tmp / "fuzz.cfg"), "--out", str(tmp)]
         if tau is not None:
             flags = {**flags, "--tau": tau}
+        takes = COMMAND_FLAGS[command]
+        flags = {flag: value for flag, value in flags.items() if flag in takes}
         argv += [f"{flag}={value!r}" for flag, value in flags.items()]
-        argv += ["--strict"] if strict else []
+        argv += [flag for flag in ("--strict", "--svg") if switch and flag in takes]
         out, err = io.StringIO(), io.StringIO()
         t0 = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

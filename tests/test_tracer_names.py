@@ -119,16 +119,26 @@ def test_tracer_counts_kernel_pairs_and_bytes(config):
 # perfbench/run.py's order: the package, then _kernels by name (the package
 # itself does not import it), then untraced runs of every command (its peak
 # simulation and first pass, which load figures and montecarlo), then the
-# tracer, then a traced CLI run
+# tracer, then a traced CLI run; each command's arguments are built as
+# run.py's Run.argv builds them
 RUN_ORDER = """
 import contextlib, importlib.util, io, json, sys
 import stigmagame
 from stigmagame import _kernels, cli
 
+def argv(command):
+    args = [command, "--config", sys.argv[2], "--out", sys.argv[3]]
+    if command == "sweep":
+        args += ["--grid", "101"]
+    elif command == "figures":
+        args += ["--grid", "101", "--svg"]
+    elif command == "simulate":
+        args += ["--pairs", sys.argv[4], "--seed", "1"]
+    return args
+
 for command in ("sweep", "optimize", "figures", "check", "evaluate", "simulate"):
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main([command, "--config", sys.argv[2], "--out", sys.argv[3],
-                         "--pairs", sys.argv[4]]) == 0, command
+        assert cli.main(argv(command)) == 0, command
 
 spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
 module = importlib.util.module_from_spec(spec)
@@ -136,8 +146,7 @@ spec.loader.exec_module(module)
 tracer = module.Tracer()
 tracer.install()
 try:
-    rc = cli.main(["simulate", "--config", sys.argv[2], "--out", sys.argv[3],
-                   "--pairs", sys.argv[4]])
+    rc = cli.main(argv("simulate"))
 finally:
     tracer.uninstall()
 print(json.dumps({"rc": rc, **tracer.counts}))
