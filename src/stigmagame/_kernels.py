@@ -102,7 +102,10 @@ def ppf_from_knots(u, table: InverseCdf, out=None, scratch=None):
     slope. Only u = 1.0 finds a segment without mass (p0 = 1.0, by the clip;
     bucket B never steps): (+0.0) * (-0.0) = -0.0, and x0 + (-0.0) = x0 exactly,
     x0 = -0.0 included. One segment is x0 + u * slope: its p0 is +-0.0 and p1 -
-    p0 is 1.0, so slope = x1 - x0 and u - p0 = u for u >= +0.0."""
+    p0 is 1.0, so slope = x1 - x0 and u - p0 = u for u >= +0.0. A value is
+    never below its segment's x0 but can lie above its x1, support_hi
+    included: the rounded slope and product carry u = 1.0, or u within a few
+    ulp below a knot's p, up to 2 ulp of max(|x0|, |x1|, x1 - x0) past x1."""
     t, v = table, np.asarray(u, dtype=np.float64).reshape(-1)
     x = np.empty_like(v) if out is None else out
     if t.lo is None:  # one segment (every uniform): no guide

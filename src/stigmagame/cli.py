@@ -346,8 +346,9 @@ _FLAGS = {
 
 @functools.cache
 def _build_parser():
-    """The command-line parser, built on the first main() call (not at
-    import, so argparse loads only then) and reused: parsing leaves it unchanged."""
+    """The command-line parser and its subcommand parsers by name, built on
+    the first main() call (not at import, so argparse loads only then) and
+    reused: parsing leaves them unchanged."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="stigmagame",
@@ -368,12 +369,15 @@ def _build_parser():
         )
         sp.add_argument("--out", type=Path, default=".",
                         help="output directory (default %(default)s)")
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
+    parser, commands = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # reported with the usage of the command they were given to
+            commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -14,7 +14,7 @@ from .coordination import hot_threshold
 from .signaling import ModelParams, pointwise_continuation
 # unused here; perfbench/tracer.py patches these names, so they must still resolve
 from .signaling import continuation_values, stigma_level  # noqa: F401
-from .welfare import SweepRow, _point, _require_preconditions, _sweep_points, tau_grid
+from .welfare import SweepRow, _point, _require_preconditions, tau_grid
 from .welfare import sweep  # noqa: F401  perfbench/tracer.py spans figures.sweep
 
 __all__ = ["FigureTable", "figure_tables", "line_chart_svg"]
@@ -82,7 +82,7 @@ def figure_tables(
     b_lo = params.dist_beta.support_lo
     b_hi = params.dist_beta.support_hi
     bs = _linspace(b_lo, b_hi, _CURVE_POINTS)
-    points = _sweep_points(params, tau_grid(grid_points), convention)
+    points = [_point(params, t, convention) for t in tau_grid(grid_points)]
     # the grid starts at tau_hat = 0, the natural policy
     bstar_natural = hot_threshold(params.u, points[0][0].gap)
     bstar_policy = hot_threshold(params.u, now.gap)

@@ -130,20 +130,17 @@ def testing_threshold(params: ModelParams, S: float) -> float:
     return (params.theta_H * params.v - params.c) / S
 
 
-def continuation_values(params: ModelParams, S: float) -> tuple[float, float, float]:
-    """(EV_L, EV_H, gap): expected period-2 payoffs by risk type.
+def continuation_values(params: ModelParams, S: float) -> tuple[float, float, float, float]:
+    """(EV_L, EV_H, gap, R_H): expected period-2 payoffs by risk type, from
+    one lookup of G_y and E[y; y <= y*] at the testing threshold y*.
 
     EV_H adds the expected testing bonus
-    integral of (theta_H*v - c - y*S) over y below the testing threshold,
-    evaluated in closed form through the CDF and the truncated first moment.
-    The gap is c_h*(theta_H - theta_L) - bonus, not EV_L - EV_H: both of
-    those carry E[y], which cancels on wide valuation supports.
+    integral of (theta_H*v - c - y*S) over y below y*, evaluated in closed
+    form through the CDF and the truncated first moment; R_H = G_y(y*) is
+    the high-risk testing rate. The gap is c_h*(theta_H - theta_L) - bonus,
+    not EV_L - EV_H: both of those carry E[y], which cancels on wide
+    valuation supports.
     """
-    return _testing_side(params, S)[1:]
-
-
-def _testing_side(params: ModelParams, S: float) -> tuple[float, float, float, float]:
-    """(R_H, EV_L, EV_H, gap) from one lookup of G_y and E[y; y <= y*] at y*."""
     net = params.theta_H * params.v - params.c
     r_h, pe = cdf_and_moment(params.dist_y, testing_threshold(params, S))
     bonus = net * r_h - S * pe
@@ -152,7 +149,7 @@ def _testing_side(params: ModelParams, S: float) -> tuple[float, float, float, f
     ev_h = mu - params.theta_H * params.c_h + bonus
     # net*G <= net (G <= 1) and S*E[y; y <= y*] >= 0 (y >= 0), so in floats
     # bonus <= net and gap >= assumption3_margin, with equality at S = 0
-    return r_h, ev_l, ev_h, params.c_h * (params.theta_H - params.theta_L) - bonus
+    return ev_l, ev_h, params.c_h * (params.theta_H - params.theta_L) - bonus, r_h
 
 
 def pointwise_continuation(params: ModelParams, S: float, y_a: float, risk: str) -> float:

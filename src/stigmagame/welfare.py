@@ -35,13 +35,12 @@ from .signaling import (
     AssumptionViolation,
     ModelParams,
     _check_tau,
-    _testing_side,
+    continuation_values,
     rejection_cutoff,
     stigma_level,
 )
 from .distributions import cdf, cdf_and_moment
-# unused here; perfbench/tracer.py patches these names, so they must still resolve
-from .signaling import continuation_values  # noqa: F401
+# unused here; perfbench/tracer.py patches this name, so it must still resolve
 from .distributions import partial_expectation  # noqa: F401
 
 __all__ = [
@@ -194,7 +193,7 @@ def check_assumptions(params: ModelParams, tau_hat: float) -> AssumptionReport:
     )
     a3_margin = assumption3_margin(params)
     _check_tau(tau_hat)
-    gap = _testing_side(params, stigma_level(params, tau_hat))[3]
+    gap = continuation_values(params, stigma_level(params, tau_hat))[2]
     r = 1.0 if gap <= 0.0 else period1_outcome(params, gap).r
     h_bar = r * params.theta_H + (1.0 - r) * params.theta_L
     a2_mass = cdf(params.dist_y, tau_hat * h_bar * params.z)
@@ -286,7 +285,7 @@ def _point(
     """
     _check_tau(tau_hat)
     s, pe = cdf_and_moment(p.dist_y, rejection_cutoff(p, tau_hat))
-    r_h, ev_l, ev_h, gap = _testing_side(p, s)
+    ev_l, ev_h, gap, r_h = continuation_values(p, s)
     p1 = period1_outcome(p, gap)
     r = p1.r
     r_pop = r * r_h
@@ -309,21 +308,6 @@ def evaluate_point(
     return _point(params, tau_hat, convention)[0]
 
 
-def _sweep_points(
-    params: ModelParams, grid, convention: str
-) -> list[tuple[SweepRow, tuple[float, float, float, float], float]]:
-    """_point at each point of a sorted tau_hat grid.
-
-    The caller has checked the preconditions; past them every point in
-    [0, 1] evaluates, since the gap never falls below the assumption-3
-    margin, and _point rejects a point outside it.
-    """
-    grid = [float(g) for g in grid]
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be sorted ascending")
-    return [_point(params, g, convention) for g in grid]
-
-
 def tau_grid(n: int) -> list[float]:
     """n evenly spaced policy values from 0 to 1 inclusive."""
     return [i / (n - 1) for i in range(n)]
@@ -332,9 +316,14 @@ def tau_grid(n: int) -> list[float]:
 def sweep(
     params: ModelParams, grid, convention: str = "corrected"
 ) -> list[SweepRow]:
-    """Evaluate the full chain on a sorted tau_hat grid, one row per point."""
+    """Evaluate the full chain on a sorted tau_hat grid, one row per point;
+    past the preconditions every point in [0, 1] evaluates, since the gap
+    never falls below the assumption-3 margin."""
     _require_preconditions(params, convention)
-    return [point[0] for point in _sweep_points(params, grid, convention)]
+    grid = [float(g) for g in grid]
+    if any(b < a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be sorted ascending")
+    return [_point(params, g, convention)[0] for g in grid]
 
 
 def _pieces(params: ModelParams) -> list[float]:

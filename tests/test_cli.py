@@ -265,7 +265,7 @@ class TestExitCodes:
     def test_grid_bounds_are_inclusive(self):
         for grid in (3, cli.MAX_GRID):
             argv = ["sweep", "--config", str(PAPER_CFG), "--grid", str(grid)]
-            assert cli._build_parser().parse_args(argv).grid == grid
+            assert cli._build_parser()[0].parse_args(argv).grid == grid
 
     @pytest.mark.parametrize("command", ["check", "evaluate", "sweep", "optimize",
                                          "simulate", "figures"])
@@ -296,10 +296,10 @@ class TestExitCodes:
         assert (cols["n_pairs"], cols["seed"]) == ("500000", "2024")
         assert cli.main(["sweep", *argv]) == 0
         assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 101
-        args = cli._build_parser().parse_args(["optimize", "--config", "x.cfg"])
+        args = cli._build_parser()[0].parse_args(["optimize", "--config", "x.cfg"])
         assert (args.tol, args.out) == (1e-6, Path("."))
         assert args.convention is None
-        assert cli._build_parser().parse_args(["evaluate", "--config", "x.cfg"]).tau is None
+        assert cli._build_parser()[0].parse_args(["evaluate", "--config", "x.cfg"]).tau is None
 
 
 class TestEvaluate:
@@ -670,15 +670,18 @@ class TestFlagsPerCommand:
             assert plain[0] == 0
             assert result != plain
         else:
+            # reported with the usage of the command, which lists the flags it takes
             assert result == (2, "", {})
-            assert f"error: unrecognized arguments: {flag}" in err
+            assert err.startswith(f"usage: stigmagame {command} [-h] --config CONFIG")
+            assert f"stigmagame {command}: error: unrecognized arguments: {flag}" in err
 
     @pytest.mark.parametrize("argv", [["optimize", "--t", "0.3"],
                                       ["sweep", "--conv", "paper_literal"]])
     def test_no_flag_is_abbreviated(self, tmp_path, capsys, argv):
         result, err = self.run(argv + ["--config", str(PAPER_CFG)], tmp_path / "out", capsys)
         assert result == (2, "", {})
-        assert f"error: unrecognized arguments: {' '.join(argv[1:])}" in err
+        assert err.startswith(f"usage: stigmagame {argv[0]} [-h] --config CONFIG")
+        assert f"stigmagame {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}" in err
 
 
 def fresh_main(argv, cwd):

@@ -214,7 +214,7 @@ class TestPeriod1Outcome:
 
     def test_paper_full_stigma(self, paper_params):
         p = paper_params
-        _, _, gap = continuation_values(p, stigma_level(p, 1.0))
+        _, _, gap, _ = continuation_values(p, stigma_level(p, 1.0))
         out = period1_outcome(p, gap)
         assert gap == pytest.approx(0.584375, abs=1e-12)
         assert out.beta_star == pytest.approx(0.1 / 0.584375, abs=1e-12)
@@ -254,7 +254,7 @@ class TestOutcomeBounds:
         for _ in range(30):
             p = random_valid_params(rng)
             tau = float(rng.uniform(0.0, 1.0))
-            _, _, gap = continuation_values(p, stigma_level(p, tau))
+            _, _, gap, _ = continuation_values(p, stigma_level(p, tau))
             out = period1_outcome(p, gap)
             assert out.H * out.H - 1e-10 <= out.r <= min(1.0, 2.0 * out.H) + 1e-10
 
@@ -267,7 +267,7 @@ class TestDeterrence:
             taus = np.sort(rng.uniform(0.0, 1.0, size=8))
             r_prev = 2.0
             for t in taus:
-                _, _, gap = continuation_values(p, stigma_level(p, float(t)))
+                _, _, gap, _ = continuation_values(p, stigma_level(p, float(t)))
                 r = period1_outcome(p, gap).r
                 assert r <= r_prev + 1e-10
                 r_prev = r

@@ -15,6 +15,7 @@ through a module `__getattr__`, and the analytic commands never do.
 
 Each module's `__all__` is its public surface: it names only what exists,
 and it lists every public function and class the module defines. The
+package's surface is the analytic modules' `__all__` plus the lazy names. The
 per-tau entry points share one calling convention. The modules import each
 other without a cycle. Only the lazy loads import a module of the package
 from inside a function: montecarlo its kernel, the package montecarlo, and
@@ -349,6 +350,22 @@ def test_all_lists_exactly_the_public_definitions():
         if unresolved or unlisted:
             report[info.name] = {"unresolved": unresolved, "unlisted": unlisted}
     assert report == {}
+
+
+def test_the_package_exports_exactly_the_modules_public_names():
+    # __init__ star-imports the analytic modules, so their __all__ is the
+    # package surface; montecarlo's names load lazily on first use
+    import stigmagame
+
+    modules = [importlib.import_module(f"stigmagame.{name}")
+               for name in ("distributions", "signaling", "coordination", "welfare")]
+    listed = [name for module in modules for name in module.__all__]
+    assert len(listed) == len(set(listed)), "two modules export the same name"
+    public = {
+        name for name in dir(stigmagame)
+        if not name.startswith("_") and not inspect.ismodule(vars(stigmagame).get(name))
+    }
+    assert public == {*listed, *stigmagame._SIMULATION}
 
 
 def test_per_tau_entry_points_share_one_signature():

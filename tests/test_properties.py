@@ -198,6 +198,39 @@ def test_slope_form_is_within_two_ulp_of_division_form(spec, seed):
     assert bad.size == 0, (u[bad[:5]].tolist(), gap[bad[:5]], scale[bad[:5]])
 
 
+# the largest overshoot seen in 3e7 random segments; u = 1.0 takes it past
+# support_hi, 0.007984655906805842, to 0.007984655906805846
+OVERSHOOT = piecewise_linear_cdf([
+    (-1.0, 0.0), (-0.0036716622367961227, 0.42921268802839097), (0.007984655906805842, 1.0)
+])
+
+
+def test_the_largest_overshoot_is_two_ulp():
+    xs = OVERSHOOT.knots_x
+    x = ppf(OVERSHOOT, np.array([1.0]))[0]
+    assert x - xs[-1] == 2.0 * np.spacing(xs[-1] - xs[-2]) > 0.0
+
+
+@settings(PROPERTY, max_examples=150)
+@example(spec=OVERSHOOT)
+@example(spec=piecewise_linear_cdf([(-0.98, 0.0), (0.71, 0.65), (1.71, 1.0)]))
+@given(spec=sampling_specs())
+def test_inverse_cdf_overshoots_its_segment_by_at_most_two_ulp(spec):
+    """At u = 1.0 and at the two floats below each knot p, where u - p0 is
+    about the segment's whole mass, the inverse CDF lies at or above the
+    segment's left end x0 and at most 2 ulp of max(|x0|, |x1|, x1 - x0)
+    above its right end x1."""
+    xs, ps = np.asarray(spec.knots_x), np.asarray(spec.knots_p)
+    below = np.nextafter(ps, -1.0)
+    u = np.clip(np.concatenate([[1.0], below, np.nextafter(below, -1.0)]), 0.0, 1.0)
+    k = np.clip(np.searchsorted(ps, u, side="right") - 1, 0, len(ps) - 2)
+    x0, x1 = xs[k], xs[k + 1]
+    scale = np.maximum.reduce([np.abs(x0), np.abs(x1), x1 - x0])
+    x = ppf(spec, u)
+    bad = np.flatnonzero((x < x0) | (x - x1 > 2.0 * np.spacing(scale)))
+    assert bad.size == 0, (u[bad[:5]].tolist(), x[bad[:5]], x1[bad[:5]])
+
+
 @PROPERTY
 @example(beta_star=5e-324, a=1.0, b=1.0)
 @example(beta_star=3e-310, a=2e-310, b=1.0)

@@ -157,16 +157,16 @@ class TestBestResponses:
 class TestContinuationValues:
     def test_low_type_independent_of_stigma(self, paper_params):
         for s in (0.0, 0.3, 0.7, 1.0):
-            ev_l, _, _ = continuation_values(paper_params, s)
+            ev_l, _, _, _ = continuation_values(paper_params, s)
             assert ev_l == pytest.approx(0.8, abs=1e-15)
 
     def test_half_stigma(self, paper_params):
-        _, ev_h, gap = continuation_values(paper_params, 0.5)
+        _, ev_h, gap, _ = continuation_values(paper_params, 0.5)
         assert ev_h == pytest.approx(0.23125, abs=1e-12)
         assert gap == pytest.approx(0.56875, abs=1e-12)
 
     def test_zero_stigma(self, paper_params):
-        _, ev_h, gap = continuation_values(paper_params, 0.0)
+        _, ev_h, gap, _ = continuation_values(paper_params, 0.0)
         assert ev_h == pytest.approx(0.45, abs=1e-12)
         assert gap == pytest.approx(0.35, abs=1e-12)
 
@@ -184,7 +184,7 @@ class TestContinuationValues:
         nodes = (np.arange(n) + 0.5) * (2.0 / n)
         nodes_l = (np.arange(10_000) + 0.5) * (2.0 / 10_000)
         for s in (0.0, 0.5, 1.0):
-            ev_l, ev_h, _ = continuation_values(paper_params, s)
+            ev_l, ev_h, _, _ = continuation_values(paper_params, s)
             # full-resolution average for the kinked high-risk curve; the
             # low-risk curve is linear so a coarse grid is already exact
             avg_h = math.fsum(
@@ -195,6 +195,17 @@ class TestContinuationValues:
             ) / len(nodes_l)
             assert avg_h == pytest.approx(ev_h, abs=1e-8)
             assert avg_l == pytest.approx(ev_l, abs=1e-10)
+
+    def test_last_value_is_the_sweep_rows_testing_rate(self, paper_params):
+        # R_H = G_y(y*): everyone tests at S = 0, and y* = 0.25/S on U[0, 2]
+        assert continuation_values(paper_params, 0.0)[3] == 1.0
+        assert continuation_values(paper_params, 0.5)[3] == pytest.approx(0.25, abs=1e-15)
+        for tau in (0.0, 0.3, 1.0):
+            row = evaluate_point(paper_params, tau)
+            assert continuation_values(paper_params, row.S) == (
+                pytest.approx(0.8, abs=1e-15), pytest.approx(0.8 - row.gap, abs=1e-12),
+                row.gap, row.R_H,
+            )
 
 
 class TestPointwiseContinuation:

@@ -75,10 +75,13 @@ def test_every_unused_import_is_a_traced_name():
 
 def test_tracer_counts_one_chain_per_point_and_each_objective_call():
     # welfare.chain_evals_per_point reads the traced period1_outcome calls
-    # that welfare makes, and welfare.optimize_objective_evals the traced
-    # calls of welfare.welfare; both must count what the chain really does
+    # that welfare makes, welfare.optimize_objective_evals the traced calls
+    # of welfare.welfare and figures.chain_evals the continuation_values
+    # calls under one figure_tables; each must count what the chain really does
     for info in pkgutil.iter_modules(stigmagame.__path__):
         importlib.import_module(f"stigmagame.{info.name}")
+    from stigmagame.figures import figure_tables
+
     params = load_config(PAPER_CFG).params
     tracer = _load_tracer().Tracer()
     try:
@@ -87,11 +90,17 @@ def test_tracer_counts_one_chain_per_point_and_each_objective_call():
         after_sweep = dict(tracer.counts)
         res = optimize(params)
         after_optimize = dict(tracer.counts)
+        figure_tables(params, 0.5, 9)
+        after_figures = dict(tracer.counts)
     finally:
         tracer.uninstall()
     assert after_sweep["welfare.period1_outcome"] == 17
+    assert after_sweep["signaling.continuation_values"] == 17
     assert after_sweep.get("welfare.welfare", 0) == 0
     assert after_optimize["welfare.welfare"] == len(res.trace)
+    chain_evals = (after_figures["signaling.continuation_values"]
+                   - after_optimize["signaling.continuation_values"])
+    assert chain_evals == 9 + 1  # the grid plus the policy point
 
 
 @pytest.mark.parametrize("config", [PAPER_CFG, PIECEWISE_CFG], ids=["paper", "piecewise"])
