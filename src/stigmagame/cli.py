@@ -1,11 +1,12 @@
 """Command-line surface: config parsing and the six analysis commands.
 
 Commands: check | evaluate | sweep | optimize | simulate | figures. Each
-takes --config, --convention and --out and only the run settings it reads
-(`_COMMANDS`); any other flag, or an abbreviated one, exits 2. Config
-files are flat `key = value` text (UTF-8, a byte-order mark skipped,
-# comments); each flag's default and range live in the parser, which
-checks every range before the config is read. Exit codes: 0 success, 2
+takes --config, --convention and --out (which check and evaluate, printing
+only, never touch) and only the run settings it reads (`_COMMANDS`); any
+other flag, or an abbreviated one, exits 2. Config files are flat
+`key = value` text (UTF-8, a byte-order mark skipped, # comments); each
+flag's default and range live in the parser, which checks every range
+before the config is read. Exit codes: 0 success, 2
 config error (README.md's CLI section lists every cause), 3 assumption-3
 failure (the welfare commands always; check only under --strict). Past
 those checks every point of the chain evaluates. `--tau` replaces tau_hat
@@ -43,19 +44,9 @@ EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
 MAX_GRID = 1_000_001  # a tau_hat step of 1e-6; the grid and its rows are held in memory
 
-# the scalar parameters, in the order the commands echo them
-_PARAM_KEYS = (
-    "theta_L",
-    "theta_H",
-    "v",
-    "c",
-    "c_h",
-    "z",
-    "u",
-    "M",
-    "tau_hat",
-    "tau_true",
-)
+_DIST_KEYS = ("dist_beta", "dist_y")
+# the scalar parameters, in ModelParams' field order: the order the commands echo them
+_PARAM_KEYS = tuple(key for key in ModelParams._fields if key not in _DIST_KEYS)
 _REQUIRED_KEYS = ModelParams._fields[: -len(ModelParams._field_defaults)]
 _KNOWN_KEYS = {*ModelParams._fields, "convention"}
 
@@ -113,8 +104,8 @@ def _parse_dist(key: str, value: str, base_dir: Path) -> DistributionSpec:
 def load_config(path) -> RunConfig:
     """Parse a flat key = value config file into a RunConfig.
 
-    Unknown keys are rejected. M defaults to 1, tau_true to 0 and the
-    convention to corrected; everything else is required.
+    Unknown keys are rejected. M defaults to 1 and the convention to
+    corrected; everything else is required.
     """
     path = Path(path)
     if not path.is_file():
@@ -148,15 +139,14 @@ def load_config(path) -> RunConfig:
             scalars[key] = float(raw[key])
         except ValueError:
             raise ConfigError(f"key '{key}': malformed value {raw[key]!r}")
-    dist_beta = _parse_dist("dist_beta", raw["dist_beta"], path.parent)
-    dist_y = _parse_dist("dist_y", raw["dist_y"], path.parent)
+    dists = {key: _parse_dist(key, raw[key], path.parent) for key in _DIST_KEYS}
     convention = raw.get("convention", "corrected")
     if convention not in CONVENTIONS:
         raise ConfigError(
             f"key 'convention': must be one of {CONVENTIONS}, got {convention!r}"
         )
     try:
-        params = ModelParams(dist_beta=dist_beta, dist_y=dist_y, **scalars)
+        params = ModelParams(**dists, **scalars)
     except AssumptionViolation:
         raise
     except ValueError as exc:
@@ -382,7 +372,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         cfg = load_config(args.config)
-        args.out.mkdir(parents=True, exist_ok=True)  # the OSError names the path
+        if args.command not in ("check", "evaluate"):  # these take --out but only print
+            args.out.mkdir(parents=True, exist_ok=True)  # the OSError names the path
     except (AssumptionViolation, ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

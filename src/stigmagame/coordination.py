@@ -12,6 +12,7 @@ interval), so a call is one bisect and a quadratic; G is C^1 (r'' jumps at
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import NamedTuple
 
@@ -42,7 +43,7 @@ class Period1Outcome(NamedTuple):
 def hot_threshold(u: float, gap: float) -> float:
     """u/gap. Players with present bias below it are hot; once it reaches
     the top of the present-bias support, every player is."""
-    if gap <= 0.0:
+    if not gap > 0.0:  # NaN included
         raise AssumptionViolation(
             "assumption 3", f"continuation gap must be positive, got {gap!r}"
         )
@@ -63,6 +64,8 @@ def high_risk_fraction(dist_beta: DistributionSpec, beta_star: float) -> float:
     s = 2.0 * beta_star
     m = bisect_right(ts, s)
     if not 0 < m < len(ts):
+        if math.isnan(s):  # bisects past T[-1]
+            raise ValueError(f"beta_star must be a number, got {beta_star!r}")
         return float(m > 0)  # 0 below T[0], 1 from T[-1] up
     g, slope, curv = coef[m - 1]
     d = s - ts[m - 1]

@@ -189,7 +189,10 @@ def cdf(spec: DistributionSpec, x: float) -> float:
         return 1.0
     ps = spec.knots_p
     k = bisect_right(xs, x) - 1
-    return ps[k] + (x - xs[k]) * (ps[k + 1] - ps[k]) / (xs[k + 1] - xs[k])
+    try:
+        return ps[k] + (x - xs[k]) * (ps[k + 1] - ps[k]) / (xs[k + 1] - xs[k])
+    except IndexError:  # only NaN passes both end tests and bisects past the last knot
+        raise ValueError(f"threshold must be a number, got {x!r}") from None
 
 
 def density(spec: DistributionSpec, x: float) -> float:
@@ -219,8 +222,11 @@ def cdf_and_moment(spec: DistributionSpec, t: float) -> tuple[float, float]:
     ps = spec.knots_p
     k = bisect_right(xs, t) - 1
     x0 = xs[k]
-    return (ps[k] + (t - x0) * (ps[k + 1] - ps[k]) / (xs[k + 1] - x0),
-            totals[k] + slopes[k] * (t * t - x0 * x0) * 0.5)
+    try:
+        return (ps[k] + (t - x0) * (ps[k + 1] - ps[k]) / (xs[k + 1] - x0),
+                totals[k] + slopes[k] * (t * t - x0 * x0) * 0.5)
+    except IndexError:  # as in cdf, only NaN gets here
+        raise ValueError(f"threshold must be a number, got {t!r}") from None
 
 
 def partial_expectation(spec: DistributionSpec, t: float) -> float:

@@ -56,9 +56,10 @@ class ModelParams(NamedTuple):
     c_h: infection cost (choice-irrelevant); z: partner's health cost if
     infected; u: period-1 payoff premium of the unsafe choice; M: period-1
     payoff of successful coordination; tau_hat: the configured perceived
-    transmission risk (the policy instrument); tau_true: actual transmission
-    risk, which the analysis takes to be 0. dist_beta governs present bias,
-    dist_y interaction valuations; both supports start at 0 or above.
+    transmission risk (the policy instrument). The analysis takes the actual
+    transmission risk to be 0, so only the perceived risk drives the chain.
+    dist_beta governs present bias, dist_y interaction valuations; both
+    supports start at 0 or above.
 
     Only the CLI reads tau_hat, and _validate checks it: every library
     function takes the policy value it evaluates as an argument.
@@ -75,7 +76,6 @@ class ModelParams(NamedTuple):
     dist_y: DistributionSpec
     tau_hat: float
     M: float = 1.0
-    tau_true: float = 0.0
 
     def _validate(self):
         if not 0.0 < self.theta_L < self.theta_H < 1.0:
@@ -87,11 +87,6 @@ class ModelParams(NamedTuple):
             if not 0.0 <= val < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {val!r}")
         _check_tau(self.tau_hat)
-        if self.tau_true != 0.0:
-            raise ValueError(
-                f"tau_true must be 0 (the analysis assumes no actual transmission "
-                f"risk), got {self.tau_true!r}"
-            )
         # the closed forms take valuations and present bias to be non-negative
         if not min(self.dist_beta.knots_x[0], self.dist_y.knots_x[0]) >= 0.0:
             name = "dist_beta" if self.dist_beta.knots_x[0] < 0.0 else "dist_y"

@@ -309,7 +309,9 @@ def evaluate_point(
 
 
 def tau_grid(n: int) -> list[float]:
-    """n evenly spaced policy values from 0 to 1 inclusive."""
+    """n >= 2 evenly spaced policy values from 0 to 1 inclusive."""
+    if n < 2:
+        raise ValueError(f"a tau_hat grid needs at least 2 points, got {n!r}")
     return [i / (n - 1) for i in range(n)]
 
 

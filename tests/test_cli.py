@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stigmagame import cli, evaluate_point
+from stigmagame import ModelParams, cli, evaluate_point
 
 from conftest import PAPER_CFG, REPO_ROOT, src_env
 from test_golden import COMMANDS, CONFIGS, GOLDEN
@@ -47,7 +47,6 @@ class TestLoadConfig:
         assert (p.theta_L, p.theta_H, p.v, p.c) == (0.2, 0.8, 1.0, 0.55)
         assert (p.c_h, p.z, p.u, p.tau_hat) == (1.0, 2.5, 0.1, 0.5)
         assert p.M == 1.0  # defaulted
-        assert p.tau_true == 0.0  # defaulted
         assert cfg.convention == "corrected"
         assert p.dist_y.support_hi == 2.0
 
@@ -55,6 +54,12 @@ class TestLoadConfig:
         path = write_cfg(tmp_path, GOOD_CFG + "gamma = 0.5\n")
         with pytest.raises(cli.ConfigError, match="gamma"):
             cli.load_config(path)
+
+    def test_tau_true_is_an_unknown_key(self, tmp_path, capsys):
+        # the analysis takes the actual transmission risk to be 0; no key sets it
+        path = write_cfg(tmp_path, GOOD_CFG + "tau_true = 0\n")
+        assert cli.main(["check", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.endswith("unknown key 'tau_true'\n")
 
     def test_missing_key_rejected(self, tmp_path):
         text = "\n".join(
@@ -271,14 +276,21 @@ class TestExitCodes:
                                          "simulate", "figures"])
     @pytest.mark.parametrize("below", ["", "x"])
     def test_unwritable_out_exits_2(self, tmp_path, capsys, command, below):
-        # --out is an existing file, or a path below one
+        # --out is an existing file, or a path below one; check and evaluate
+        # write no file, so they never touch --out and succeed as usual
         blocker = tmp_path / "file"
         blocker.write_text("kept\n", encoding="utf-8")
         out = blocker / below if below else blocker
         argv = [command, "--config", str(PAPER_CFG), "--out", str(out)]
-        assert cli.main(argv + QUICK[command]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and str(out) in err
+        if command in ("check", "evaluate"):
+            assert cli.main(argv) == 0
+            usual = capsys.readouterr()
+            assert cli.main([command, "--config", str(PAPER_CFG)]) == 0
+            assert usual == capsys.readouterr() and usual.err == ""
+        else:
+            assert cli.main(argv + QUICK[command]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and str(out) in err
         assert blocker.read_text(encoding="utf-8") == "kept\n"
 
     def test_unwritable_output_file_exits_2(self, tmp_path, capsys):
@@ -308,6 +320,14 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "M = 1" in out
         assert "tau_hat,S,gap,H,r,R_H,R,W_A,W_B,W" in out
+
+    @pytest.mark.parametrize("command", ["check", "evaluate"])
+    def test_echo_lists_the_scalar_fields_in_field_order(self, capsys, command):
+        assert cli.main([command, "--config", str(PAPER_CFG)]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        echoed = [bit.split(" = ")[0] for bit in first.removeprefix("# ").split(", ")]
+        scalars = [f for f in ModelParams._fields if f not in ("dist_beta", "dist_y")]
+        assert echoed == scalars
 
     def test_round_trip_against_sweep(self, tmp_path, capsys):
         assert (
@@ -565,10 +585,10 @@ class TestArtifacts:
 
 
 class TestExitCodeMatrix:
-    # c_h = 0.3 fails assumption 3 (margin -0.07); tau_true = 0.2 is outside
-    # the analysis, a config error for every command. Every welfare-bearing
-    # command reports the same code for the same config, whatever point of
-    # the chain it reaches first.
+    # c_h = 0.3 fails assumption 3 (margin -0.07); tau_true is not a
+    # ModelParams field, so naming it is an unknown-key config error for
+    # every command. Every welfare-bearing command reports the same code for
+    # the same config, whatever point of the chain it reaches first.
     CONFIGS = {"a3": {"c_h": "0.3"}, "tau_true": {"tau_true": "0.2"}}
     EXPECTED = {
         ("evaluate", "a3"): 3,

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from stigmagame import (
     AssumptionViolation,
     DistributionSpec,
+    cdf,
+    cdf_and_moment,
     cli,
     continuation_values,
     high_risk_fraction,
@@ -65,6 +69,19 @@ class TestHotFraction:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             hot_fraction(BETA01, -0.1)
+
+
+@pytest.mark.parametrize(
+    "function", [cdf, cdf_and_moment, hot_fraction, high_risk_fraction, hot_threshold],
+    ids=lambda f: f.__name__,
+)
+def test_a_nan_threshold_is_an_error(function):
+    # NaN fails every comparison, so unchecked it passes the range tests into
+    # an IndexError, a CDF of 1.0 or beta* = NaN; a NaN gap fails assumption 3
+    first, error = (0.1, AssumptionViolation) if function is hot_threshold else (BETA01, ValueError)
+    with pytest.raises(ValueError, match="got nan") as info:
+        function(first, math.nan)
+    assert type(info.value) is error
 
 
 class TestPairOutcome:

@@ -10,6 +10,7 @@ The "sim" rows check simulate's run arguments, given by keyword and by position.
 
 import importlib
 import inspect
+import math
 import pickle
 import pkgutil
 
@@ -38,8 +39,7 @@ PARAMS_CHECKS = [
     *[({name: -1.0}, ValueError, f"{name} must be finite and >= 0, got -1.0")
       for name in ("v", "c", "c_h", "z", "u", "M")],
     ({"tau_hat": 1.5}, ValueError, "tau_hat must lie in [0, 1], got 1.5"),
-    ({"tau_true": 0.2}, ValueError, "tau_true must be 0 (the analysis assumes no "
-     "actual transmission risk), got 0.2"),
+    ({"tau_hat": math.nan}, ValueError, "tau_hat must lie in [0, 1], got nan"),
     ({"dist_beta": uniform(-0.5, 1.0)}, ValueError,
      "dist_beta support must start at 0 or above, got -0.5"),
     ({"dist_y": uniform(-1.0, 2.0)}, ValueError,

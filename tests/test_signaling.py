@@ -46,12 +46,6 @@ class TestModelParams:
         for lo in (-0.0, 0.0, 0.25):
             assert getattr(paper_params._replace(**{name: uniform(lo, 1.0)}), name).support_lo == lo
 
-    def test_tau_true_must_be_zero(self, paper_params):
-        for tau_true in (0.2, 1e-300, -0.1, math.nan):
-            with pytest.raises(ValueError, match="tau_true must be 0"):
-                paper_params._replace(tau_true=tau_true)
-        assert paper_params._replace(tau_true=-0.0).tau_true == 0.0
-
 
 class TestStigma:
     def test_paper_point(self, paper_params):

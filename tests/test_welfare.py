@@ -101,11 +101,6 @@ class TestWelfare:
             exp = expected_chain(float(tau))
             assert rep.W == pytest.approx(exp["W"], abs=1e-9)
 
-    def test_nonzero_true_risk_rejected(self, paper_params):
-        # ModelParams rejects it, so no welfare call can receive it
-        with pytest.raises(ValueError, match="tau_true must be 0"):
-            welfare(paper_params._replace(tau_true=0.2), 0.5)
-
     def test_gap_assumption_enforced(self, paper_params):
         with pytest.raises(AssumptionViolation) as info:
             welfare(paper_params._replace(c_h=0.3), 0.5)
@@ -287,12 +282,21 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "change, error",
-        [({"c_h": 0.3}, AssumptionViolation), ({"tau_true": 0.2}, ValueError)],
+        [({"c_h": 0.3}, AssumptionViolation), ({"tau_hat": 1.5}, ValueError)],
     )
     def test_preconditions_fail_before_any_point(self, paper_params, change, error):
-        # tau_true fails in ModelParams, before the sweep is called
+        # tau_hat fails in ModelParams, before the sweep is called
         with pytest.raises(error):
             sweep(paper_params._replace(**change), [0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_a_grid_needs_two_points(self, paper_params, n):
+        message = f"a tau_hat grid needs at least 2 points, got {n}"
+        with pytest.raises(ValueError, match=message):
+            tau_grid(n)
+        with pytest.raises(ValueError, match=message):
+            figure_tables(paper_params, 0.5, n)
+        assert tau_grid(2) == [0.0, 1.0]
 
 
 class TestPolicyValue:
