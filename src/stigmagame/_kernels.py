@@ -163,14 +163,14 @@ def simulate_pairs(
     golden = getattr(_local, "golden", None)  # 3 i GOLDEN for i < n, kept across calls
     if golden is None or len(golden) < n:
         golden = _local.golden = np.arange(n, dtype=np.uint64) * np.uint64(3 * _GOLDEN % 2**64)
-    b1, b2, ya1, ya2, yb1, yb2, tmp, net = f64 = _rows("f64", float, 8, n)
-    hot1, hot2, unsafe, t1, t2, d1, d2, m1, m2, e = bools = _rows("bool", bool, 10, n)
+    b1, b2, ya1, ya2, yb1, yb2, tmp, spare = f64 = _rows("f64", float, 8, n)
+    hot1, hot2, unsafe, t1, t2, d1, d2, m = bools = _rows("bool", bool, 8, n)
 
     # rows 2j and 2j + 1 (draws, one contiguous view) take the low and high halves
     # of counter 3 (first_pair + i) + j's output, keyed as seed + (counter + 1)
-    # GOLDEN mod 2**64, hashed in tmp's row with net's as the shift scratch. One
-    # inverse-CDF call maps both rows, gathering into tmp and net, flags in hot1, hot2
-    z, shift = tmp.view(np.uint64), net.view(np.uint64)
+    # GOLDEN mod 2**64, hashed in tmp's row with spare's as the shift scratch. One
+    # inverse-CDF call maps both rows, gathering into tmp and spare, flags in hot1, hot2
+    z, shift = tmp.view(np.uint64), spare.view(np.uint64)
     scratch = f64[6:].reshape(-1), bools[:2].reshape(-1)
     for j, (draws, table) in enumerate(zip(f64[:6].reshape(3, -1), (beta_cdf, y_cdf, y_cdf))):
         key = np.array(((3 * first_pair + j + 1) * _GOLDEN + seed) % 2**64, np.uint64)
@@ -189,31 +189,36 @@ def simulate_pairs(
     # like every knot, far below 2**1023, to a finite sum <= 2 prev(beta*) < 2 beta*
     np.less(np.add(b1, b2, out=tmp), 2.0 * beta_star, out=unsafe)
 
-    # the net gain from testing theta v - c, and ua = pay1 + t net - theta c_h
-    # + m y_a less its last term, as tables by 2 unsafe + t (the gain does not
-    # depend on t), each value in the per-pair expression's operation order
+    # a player tests iff unsafe and S y_a < theta_H v - c (a - b > 0 iff b < a in
+    # floats): assumption 1 puts theta_L v - c below 0 <= S y_a, so safe pairs never
+    # test. ua = pay1 + t (theta v - c) - theta c_h + m y_a less its last term, as a
+    # table by 2 unsafe + t, each value in the per-pair expression's operation order
     theta, pay1 = (p.theta_L, p.theta_H), (p.M - p.u, p.M)
-    gain = np.array([theta[i // 2] * p.v - p.c for i in range(4)])
-    base = np.array([pay1[i // 2] + (i % 2) * gain[i] - theta[i // 2] * p.c_h for i in range(4)])
+    gain = [x * p.v - p.c for x in theta]
+    base = np.array([pay1[i // 2] + (i % 2) * gain[i // 2] - theta[i // 2] * p.c_h for i in range(4)])
     # 2 unsafe, and index 2 unsafe + t, in the beta draws' rows, no longer needed
     twice, index = b1.view(np.intp), b2.view(np.intp)
     np.copyto(twice, unsafe)
     np.add(twice, twice, out=twice)
-    gain.take(twice, out=net, mode="clip")  # in range; "raise" would stage out in a copy
-    w, ua2 = np.empty(n), ya1  # w holds ua1 until ua2 is added; ya1 is done by then
-    for t, m, d, ya, yb, ua in ((t1, m1, d1, ya1, yb1, w), (t2, m2, d2, ya2, yb2, ua2)):
-        # t: tests, net - S y_a > 0; d: y_b below the cutoff; m: not (d and t)
-        np.greater(np.subtract(net, np.multiply(stigma, ya, out=tmp), out=tmp), 0.0, out=t)
+    w, ua2 = np.empty(n), spare  # w holds ua1 until ua2 is added
+    for t, d, ya, yb, ua in ((t1, d1, ya1, yb1, w), (t2, d2, ya2, yb2, ua2)):
+        # t: tests; d: y_b below the cutoff; m: not (d and t), then as floats in tmp
+        np.less(np.multiply(stigma, ya, out=tmp), gain[1], out=t)
+        np.logical_and(t, unsafe, out=t)
         np.less(yb, cutoff, out=d)
         np.logical_not(np.logical_and(d, t, out=m), out=m)
-        base.take(np.add(twice, t, out=index), out=ua, mode="clip")
-        np.add(ua, np.multiply(_floats(m, tmp), ya, out=tmp), out=ua)
+        base.take(np.add(twice, t, out=index), out=ua, mode="clip")  # "raise" would copy
+        np.add(ua, np.multiply(_floats(m, tmp), ya, out=ya), out=ua)
+        if not literal_b:  # ub = m y_b, from the same float row
+            np.multiply(tmp, yb, out=yb)
 
-    # w = 0.5 (ua1 + ua2 + ub1 + ub2); ub = m y_b, or (t if d else 1) y_b literally
+    # w = 0.5 (ua1 + ua2 + ub1 + ub2); ub, in yb, or literally (t if d else 1) y_b
     np.add(w, ua2, out=w)
-    for t, m, d, yb in ((t1, m1, d1, yb1), (t2, m2, d2, yb2)):
-        accepts = np.logical_or(np.logical_not(d, out=e), t, out=e) if literal_b else m
-        np.add(w, np.multiply(_floats(accepts, tmp), yb, out=tmp), out=w)
+    for t, d, yb in ((t1, d1, yb1), (t2, d2, yb2)):
+        if literal_b:
+            accepts = np.logical_or(np.logical_not(d, out=m), t, out=m)
+            yb = np.multiply(_floats(accepts, tmp), yb, out=tmp)
+        np.add(w, yb, out=w)
     np.multiply(w, 0.5, out=w)
 
     # code = ((ndisc 3 + ntest) 3 + nhot) 2 + unsafe, each count a sum of two bool rows

@@ -6,19 +6,20 @@ only, never touch) and only the run settings it reads (`_COMMANDS`); any
 other flag, or an abbreviated one, exits 2. Config files are flat
 `key = value` text (UTF-8, a byte-order mark skipped, # comments); each
 flag's default and range live in the parser, which checks every range
-before the config is read. Exit codes: 0 success, 2
-config error (README.md's CLI section lists every cause), 3 assumption-3
-failure (the welfare commands always; check only under --strict). Past
-those checks every point of the chain evaluates. `--tau` replaces tau_hat
-for check, evaluate, simulate and figures. All CSV output uses a fixed
-column order with 12-significant-digit floats, so repeated runs with the
-same config are byte-identical.
+before the config is read. Exit codes: 0 success, 2 config error (README.md's
+CLI section lists every cause), 3 assumption-3 failure (the welfare commands
+always; check only under --strict), 141 stdout closed by its reader (entry()
+only). Past those checks every point of the chain evaluates. `--tau` replaces
+tau_hat for check, evaluate, simulate and figures. All CSV output uses a fixed
+column order with 12-significant-digit floats, so repeated runs with the same
+config are byte-identical.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -42,6 +43,7 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "main", "entry"]
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a writer the signal ends
 MAX_GRID = 1_000_001  # a tau_hat step of 1e-6; the grid and its rows are held in memory
 
 _DIST_KEYS = ("dist_beta", "dist_y")
@@ -394,7 +396,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+    except BrokenPipeError:
+        # the reader went away: exit-time flushes go to devnull (SIGPIPE note, signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_STDOUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ from .signaling import AssumptionViolation, ModelParams
 __all__ = [
     "Period1Outcome",
     "hot_threshold",
-    "hot_fraction",
     "high_risk_fraction",
     "period1_outcome",
 ]
@@ -50,13 +49,6 @@ def hot_threshold(u: float, gap: float) -> float:
     return u / gap
 
 
-def hot_fraction(dist_beta: DistributionSpec, beta_star: float) -> float:
-    """Mass of players below the hot threshold."""
-    if beta_star < 0.0:
-        raise ValueError(f"beta_star must be >= 0, got {beta_star!r}")
-    return cdf(dist_beta, beta_star)
-
-
 def high_risk_fraction(dist_beta: DistributionSpec, beta_star: float) -> float:
     """Mass of players in unsafe pairs, G(2*beta*) from dist_beta.sum_cdf_table:
     exactly 0 up to T[0] = 2 support_lo and exactly 1 from T[-1] = 2 support_hi."""
@@ -73,16 +65,16 @@ def high_risk_fraction(dist_beta: DistributionSpec, beta_star: float) -> float:
 
 
 def period1_outcome(params: ModelParams, gap: float) -> Period1Outcome:
-    """Hot threshold, hot fraction, and high-risk fraction for a given gap.
+    """Hot threshold beta* = u/gap, hot fraction H = F_beta(beta*) and
+    high-risk fraction r = G(2*beta*) for a given gap.
 
-    The regime is all-unsafe when beta* reaches the top of the present-bias
-    support (weak inequality): every player is hot, and H = r = 1 exactly.
+    beta* >= 0, since u >= 0 and gap > 0, so H is the CDF itself. The regime
+    is all-unsafe when beta* reaches the top of the present-bias support
+    (weak inequality): every player is hot, and H = r = 1 exactly.
     """
     beta_star = hot_threshold(params.u, gap)
     dist = params.dist_beta
-    return Period1Outcome(
-        beta_star=beta_star,
-        H=hot_fraction(dist, beta_star),
-        r=high_risk_fraction(dist, beta_star),
-        regime=ALL_UNSAFE if beta_star >= dist.support_hi else INTERIOR,
-    )
+    regime = ALL_UNSAFE if beta_star >= dist.knots_x[-1] else INTERIOR
+    # by position: about half the cost of building it by keyword
+    return Period1Outcome(beta_star, cdf(dist, beta_star), high_risk_fraction(dist, beta_star),
+                          regime)

@@ -24,7 +24,6 @@ __all__ = [
     "ModelParams",
     "rejection_cutoff",
     "stigma_level",
-    "testing_threshold",
     "continuation_values",
     "pointwise_continuation",
 ]
@@ -118,17 +117,11 @@ def stigma_level(params: ModelParams, tau_hat: float) -> float:
     return cdf(params.dist_y, rejection_cutoff(params, tau_hat))
 
 
-def testing_threshold(params: ModelParams, S: float) -> float:
-    """Valuation below which a high-risk player tests; +inf when S = 0."""
-    if S == 0.0:
-        return math.inf
-    return (params.theta_H * params.v - params.c) / S
-
-
 def continuation_values(params: ModelParams, S: float) -> tuple[float, float, float, float]:
     """(EV_L, EV_H, gap, R_H): expected period-2 payoffs by risk type, from
     one lookup of G_y and E[y; y <= y*] at the testing threshold y*.
 
+    A high-risk player tests below y* = (theta_H*v - c)/S, +inf when S = 0.
     EV_H adds the expected testing bonus
     integral of (theta_H*v - c - y*S) over y below y*, evaluated in closed
     form through the CDF and the truncated first moment; R_H = G_y(y*) is
@@ -137,7 +130,7 @@ def continuation_values(params: ModelParams, S: float) -> tuple[float, float, fl
     valuation supports.
     """
     net = params.theta_H * params.v - params.c
-    r_h, pe = cdf_and_moment(params.dist_y, testing_threshold(params, S))
+    r_h, pe = cdf_and_moment(params.dist_y, net / S if S else math.inf)
     bonus = net * r_h - S * pe
     mu = params.dist_y.mean
     ev_l = mu - params.theta_L * params.c_h

@@ -1,3 +1,4 @@
+import math
 import os
 import shutil
 import tempfile
@@ -12,11 +13,7 @@ from stigmagame import ModelParams, piecewise_linear_cdf, uniform
 from stigmagame._kernels import knot_arrays, ppf_from_knots
 from stigmagame.coordination import hot_threshold, period1_outcome
 from stigmagame.distributions import cdf, density, integrate
-from stigmagame.signaling import (
-    rejection_cutoff,
-    stigma_level,
-    testing_threshold,
-)
+from stigmagame.signaling import rejection_cutoff, stigma_level
 from stigmagame.welfare import SweepRow, WelfareReport
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -323,7 +320,7 @@ def point_reference(params: ModelParams, tau_hat: float, convention: str):
     p, y = params, params.dist_y
     s = stigma_level(p, tau_hat)
     net = p.theta_H * p.v - p.c
-    y_star = testing_threshold(p, s)
+    y_star = net / s if s else math.inf  # a high-risk player tests below it
     r_h = cdf(y, y_star)
     bonus = net * r_h
     bonus -= s * partial_expectation_reference(y, y_star)

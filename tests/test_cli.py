@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import subprocess
 import sys
 import time
@@ -119,6 +120,25 @@ class TestExitCodes:
             path = write_cfg(tmp_path, text)
             rc = cli.main(["check", "--config", str(path)])
             assert rc == 2, label
+
+    @pytest.mark.parametrize("command", ["check", "sweep"])
+    def test_a_closed_stdout_exits_141_quietly(self, tmp_path, command):
+        # a fresh interpreter runs entry() with the read end of its stdout pipe
+        # closed before it starts, so its first write fails with EPIPE (Python
+        # ignores SIGPIPE); neither that write nor the exit-time flush may
+        # print a traceback or an "Exception ignored" note
+        argv = [command, "--config", str(PAPER_CFG), "--out", str(tmp_path), *QUICK[command]]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "stigmagame.cli", *argv], stdout=write,
+                stderr=subprocess.PIPE, env=src_env(), text=True, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_CLOSED_STDOUT, "")
+        assert (tmp_path / "sweep.csv").exists() == (command == "sweep")
 
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["check", "--config", str(tmp_path / "ghost.cfg")]) == 2

@@ -11,7 +11,6 @@ from stigmagame import (
     cli,
     continuation_values,
     high_risk_fraction,
-    hot_fraction,
     hot_threshold,
     period1_outcome,
     piecewise_linear_cdf,
@@ -57,22 +56,19 @@ class TestHotThreshold:
 
 
 class TestHotFraction:
-    def test_uniform_identity(self):
-        assert hot_fraction(BETA01, 2.0 / 7.0) == pytest.approx(2.0 / 7.0, abs=1e-15)
+    # H = F_beta(u/gap), as period1_outcome reads it, on uniform(0, 1) present bias
+    def test_uniform_identity(self, paper_params):
+        assert period1_outcome(paper_params, 0.35).H == pytest.approx(2.0 / 7.0, abs=1e-15)
 
-    def test_zero_threshold(self):
-        assert hot_fraction(BETA01, 0.0) == 0.0
+    def test_zero_threshold(self, paper_params):
+        assert period1_outcome(paper_params._replace(u=0.0), 0.35).H == 0.0
 
-    def test_threshold_above_one(self):
-        assert hot_fraction(BETA01, 1.7) == 1.0
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            hot_fraction(BETA01, -0.1)
+    def test_threshold_above_one(self, paper_params):
+        assert period1_outcome(paper_params._replace(u=0.595), 0.35).H == 1.0
 
 
 @pytest.mark.parametrize(
-    "function", [cdf, cdf_and_moment, hot_fraction, high_risk_fraction, hot_threshold],
+    "function", [cdf, cdf_and_moment, high_risk_fraction, hot_threshold],
     ids=lambda f: f.__name__,
 )
 def test_a_nan_threshold_is_an_error(function):
@@ -171,7 +167,7 @@ class TestHighRiskFraction:
         # zero density on (0.25, 0.5) makes every mixed pair safe
         flat = piecewise_linear_cdf([(0.0, 0.0), (0.2, 0.5), (0.5, 0.5), (1.0, 1.0)])
         beta_star = 0.25
-        h = hot_fraction(flat, beta_star)
+        h = cdf(flat, beta_star)
         assert h == 0.5
         assert high_risk_fraction(flat, beta_star) == pytest.approx(h * h, abs=1e-10)
 

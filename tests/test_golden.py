@@ -1,5 +1,8 @@
 """Byte-level pins on the CLI: the sha256 of every file each command writes
-and of its stdout, with the output directory replaced by `<out>`.
+and of its stdout, with the output directory replaced by `<out>`; and bit
+pins on the chain: the sha256 of every SweepRow field's float.hex() on a
+65-point grid, since the CSVs print 12 digits and a last-bit drift would
+pass them.
 
 A refactor that keeps every output leaves these hashes as they are. A change
 that is meant to move an output updates the hash here and states the
@@ -12,8 +15,8 @@ import io
 
 import pytest
 
-from conftest import PAPER_CFG, PIECEWISE_CFG
-from stigmagame import cli
+from conftest import BETA_ABOVE_ONE_CFG, KINKED_CFG, PAPER_CFG, PIECEWISE_CFG
+from stigmagame import cli, sweep
 
 CONFIGS = {"paper": PAPER_CFG, "piecewise": PIECEWISE_CFG}
 COMMANDS = {
@@ -109,3 +112,27 @@ def run_hashed(config, argv, out) -> dict:
 def test_cli_output_bytes(config, command, tmp_path):
     got = run_hashed(CONFIGS[config], COMMANDS[command], tmp_path / "out")
     assert got == GOLDEN[config, command]
+
+
+CHAIN_CONFIGS = {**CONFIGS, "kinked_optimum": KINKED_CFG, "beta_above_one": BETA_ABOVE_ONE_CFG}
+CHAIN_GOLDEN = {
+    ("paper", "corrected"): "3add53b92728e44eefd2c710f46b856828992d99f533fde95d7e03173c794e7a",
+    ("paper", "paper_literal"): "810712647fce2f7f06f293130d9c87c123bbae81badefa0b123ce0bf5b086d83",
+    ("piecewise", "corrected"): "013cc6732bfd440e6f8ccd6e060b21c9d9313b4c0c0f31ab8a749052494ef12d",
+    ("piecewise", "paper_literal"): "631f3c05ebc70d319cc6ba7e9a4f2c4e77551619a53a0df9fa9f55428118fcc9",
+    ("kinked_optimum", "corrected"): "4842ac42de6d062062fcd7b4db14393063b261f2bb6ace173aaf6891a62c84d6",
+    ("kinked_optimum", "paper_literal"): "6e267b46b132d16082af741982167db50a402402297e335236559e80d30c7542",
+    ("beta_above_one", "corrected"): "74b77a1357c4d2bdf04cd446f82d2cb78362c85abba2c7d50c5584b8d0a4d161",
+    ("beta_above_one", "paper_literal"): "2399bc6612db71528850e14fe2706a81f9848572b23fee9bfbdbfe7d2a9bac2c",
+}
+
+
+@pytest.mark.parametrize("convention", ["corrected", "paper_literal"])
+@pytest.mark.parametrize("config", sorted(CHAIN_CONFIGS))
+def test_chain_bits(config, convention):
+    # one line per tau_hat = k/64, every field as float.hex(); the piecewise
+    # grid reaches the all-unsafe regime and every grid starts at S = 0
+    params = cli.load_config(CHAIN_CONFIGS[config]).params
+    rows = sweep(params, [k / 64 for k in range(65)], convention)
+    text = "\n".join(",".join(map(float.hex, row)) for row in rows)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == CHAIN_GOLDEN[config, convention]

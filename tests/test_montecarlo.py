@@ -328,12 +328,12 @@ class TestWorkspace:
 
     @pytest.mark.parametrize(
         "config, limit",
-        [(PAPER_CFG, 1_343_488), (PIECEWISE_CFG, 1_867_776)],
+        [(PAPER_CFG, 1_310_720), (PIECEWISE_CFG, 1_835_008)],
         ids=["paper", "piecewise"],
     )
     def test_workspace_bytes_per_chunk(self, config, limit):
         # the arrays one CHUNK-pair simulate leaves in a new thread's workspace:
-        # 82 B per pair, and 32 B more once a distribution has more than one
+        # 80 B per pair, and 32 B more once a distribution has more than one
         # segment: the guide table's two index rows for the 2 CHUNK draws of
         # one inverse-CDF call, whose gathers and flags reuse the kernel's rows.
         # The 4 MiB traced peak of TestStreaming would still pass with about

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from stigmagame import (
@@ -29,6 +29,7 @@ from stigmagame import (
     welfare,
 )
 from stigmagame import cli
+from stigmagame._kernels import knot_arrays, simulate_pairs
 from stigmagame.coordination import high_risk_fraction
 from stigmagame.distributions import cdf, density, partial_expectation
 from stigmagame.montecarlo import Estimates, analytic_targets, simulate
@@ -48,6 +49,7 @@ from conftest import (
     ppf_reference,
     quadrature_r,
     random_piecewise_beta,
+    simulate_pairs_reference,
     unit_reference,
 )
 
@@ -108,13 +110,16 @@ def test_r_matches_the_exact_rational_reference(spec, share):
 
 
 @st.composite
-def sampling_specs(draw):
+def sampling_specs(draw, max_knots=2000):
     """Piecewise-linear CDFs for the inverse-CDF exactness check: 2-2000
-    knots, the first or the second-last at -0.0 or 0.0 or none at zero,
-    equal or random segment masses, segments without mass (runs of equal p,
-    also at either end), and optionally 31 knots whose p lie within 1e-9 of
-    each other."""
-    n = draw(st.integers(2, 40) | st.integers(41, 2000))
+    knots (2-max_knots if max_knots <= 40), the first or the second-last at
+    -0.0 or 0.0 or none at zero, equal or random segment masses, segments
+    without mass (runs of equal p, also at either end), and optionally 31
+    knots whose p lie within 1e-9 of each other."""
+    if max_knots > 40:
+        n = draw(st.integers(2, 40) | st.integers(41, max_knots))
+    else:
+        n = draw(st.integers(2, max_knots))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     xs = np.cumsum(rng.uniform(1e-3, 1.0, n)) + draw(st.sampled_from([-3.5, 1e6]))
     at = draw(st.sampled_from([None, 0, n - 2]))
@@ -468,6 +473,71 @@ def test_simulation_agrees_with_the_chain(params, tau, convention, seed):
             se = max(se, math.sqrt(max(target * (1.0 - target), 0.0) / units[name]))
         se = max(se, 4.0 * math.ulp(target))
         assert abs(hat - target) / se < 5.5, (name, hat, target, se)
+
+
+def _moved(spec, top):
+    """spec with its knots moved to start at 0 when they start below it (a
+    start at -0.0 stays) and scaled so that its support ends at top."""
+    xs = spec.knots_x
+    shift = xs[0] if xs[0] < 0.0 else 0.0
+    scale = top / (xs[-1] - shift)
+    return piecewise_linear_cdf([((x - shift) * scale, p) for x, p in zip(xs, spec.knots_p)])
+
+
+@st.composite
+def kernel_params(draw):
+    """ModelParams that satisfy assumptions 1 and 3, with z, u and M possibly
+    0 and both distributions from sampling_specs, moved to start at 0 or
+    above: present bias with 2-40 knots ending at 0.25-2.5, valuations ending
+    at 0.5-4. c_h cannot be 0: assumption 3 needs c_h*(theta_H - theta_L) >
+    theta_H*v - c, which assumption 1 makes positive."""
+    theta_L = draw(st.floats(0.05, 0.45))
+    theta_H = draw(st.floats(theta_L + 0.1, 0.95))
+    v = draw(st.floats(0.5, 2.0))
+    c = draw(st.floats(theta_L * v, theta_H * v, exclude_min=True, exclude_max=True))
+    net = theta_H * v - c
+    params = ModelParams(
+        theta_L=theta_L,
+        theta_H=theta_H,
+        v=v,
+        c=c,
+        c_h=net / (theta_H - theta_L) * draw(st.floats(1.0, 3.0, exclude_min=True)),
+        z=draw(st.floats(0.0, 8.0)),
+        u=draw(st.floats(0.0, 1.5)),
+        dist_beta=_moved(draw(sampling_specs(max_knots=40)), draw(st.floats(0.25, 2.5))),
+        dist_y=_moved(draw(sampling_specs()), draw(st.floats(0.5, 4.0))),
+        tau_hat=0.0,
+        M=draw(st.floats(0.0, 5.0)),
+    )
+    assume(assumption3_margin(params) > 0.0)
+    return params
+
+
+PAPER = cli.load_config(PAPER_CFG).params
+
+
+@settings(PROPERTY, max_examples=100)
+@example(params=PAPER, tau=0.0, convention="corrected", seed=1, first=0, n=3000)
+@example(params=PAPER, tau=1.0, convention="paper_literal", seed=2, first=5, n=3000)
+@example(params=PAPER._replace(z=0.0, M=0.0), tau=1.0, convention="corrected", seed=3,
+         first=0, n=3000)
+@given(
+    params=kernel_params(),
+    tau=st.floats(0.0, 1.0),
+    convention=st.sampled_from(["corrected", "paper_literal"]),
+    seed=st.integers(0, 2**64 - 1),
+    first=st.integers(0, 2**40),
+    n=st.integers(1, 3000),
+)
+def test_kernel_equals_its_reference_on_random_models(params, tau, convention, seed, first, n):
+    """_kernels.simulate_pairs equals conftest.simulate_pairs_reference byte
+    for byte in w and the outcome code. The kernel tests only in unsafe pairs,
+    which the reference's theta*v - c - S*y_a > 0 confirms for every pair."""
+    model = (params, evaluate_point(params, tau, convention), convention == "paper_literal")
+    tables = [knot_arrays(d) for d in (params.dist_beta, params.dist_y)]
+    got = simulate_pairs(seed, first, n, *model, *tables)
+    for name, a, b in zip(("w", "code"), got, simulate_pairs_reference(seed, first, n, *model)):
+        assert a.tobytes() == b.tobytes(), name
 
 
 def _config_lines():

@@ -6,12 +6,12 @@ import pytest
 from stigmagame import (
     AssumptionViolation,
     ModelParams,
+    assumption3_margin,
     check_assumptions,
     continuation_values,
     evaluate_point,
     pointwise_continuation,
     stigma_level,
-    testing_threshold,
     uniform,
 )
 
@@ -65,14 +65,17 @@ class TestStigma:
 
 
 class TestTestingThreshold:
+    # y* = (theta_H*v - c)/S = 0.25/S on this set, read through R_H = G_y(y*), y ~ U(0, 2)
     def test_half_stigma(self, paper_params):
-        assert testing_threshold(paper_params, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert continuation_values(paper_params, 0.5)[3] == pytest.approx(0.25, abs=1e-15)
 
     def test_zero_stigma_is_infinite(self, paper_params):
-        assert testing_threshold(paper_params, 0.0) == math.inf
+        # y* = +inf: every high-risk player tests and the gap is assumption 3's margin
+        _, _, gap, r_h = continuation_values(paper_params, 0.0)
+        assert (gap, r_h) == (assumption3_margin(paper_params), 1.0)
 
     def test_full_stigma(self, paper_params):
-        assert testing_threshold(paper_params, 1.0) == pytest.approx(0.25, abs=1e-15)
+        assert continuation_values(paper_params, 1.0)[3] == pytest.approx(0.125, abs=1e-15)
 
 
 class TestTestingRates:

@@ -6,11 +6,12 @@ time, so a refactor that drops or renames one breaks `perfbench/run.py
 name it patches still resolves to a callable, one that every name a module
 imports only for the tracer (a `# noqa: F401` import) is one it patches
 there, so no such import outlives its use, one that its chain counts
-read one period1_outcome per sweep point and one welfare call per optimize
-objective evaluation, the others that its kernel hooks still read the pair
-count, the output arrays and the inverse-CDF draws of a real simulation,
-also in a fresh interpreter where the kernel module is imported by name
-rather than by the package.
+read one period1_outcome, one cdf and one high_risk_fraction call per
+sweep point and one welfare call per optimize objective evaluation, the
+others that its kernel hooks still read the pair count, the output arrays
+and the inverse-CDF draws of a real simulation, also in a fresh
+interpreter where the kernel module is imported by name rather than by
+the package.
 """
 
 import ast
@@ -76,8 +77,11 @@ def test_every_unused_import_is_a_traced_name():
 def test_tracer_counts_one_chain_per_point_and_each_objective_call():
     # welfare.chain_evals_per_point reads the traced period1_outcome calls
     # that welfare makes, welfare.optimize_objective_evals the traced calls
-    # of welfare.welfare and figures.chain_evals the continuation_values
-    # calls under one figure_tables; each must count what the chain really does
+    # of welfare.welfare, figures.chain_evals the continuation_values calls
+    # under one figure_tables, and the coordination.high_risk_fraction and
+    # distributions.cdf metrics the calls at those names; each must count
+    # what the chain really does, so that a refactor that bypasses a traced
+    # name fails here rather than leaving its metric at 0
     for info in pkgutil.iter_modules(stigmagame.__path__):
         importlib.import_module(f"stigmagame.{info.name}")
     from stigmagame.figures import figure_tables
@@ -96,6 +100,9 @@ def test_tracer_counts_one_chain_per_point_and_each_objective_call():
         tracer.uninstall()
     assert after_sweep["welfare.period1_outcome"] == 17
     assert after_sweep["signaling.continuation_values"] == 17
+    # period1_outcome reads H and r through these coordination names
+    assert after_sweep["coordination.cdf"] == 17
+    assert after_sweep["coordination.high_risk_fraction"] == 17
     assert after_sweep.get("welfare.welfare", 0) == 0
     assert after_optimize["welfare.welfare"] == len(res.trace)
     chain_evals = (after_figures["signaling.continuation_values"]
