@@ -92,40 +92,38 @@ def knot_arrays(spec: DistributionSpec) -> InverseCdf:
     return InverseCdf(ps, segments, lo, step, np.append(slow, False) if slow.any() else None)
 
 
-def ppf_from_knots(u, table: InverseCdf, out=None, scratch=None):
-    """Inverse CDF for u in [0, 1], vectorized, into out (a float64 array of
-    u's size) or a new array, gathering into scratch (a float64 and a bool
-    array of u's size; None: this thread's own). A draw takes its bucket's
-    segment and at most one step; only draws in slow buckets search. Every
-    value equals the search formula bit for bit: segment k = clip(searchsorted(
-    ps, u, "right") - 1, 0, n - 2), the last with p0 <= u, then x0 + (u - p0) *
-    slope. Only u = 1.0 finds a segment without mass (p0 = 1.0, by the clip;
-    bucket B never steps): (+0.0) * (-0.0) = -0.0, and x0 + (-0.0) = x0 exactly,
-    x0 = -0.0 included. One segment is x0 + u * slope: its p0 is +-0.0 and p1 -
-    p0 is 1.0, so slope = x1 - x0 and u - p0 = u for u >= +0.0. A value is
-    never below its segment's x0 but can lie above its x1, support_hi
-    included: the rounded slope and product carry u = 1.0, or u within a few
-    ulp below a knot's p, up to 2 ulp of max(|x0|, |x1|, x1 - x0) past x1."""
-    t, v = table, np.asarray(u, dtype=np.float64).reshape(-1)
-    x = np.empty_like(v) if out is None else out
+def ppf_from_knots(u: np.ndarray, table: InverseCdf, scratch) -> None:
+    """Inverse CDF for u in [0, 1], vectorized: maps u, a flat float64 array,
+    in place, gathering into scratch (a float64 and a bool array of u's size).
+    A draw takes its bucket's segment and at most one step; only draws in slow
+    buckets search. Every value equals the search formula bit for bit: segment
+    k = clip(searchsorted(ps, u, "right") - 1, 0, n - 2), the last with p0 <=
+    u, then x0 + (u - p0) * slope. Only u = 1.0 finds a segment without mass
+    (p0 = 1.0, by the clip; bucket B never steps): (+0.0) * (-0.0) = -0.0, and
+    x0 + (-0.0) = x0 exactly, x0 = -0.0 included. One segment is x0 + u *
+    slope: its p0 is +-0.0 and p1 - p0 is 1.0, so slope = x1 - x0 and u - p0 =
+    u for u >= +0.0. A value is never below its segment's x0 but can lie above
+    its x1, support_hi included: the rounded slope and product carry u = 1.0,
+    or u within a few ulp below a knot's p, up to 2 ulp of max(|x0|, |x1|, x1 -
+    x0) past x1."""
+    t = table
     if t.lo is None:  # one segment (every uniform): no guide
         x0, _, slope = t.segments[:, 0]
-        return np.add(x0, np.multiply(v, slope, out=x), out=x).reshape(np.shape(u))
-    if scratch is None:  # this thread's own rows
-        scratch = _rows("ppf_f64", float, 1, v.size)[0], _rows("ppf_bool", bool, 1, v.size)[0]
-    (g, flag), (j, k) = scratch, _rows("ppf_intp", np.intp, 2, v.size)
-    np.copyto(j, np.multiply(v, len(t.lo) - 1, out=g), casting="unsafe")
+        np.add(x0, np.multiply(u, slope, out=u), out=u)
+        return
+    (g, flag), (j, k) = scratch, _rows("ppf_intp", np.intp, 2, u.size)
+    np.copyto(j, np.multiply(u, len(t.lo) - 1, out=g), casting="unsafe")
     # indices are in range; mode="raise" would stage out in a copy. The
     # method, not np.take's Python wrapper: about 1 us less per call
     t.lo.take(j, out=k, mode="clip")
-    np.add(k, np.less_equal(t.step.take(j, out=g, mode="clip"), v, out=flag), out=k)
+    np.add(k, np.less_equal(t.step.take(j, out=g, mode="clip"), u, out=flag), out=k)
     if t.slow is not None:
         s = np.flatnonzero(t.slow.take(j, out=flag, mode="clip"))
-        k[s] = np.searchsorted(t.ps, v[s], side="right") - 1
+        k[s] = np.searchsorted(t.ps, u[s], side="right") - 1
     # x0 + (u - p0) * slope, each column gathered by segment into g
-    np.subtract(v, t.segments[1].take(k, out=g, mode="clip"), out=x)
-    np.multiply(x, t.segments[2].take(k, out=g, mode="clip"), out=x)
-    return np.add(t.segments[0].take(k, out=g, mode="clip"), x, out=x).reshape(np.shape(u))
+    np.subtract(u, t.segments[1].take(k, out=g, mode="clip"), out=u)
+    np.multiply(u, t.segments[2].take(k, out=g, mode="clip"), out=u)
+    np.add(t.segments[0].take(k, out=g, mode="clip"), u, out=u)
 
 
 def _floats(flags: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -169,7 +167,8 @@ def simulate_pairs(
     # rows 2j and 2j + 1 (draws, one contiguous view) take the low and high halves
     # of counter 3 (first_pair + i) + j's output, keyed as seed + (counter + 1)
     # GOLDEN mod 2**64, hashed in tmp's row with spare's as the shift scratch. One
-    # inverse-CDF call maps both rows, gathering into tmp and spare, flags in hot1, hot2
+    # inverse-CDF call maps both rows in place, gathering into tmp and spare, flags
+    # in hot1, hot2
     z, shift = tmp.view(np.uint64), spare.view(np.uint64)
     scratch = f64[6:].reshape(-1), bools[:2].reshape(-1)
     for j, (draws, table) in enumerate(zip(f64[:6].reshape(3, -1), (beta_cdf, y_cdf, y_cdf))):
@@ -181,7 +180,7 @@ def simulate_pairs(
         np.bitwise_xor(z, np.right_shift(z, _S31, out=shift), out=z)
         np.multiply(z.view(np.uint32)[_LOW::2], _INV32, out=draws[:n])
         np.multiply(z.view(np.uint32)[_HIGH::2], _INV32, out=draws[n:])
-        ppf_from_knots(draws, table, out=draws, scratch=scratch)
+        ppf_from_knots(draws, table, scratch=scratch)
 
     np.less(f64[:2], beta_star, out=bools[:2])  # hot1, hot2
     # unsafe iff b1 + b2 < 2 beta*, the mixed pairs' rule: cold pairs add, rounded,

@@ -1,18 +1,18 @@
 """Command-line surface: config parsing and the six analysis commands.
 
 Commands: check | evaluate | sweep | optimize | simulate | figures. Each
-takes --config, --convention and --out (which check and evaluate, printing
-only, never touch) and only the run settings it reads (`_COMMANDS`); any
-other flag, or an abbreviated one, exits 2. Config files are flat
-`key = value` text (UTF-8, a byte-order mark skipped, # comments); each
-flag's default and range live in the parser, which checks every range
+takes --config and --out (which check and evaluate, printing only, never
+touch) and only the run settings it reads (`_COMMANDS`); any other flag, or
+an abbreviated one, exits 2. The config is the one place a run's model
+inputs are set, tau_hat and the welfare convention among them. Config files
+are flat `key = value` text (UTF-8, a byte-order mark skipped, # comments);
+each flag's default and range live in the parser, which checks every range
 before the config is read. Exit codes: 0 success, 2 config error (README.md's
-CLI section lists every cause), 3 assumption-3 failure (the welfare commands
-always; check only under --strict), 141 stdout closed by its reader (entry()
-only). Past those checks every point of the chain evaluates. `--tau` replaces
-tau_hat for check, evaluate, simulate and figures. All CSV output uses a fixed
-column order with 12-significant-digit floats, so repeated runs with the same
-config are byte-identical.
+CLI section lists every cause), 3 assumption-3 failure (every command but
+check, which reports the margin), 141 stdout closed by its reader (entry()
+only). Past those checks every point of the chain evaluates. All CSV output
+uses a fixed column order with 12-significant-digit floats, so repeated runs
+with the same config are byte-identical.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .signaling import AssumptionViolation, ModelParams
 from .welfare import (
     CONVENTIONS,
     SweepRow,
-    _require_preconditions,
     check_assumptions,
     evaluate_point,
     optimize,
@@ -200,7 +199,7 @@ def _echo_params(params: ModelParams, convention: str) -> None:
     print(f"# convention = {convention}")
 
 
-# command handlers take (params, convention, args, out) and raise on failure.
+# command handlers take (params, convention, args) and raise on failure.
 # figures and montecarlo load with the first command that uses them; handlers call
 # their functions via _cli, so a name patched here (perfbench/tracer.py) is the one run.
 _cli = sys.modules[__name__]
@@ -216,9 +215,7 @@ def __getattr__(name):
     return globals().setdefault(name, getattr(module, name))
 
 
-def _cmd_check(params, convention, args, out) -> None:
-    if args.strict:
-        _require_preconditions(params, convention)
+def _cmd_check(params, convention, args) -> None:
     _echo_params(params, convention)
     rep = check_assumptions(params, params.tau_hat)
     print(
@@ -237,29 +234,29 @@ def _cmd_check(params, convention, args, out) -> None:
     print(f"implied infection rate h_bar = {_fmt(rep.h_bar)}")
 
 
-def _cmd_evaluate(params, convention, args, out) -> None:
+def _cmd_evaluate(params, convention, args) -> None:
     row = evaluate_point(params, params.tau_hat, convention)
     _echo_params(params, convention)
     print(",".join(SweepRow._fields))
     print(_csv_line(row))
 
 
-def _cmd_sweep(params, convention, args, out) -> None:
+def _cmd_sweep(params, convention, args) -> None:
     rows = sweep(params, tau_grid(args.grid), convention)
-    path = out / "sweep.csv"
+    path = args.out / "sweep.csv"
     _write_csv(path, SweepRow._fields, rows)
     print(f"wrote {path} ({len(rows)} rows)")
 
 
-def _cmd_optimize(params, convention, args, out) -> None:
+def _cmd_optimize(params, convention, args) -> None:
     res = optimize(params, tol=args.tol, convention=convention)
-    path = out / "optimize_trace.csv"
+    path = args.out / "optimize_trace.csv"
     _write_csv(path, ("stage", "tau_hat", "W"), res.trace)
     print(f"tau_star = {_fmt(res.tau_star)}  W_star = {_fmt(res.W_star)}")
     print(f"wrote {path} ({len(res.trace)} rows)")
 
 
-def _cmd_simulate(params, convention, args, out) -> None:
+def _cmd_simulate(params, convention, args) -> None:
     tau = params.tau_hat
     tgt = _cli.analytic_targets(params, tau, convention)
     res = _cli.simulate(params, tau, args.pairs, args.seed, convention)
@@ -268,33 +265,33 @@ def _cmd_simulate(params, convention, args, out) -> None:
               + res.counts._fields)
     estimates = list(zip(res.hat, res.stderr, tgt))
     row = (tau, res.n_pairs, args.seed) + sum(estimates, ()) + res.counts
-    path = out / "sim.csv"
+    path = args.out / "sim.csv"
     _write_csv(path, header, [row])
     for name, (est, se, target) in zip(res.hat._fields, estimates):
         print(f"{name}: {_fmt(est)} +/- {_fmt(se)}  (analytic {_fmt(target)})")
     print(f"wrote {path}")
 
 
-def _cmd_figures(params, convention, args, out) -> None:
+def _cmd_figures(params, convention, args) -> None:
     for table in _cli.figure_tables(params, params.tau_hat, args.grid, convention):
-        path = out / f"{table.name}.csv"
+        path = args.out / f"{table.name}.csv"
         _write_csv(path, table.header, table.rows, comments=table.comments)
         print(f"wrote {path}")
         if args.svg:
-            svg_path = out / f"{table.name}.svg"
+            svg_path = args.out / f"{table.name}.svg"
             _write(svg_path, _cli.line_chart_svg(table))
             print(f"wrote {svg_path}")
 
 
 # the one list of commands: name -> (handler, the run settings it reads, help)
 _COMMANDS = {
-    "check": (_cmd_check, ("--tau", "--strict"), "print the assumption report"),
-    "evaluate": (_cmd_evaluate, ("--tau",), "print one sweep row at the configured tau_hat"),
+    "check": (_cmd_check, (), "print the assumption report"),
+    "evaluate": (_cmd_evaluate, (), "print one sweep row at the configured tau_hat"),
     "sweep": (_cmd_sweep, ("--grid",), "write sweep.csv over a tau_hat grid"),
     "optimize": (_cmd_optimize, ("--tol",), "locate the welfare-maximizing tau_hat"),
-    "simulate": (_cmd_simulate, ("--tau", "--pairs", "--seed"),
+    "simulate": (_cmd_simulate, ("--pairs", "--seed"),
                  "run the agent-based cross-check, write sim.csv"),
-    "figures": (_cmd_figures, ("--tau", "--grid", "--svg"),
+    "figures": (_cmd_figures, ("--grid", "--svg"),
                 "write fig1.csv..fig5.csv (and SVGs with --svg)"),
 }
 
@@ -311,17 +308,13 @@ def _ranged(flag: str, convert, ok, rule: str, default, descr: str) -> dict:
         return value
 
     parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
-    if default is not None:
-        descr += " (default %(default)s)"
-    return {"type": parse, "default": default, "help": descr}
+    return {"type": parse, "default": default, "help": descr + " (default %(default)s)"}
 
 
 # the run settings, each declared once here: a range-checked one with its
 # type, valid range and the range's wording, default and help (a value
 # outside the range exits 2 from the parser), a switch with its help
 _FLAGS = {
-    "--tau": _ranged("--tau", float, lambda t: 0.0 <= t <= 1.0, "must lie in [0, 1]",
-                     None, "override tau_hat"),
     "--grid": _ranged("--grid", int, lambda n: 3 <= n <= MAX_GRID,
                       f"must lie in [3, {MAX_GRID}]", 101, "tau_hat grid points"),
     "--tol": _ranged("--tol", float, lambda t: t > 0 and math.isfinite(t),
@@ -331,7 +324,6 @@ _FLAGS = {
                        "simulated pairs"),
     "--seed": _ranged("--seed", int, lambda n: 0 <= n < 2**64,
                       "must fit in 64 unsigned bits", 2024, "simulation seed"),
-    "--strict": {"action": "store_true", "help": "exit 3 when assumption 3 fails"},
     "--svg": {"action": "store_true", "help": "also render SVGs"},
 }
 
@@ -351,14 +343,10 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags, descr) in _COMMANDS.items():
         sp = sub.add_parser(name, help=descr, allow_abbrev=False)
-        sp.add_argument("--config", required=True, help="path to key=value config")
+        sp.add_argument("--config", required=True,
+                        help="path to key = value config; it sets tau_hat and the convention")
         for flag in flags:
             sp.add_argument(flag, **_FLAGS[flag])
-        sp.add_argument(
-            "--convention",
-            choices=CONVENTIONS,
-            help="population-B welfare bookkeeping (default: the config's)",
-        )
         sp.add_argument("--out", type=Path, default=".",
                         help="output directory (default %(default)s)")
     return parser, sub.choices
@@ -379,11 +367,8 @@ def main(argv=None) -> int:
     except (AssumptionViolation, ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    tau = getattr(args, "tau", None)  # only the commands that take --tau
-    params = cfg.params if tau is None else cfg.params._replace(tau_hat=tau)
-    convention = args.convention or cfg.convention
     try:
-        _COMMANDS[args.command][0](params, convention, args, args.out)
+        _COMMANDS[args.command][0](*cfg, args)
     except AssumptionViolation as exc:
         print(f"assumption failure: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION

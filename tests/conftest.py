@@ -26,6 +26,23 @@ KINKED_CFG = REPO_ROOT / "tests" / "data" / "kinked_optimum.cfg"
 BETA_ABOVE_ONE_CFG = REPO_ROOT / "tests" / "data" / "beta_above_one.cfg"
 
 
+def config_copy(config: Path, directory: Path, **keys) -> Path:
+    """A copy of config in directory with each given key set to its value (its
+    line replaced, or a line added), beside copies of the knot files that its
+    piecewise: values name, which are relative to the config."""
+    lines = []
+    for line in config.read_text(encoding="utf-8").splitlines():
+        key, _, value = (part.strip() for part in line.split("#", 1)[0].partition("="))
+        if value.startswith("piecewise:"):
+            name = value.removeprefix("piecewise:").strip()
+            shutil.copyfile(config.parent / name, directory / name)
+        lines.append(f"{key} = {keys.pop(key)}" if key in keys else line)
+    lines += [f"{key} = {value}" for key, value in keys.items()]
+    path = directory / config.name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 def src_env() -> dict:
     """Environment for a fresh interpreter that imports this checkout's src/."""
     path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]
@@ -59,9 +76,11 @@ def paper_params() -> ModelParams:
 
 def ppf(spec, q):
     """Inverse CDF through the simulation kernel's ppf_from_knots: a scalar
-    for a scalar q, else an ndarray."""
-    out = ppf_from_knots(q, knot_arrays(spec))
-    return out if np.ndim(q) else float(out)
+    for a scalar q, else an ndarray of q's shape."""
+    u = np.array(q, dtype=np.float64)  # a copy, which the kernel maps in place
+    flat = u.reshape(-1)
+    ppf_from_knots(flat, knot_arrays(spec), scratch=(np.empty(flat.size), np.empty(flat.size, bool)))
+    return u if u.ndim else float(flat[0])
 
 
 def ppf_reference(spec, u) -> np.ndarray:

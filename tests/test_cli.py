@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +15,7 @@ import pytest
 from stigmagame import ModelParams, cli, evaluate_point
 
 from conftest import PAPER_CFG, REPO_ROOT, src_env
-from test_golden import COMMANDS, CONFIGS, GOLDEN
+from test_golden import CASES, CONFIGS, GOLDEN
 
 GOOD_CFG = PAPER_CFG.read_text(encoding="utf-8")
 DATA = REPO_ROOT / "tests" / "data"
@@ -175,9 +177,15 @@ class TestExitCodes:
         assert "assumption 1" in capsys.readouterr().err
 
     def test_strict_gap_violation_exits_3(self, tmp_path, capsys):
+        # the strict check of assumption 3 is evaluate's: check takes no
+        # --strict, and evaluate exits 3 with nothing on stdout
         path = write_cfg(tmp_path, edited_cfg(c_h="0.3"))
-        assert cli.main(["check", "--config", str(path), "--strict"]) == 3
-        assert "assumption 3" in capsys.readouterr().err
+        assert cli.main(["check", "--config", str(path), "--strict"]) == 2
+        assert "unrecognized arguments: --strict" in capsys.readouterr().err
+        assert cli.main(["evaluate", "--config", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("assumption failure: ") and "assumption 3" in err
 
     def test_gap_violation_without_strict_reports(self, tmp_path, capsys):
         path = write_cfg(tmp_path, edited_cfg(c_h="0.3"))
@@ -269,8 +277,7 @@ class TestExitCodes:
         cases = [("sweep", "--grid", "1", "must lie in [3, 1000001]")]
         cases += [("optimize", "--tol", tol, "must be positive and finite")
                   for tol in ("0", "nan", "inf", "-inf")]
-        cases += [("simulate", "--pairs", "0", "must be >= 1"),
-                  ("evaluate", "--tau", "1.5", "must lie in [0, 1]")]
+        cases += [("simulate", "--pairs", "0", "must be >= 1")]
         for command, flag, value, rule in cases:
             argv = [command, "--config", str(PAPER_CFG), "--out", str(tmp_path)]
             assert cli.main(argv + [f"{flag}={value}"]) == 2, (flag, value)
@@ -330,8 +337,6 @@ class TestExitCodes:
         assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 101
         args = cli._build_parser()[0].parse_args(["optimize", "--config", "x.cfg"])
         assert (args.tol, args.out) == (1e-6, Path("."))
-        assert args.convention is None
-        assert cli._build_parser()[0].parse_args(["evaluate", "--config", "x.cfg"]).tau is None
 
 
 class TestEvaluate:
@@ -350,26 +355,13 @@ class TestEvaluate:
         assert echoed == scalars
 
     def test_round_trip_against_sweep(self, tmp_path, capsys):
-        assert (
-            cli.main(
-                [
-                    "sweep",
-                    "--config",
-                    str(PAPER_CFG),
-                    "--grid",
-                    "11",
-                    "--out",
-                    str(tmp_path),
-                ]
-            )
-            == 0
-        )
+        argv = ["sweep", "--config", str(PAPER_CFG), "--grid", "11", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
         capsys.readouterr()
         sweep_lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
         for i, expected in enumerate(sweep_lines):
-            tau = i / 10
-            rc = cli.main(["evaluate", "--config", str(PAPER_CFG), "--tau", str(tau)])
-            assert rc == 0
+            path = write_cfg(tmp_path, edited_cfg(tau_hat=str(i / 10)))
+            assert cli.main(["evaluate", "--config", str(path)]) == 0
             got = capsys.readouterr().out.strip().splitlines()[-1]
             assert got == expected
 
@@ -539,45 +531,18 @@ class TestArtifacts:
         assert float(last["tau_hat"]) == 1.0
         assert float(last["W_demeaned"]) > float(first["W_demeaned"])
 
-    def test_fig5_honours_convention_flag(self, tmp_path):
-        rc = cli.main(
-            [
-                "figures",
-                "--config",
-                str(PAPER_CFG),
-                "--grid",
-                "21",
-                "--out",
-                str(tmp_path),
-                "--convention",
-                "paper_literal",
-            ]
-        )
-        assert rc == 0
-        lines = (tmp_path / "fig5.csv").read_text().splitlines()
+    def test_fig5_honours_convention_key(self, tmp_path):
+        cfg = write_cfg(tmp_path, edited_cfg(convention="paper_literal"))
+        out = tmp_path / "out"
+        argv = ["figures", "--config", str(cfg), "--grid", "21", "--out", str(out)]
+        assert cli.main(argv) == 0
+        lines = (out / "fig5.csv").read_text().splitlines()
         assert lines[0] == "# convention = paper_literal"
         header = lines[1].split(",")
         first = dict(zip(header, lines[2].split(",")))
         last = dict(zip(header, lines[-1].split(",")))
         # under the literal bookkeeping full stigma loses to none
         assert float(last["W_demeaned"]) < float(first["W_demeaned"])
-
-    def test_convention_key_and_flag_agree(self, tmp_path):
-        cfg = write_cfg(tmp_path, edited_cfg(convention="paper_literal"))
-        by_key, by_flag = tmp_path / "key", tmp_path / "flag"
-        base = ["figures", "--grid", "21"]
-        assert cli.main(base + ["--config", str(cfg), "--out", str(by_key)]) == 0
-        assert (
-            cli.main(
-                base
-                + ["--config", str(PAPER_CFG), "--out", str(by_flag)]
-                + ["--convention", "paper_literal"]
-            )
-            == 0
-        )
-        fig5 = (by_key / "fig5.csv").read_bytes()
-        assert fig5.startswith(b"# convention = paper_literal\n")
-        assert fig5 == (by_flag / "fig5.csv").read_bytes()
 
     def test_figures_rerun_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -617,7 +582,6 @@ class TestExitCodeMatrix:
         ("simulate", "a3"): 3,
         ("figures", "a3"): 3,
         ("check", "a3"): 0,
-        ("check --strict", "a3"): 3,
         ("evaluate", "tau_true"): 2,
         ("sweep", "tau_true"): 2,
         ("optimize", "tau_true"): 2,
@@ -640,8 +604,11 @@ class TestExitCodeMatrix:
 
 
 class TestTauFlag:
-    def test_check_echoes_and_uses_tau(self, capsys):
-        assert cli.main(["check", "--config", str(PAPER_CFG), "--tau", "0.9"]) == 0
+    """tau_hat, set in the config, is the policy value each command reports at."""
+
+    def test_check_echoes_and_uses_tau(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, edited_cfg(tau_hat="0.9"))
+        assert cli.main(["check", "--config", str(path)]) == 0
         at_09 = capsys.readouterr().out
         assert "tau_hat = 0.9," in at_09
         assert cli.main(["check", "--config", str(PAPER_CFG)]) == 0
@@ -654,8 +621,9 @@ class TestTauFlag:
         comments = {}
         for tau in ("0.5", "0.9"):
             out = tmp_path / tau
-            argv = ["figures", "--config", str(PAPER_CFG), "--grid", "5"]
-            assert cli.main(argv + ["--tau", tau, "--out", str(out)]) == 0
+            path = write_cfg(tmp_path, edited_cfg(tau_hat=tau), f"{tau}.cfg")
+            argv = ["figures", "--config", str(path), "--grid", "5"]
+            assert cli.main(argv + ["--out", str(out)]) == 0
             comments[tau] = [
                 line
                 for n in (1, 3)
@@ -678,16 +646,19 @@ class TestFlagsPerCommand:
     any other flag, or an abbreviated one, exits 2 before anything is written."""
 
     TAKES = {
-        "check": ("--tau", "--strict"),
-        "evaluate": ("--tau",),
+        "check": (),
+        "evaluate": (),
         "sweep": ("--grid",),
         "optimize": ("--tol",),
-        "simulate": ("--tau", "--pairs", "--seed"),
-        "figures": ("--tau", "--grid", "--svg"),
+        "simulate": ("--pairs", "--seed"),
+        "figures": ("--grid", "--svg"),
     }
-    # a non-default in-range value of each flag; the switches take none
-    VALUES = {"--tau": ["0.9"], "--grid": ["7"], "--tol": ["1e-3"],
-              "--pairs": ["2000"], "--seed": ["7"], "--strict": [], "--svg": []}
+    # a non-default in-range value of each flag; the switches take none. No
+    # command takes --tau or --convention (the config sets tau_hat and the
+    # convention) or --strict (evaluate exits 3 where assumption 3 fails)
+    VALUES = {"--tau": ["0.9"], "--convention": ["paper_literal"], "--strict": [],
+              "--grid": ["7"], "--tol": ["1e-3"], "--pairs": ["2000"], "--seed": ["7"],
+              "--svg": []}
 
     @staticmethod
     def run(argv, out, capsys):
@@ -701,9 +672,7 @@ class TestFlagsPerCommand:
     @pytest.mark.parametrize("flag", sorted(VALUES))
     @pytest.mark.parametrize("command", sorted(TAKES))
     def test_a_flag_is_read_or_refused(self, tmp_path, capsys, command, flag):
-        # --strict shows only on a config that fails assumption 3 (c_h = 0.3)
-        config = write_cfg(tmp_path, edited_cfg(c_h="0.3")) if flag == "--strict" else PAPER_CFG
-        argv = [command, "--config", str(config)]
+        argv = [command, "--config", str(PAPER_CFG)]
         result, err = self.run(argv + [flag, *self.VALUES[flag]], tmp_path / "flag", capsys)
         if flag in self.TAKES[command]:
             plain, _ = self.run(argv, tmp_path / "plain", capsys)
@@ -716,7 +685,7 @@ class TestFlagsPerCommand:
             assert f"stigmagame {command}: error: unrecognized arguments: {flag}" in err
 
     @pytest.mark.parametrize("argv", [["optimize", "--t", "0.3"],
-                                      ["sweep", "--conv", "paper_literal"]])
+                                      ["simulate", "--pair", "3000"]])
     def test_no_flag_is_abbreviated(self, tmp_path, capsys, argv):
         result, err = self.run(argv + ["--config", str(PAPER_CFG)], tmp_path / "out", capsys)
         assert result == (2, "", {})
@@ -770,10 +739,27 @@ def test_a_lazy_command_alone_writes_the_golden_bytes(config, command, tmp_path)
     # the first command of a fresh interpreter loads figures or montecarlo
     # itself, through the CLI module run as __main__
     out = tmp_path / "out"
-    argv = [*COMMANDS[command], "--config", str(CONFIGS[config]), "--out", str(out)]
+    argv = [*CASES[command][0], "--config", str(CONFIGS[config]), "--out", str(out)]
     code, stdout, err = fresh_main(argv, tmp_path)
     assert (code, err) == (0, "")
     texts = {"stdout": stdout.replace(str(out), "<out>").encode("utf-8")}
     texts.update((path.name, path.read_bytes()) for path in sorted(out.iterdir()))
     hashes = {name: hashlib.sha256(text).hexdigest() for name, text in texts.items()}
     assert hashes == GOLDEN[config, command]
+
+
+def test_readme_cli_table_matches_the_parser():
+    # each row of README's CLI table lists the run settings of its command:
+    # every option of its parser but -h, --config and --out
+    lines = (REPO_ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| command    | run settings |") + 2
+    rows = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        command, settings = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[command.strip("`")] = set(re.findall(r"`(--[a-z]+)`", settings))
+    subparsers = cli._build_parser()[1]
+    parsed = {
+        name: set(re.findall(r"--[a-z]+", sp.format_usage())) - {"--config", "--out"}
+        for name, sp in subparsers.items()
+    }
+    assert rows == parsed

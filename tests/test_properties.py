@@ -593,11 +593,8 @@ overrides = st.lists(
     max_size=2,
 )
 # a flag outside its range exits in the parser, before the config is read, so
-# each flag is out of range in only one example in 20 (--tau in about one in
-# 40), and most examples go on to read the fuzzed config
-tau_flag = weighted(
-    (10, st.none()), (9, st.floats(0.0, 1.0)), (1, st.floats(-0.5, 1.5))
-)
+# each flag is out of range in only one example in 20, and most examples go on
+# to read the fuzzed config
 # each range-checked run setting: values inside its range, values outside
 FLAG_RANGES = {
     "--grid": ([3, 5], [2, cli.MAX_GRID + 1]),
@@ -609,15 +606,6 @@ flag_values = st.fixed_dictionaries({
     flag: weighted((19, st.sampled_from(inside)), (1, st.sampled_from(outside)))
     for flag, (inside, outside) in FLAG_RANGES.items()
 })
-# the run settings each command takes; any other flag would exit 2 unread
-COMMAND_FLAGS = {
-    "check": ("--tau", "--strict"),
-    "evaluate": ("--tau",),
-    "sweep": ("--grid",),
-    "optimize": ("--tol",),
-    "simulate": ("--tau", "--pairs", "--seed"),
-    "figures": ("--tau", "--grid", "--svg"),
-}
 
 
 @settings(PROPERTY, max_examples=250)
@@ -627,17 +615,17 @@ COMMAND_FLAGS = {
     dists=st.dictionaries(st.sampled_from(["dist_beta", "dist_y"]), dist_text),
     convention=st.sampled_from(["corrected", "paper_literal"] * 2 + ["paper"]),
     extra=st.sampled_from([""] * 6 + ["gamma = 1", "theta_L = 0.2", "no equals sign"]),
-    tau=tau_flag,
-    switch=st.booleans(),
+    svg=st.booleans(),
     flags=flag_values,
 )
 def test_config_fuzz_exits_with_a_documented_code(
-    command, edits, dists, convention, extra, tau, switch, flags
+    command, edits, dists, convention, extra, svg, flags
 ):
     """Every generated config ends within 1 s in exit 0, 2 or 3, and a
     successful evaluate prints only finite numbers; a flag outside its
     range exits 2 and names the (first such) flag. Each command gets only
-    the flags it takes, `switch` turning on its --strict or --svg."""
+    the run settings it takes (any other would exit 2 unread), `svg`
+    turning on figures' --svg."""
     lines = dict(PAPER_LINES, convention=convention)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -652,12 +640,10 @@ def test_config_fuzz_exits_with_a_documented_code(
         text = "\n".join(f"{k} = {v}" for k, v in lines.items()) + f"\n{extra}\n"
         (tmp / "fuzz.cfg").write_text(text)
         argv = [command, "--config", str(tmp / "fuzz.cfg"), "--out", str(tmp)]
-        if tau is not None:
-            flags = {**flags, "--tau": tau}
-        takes = COMMAND_FLAGS[command]
+        takes = cli._COMMANDS[command][1]
         flags = {flag: value for flag, value in flags.items() if flag in takes}
         argv += [f"{flag}={value!r}" for flag, value in flags.items()]
-        argv += [flag for flag in ("--strict", "--svg") if switch and flag in takes]
+        argv += ["--svg"] if svg and "--svg" in takes else []
         out, err = io.StringIO(), io.StringIO()
         t0 = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -666,10 +652,7 @@ def test_config_fuzz_exits_with_a_documented_code(
     assert rc in (0, 2, 3), (rc, err.getvalue())
     assert elapsed < 1.0
     inside = {flag: values for flag, (values, _) in FLAG_RANGES.items()}
-    outside = [
-        flag for flag, value in flags.items()
-        if not (0.0 <= value <= 1.0 if flag == "--tau" else value in inside[flag])
-    ]
+    outside = [flag for flag, value in flags.items() if value not in inside[flag]]
     if outside:
         assert rc == 2
         assert f"error: argument {outside[0]}: {outside[0]} " in err.getvalue()
