@@ -12,7 +12,9 @@ CLI section lists every cause), 3 assumption-3 failure (every command but
 check, which reports the margin), 141 stdout closed by its reader (entry()
 only). Past those checks every point of the chain evaluates. All CSV output
 uses a fixed column order with 12-significant-digit floats, so repeated runs
-with the same config are byte-identical.
+with the same config are byte-identical. An output file is rewritten in place
+and then cut to length, never truncated first (see _write); a run killed
+between the two can leave the old file's tail after the new text.
 """
 
 from __future__ import annotations
@@ -168,9 +170,13 @@ def _csv_line(values) -> str:
 
 
 def _write(path: Path, text: str) -> None:
-    """Write one --out file; a failure is a config error naming the file."""
+    """Write one --out file in place, then cut it to the new text's length; a
+    failure is a config error naming the file. Not truncating on open keeps
+    ext4 (auto_da_alloc) from starting a writeback of a rewritten file on close."""
     try:
-        path.write_text(text, encoding="utf-8")
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.truncate()
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 

@@ -83,11 +83,12 @@ class PolicyDecomposition(NamedTuple):
     """Three-term welfare decomposition of moving tau_hat off zero.
 
     Since W_A = M + EV_L - u - r*(gap - u) and EV_L does not depend on tau_hat,
-    the three terms sum to exact_delta = W(tau_hat) - W(0) under the corrected
+    the three terms sum to exact_delta = W(tau_hat) - W(0) under either
     convention, and residual (exact_delta minus their sum) is rounding only.
     deterrence_gain: (r0 - r1)*(gap0 - u), the switchers' gain, negative when
     gap0 < u; suppression_loss: stayers' drop in EV_H, r1*(gap0 - gap1);
-    b_loss: discriminators' forgone valuations, -R1*E[y; y < cutoff].
+    b_loss: discriminators' forgone valuations, -R1*E[y; y < cutoff] under
+    corrected and -(1 - R1)*E[y; y < cutoff] under paper_literal.
     """
 
     deterrence_gain: float
@@ -254,17 +255,21 @@ def present_bias_loss(params: ModelParams) -> PresentBiasLoss:
     )
 
 
-def decomposition(params: ModelParams, tau_hat: float) -> PolicyDecomposition:
-    """Exact three-term account of W(tau_hat) - W(0)."""
+def decomposition(
+    params: ModelParams, tau_hat: float, convention: str = "corrected"
+) -> PolicyDecomposition:
+    """Exact three-term account of W(tau_hat) - W(0) under the convention."""
     if not 0.0 < tau_hat <= 1.0:
         raise ValueError(f"tau_hat must lie in (0, 1], got {tau_hat!r}")
-    _require_preconditions(params, "corrected")
-    row0 = _point(params, 0.0, "corrected")[0]
-    row1, _, pe1 = _point(params, tau_hat, "corrected")
+    _require_preconditions(params, convention)
+    row0 = _point(params, 0.0, convention)[0]
+    row1, _, pe1 = _point(params, tau_hat, convention)
     # EV_L does not depend on S, so EV_H(tau_hat) - EV_H(0) is gap(0) - gap(tau_hat)
     deterrence = (row0.r - row1.r) * (row0.gap - params.u)
     suppression = row1.r * (row0.gap - row1.gap)
-    b_loss = -row1.R * pe1
+    # W_B = E[y] - w*E[y; y < cutoff], with w = R (corrected) or 1 - R
+    # (paper_literal); the cutoff is 0 at tau_hat = 0, so W_B(0) = E[y]
+    b_loss = -(row1.R if convention == "corrected" else 1.0 - row1.R) * pe1
     exact = row1.W - row0.W
     return PolicyDecomposition(
         deterrence_gain=deterrence,

@@ -206,6 +206,35 @@ def test_cli_output_bytes(config, case, tmp_path):
     assert run_hashed(path, argv, tmp_path / "out") == GOLDEN[config, case]
 
 
+# the cases that write at least one file
+WRITING_CASES = sorted({case for (_, case), hashes in GOLDEN.items() if len(hashes) > 1})
+JUNK = bytes(range(256)) * 256  # 64 KiB, longer than any file a case writes
+
+
+@pytest.mark.parametrize("case", WRITING_CASES)
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_cli_output_bytes_over_a_used_out(config, case, tmp_path):
+    # every file the case writes is already there and longer, and sim.csv is a
+    # symlink to a file outside out: the run leaves exactly the fresh bytes,
+    # sim.csv's written through the link to its target
+    argv, keys = CASES[case]
+    path = config_copy(CONFIGS[config], tmp_path, **keys)
+    out, target = tmp_path / "out", tmp_path / "sim_target.csv"
+    out.mkdir()
+    names = [name for name in GOLDEN[config, case] if name != "stdout"]
+    for name in names:
+        if name == "sim.csv":
+            target.write_bytes(JUNK)
+            (out / name).symlink_to(target)
+        else:
+            (out / name).write_bytes(JUNK)
+    assert run_hashed(path, argv, out) == GOLDEN[config, case]
+    assert all((out / name).stat().st_size < len(JUNK) for name in names)
+    if "sim.csv" in names:
+        assert (out / "sim.csv").is_symlink()
+        assert (out / "sim.csv").resolve() == target.resolve()
+
+
 CHAIN_CONFIGS = {**CONFIGS, "kinked_optimum": KINKED_CFG, "beta_above_one": BETA_ABOVE_ONE_CFG}
 CHAIN_GOLDEN = {
     ("paper", "corrected"): "3add53b92728e44eefd2c710f46b856828992d99f533fde95d7e03173c794e7a",

@@ -374,14 +374,17 @@ def test_optimize_beats_every_grid_point_and_piece_end(params, convention):
 @given(
     params=st.one_of(valid_params(wide=True), valid_params(wide_y=True)),
     tau=st.floats(0.0, 1.0, exclude_min=True),
+    convention=st.sampled_from(["corrected", "paper_literal"]),
 )
-def test_decomposition_is_exact(params, tau):
+def test_decomposition_is_exact(params, tau, convention):
     """W_A = M + EV_L - u - r*(gap - u), so deterrence prices each deterred
     pair at gap(0) - u, and the three terms add up to W(tau) - W(0) but for
-    rounding."""
-    dec = decomposition(params, tau)
-    row0, row1 = evaluate_point(params, 0.0), evaluate_point(params, tau)
+    rounding, under either convention."""
+    dec = decomposition(params, tau, convention)
+    row0 = evaluate_point(params, 0.0, convention)
+    row1 = evaluate_point(params, tau, convention)
     assert dec.deterrence_gain == (row0.r - row1.r) * (row0.gap - params.u)
+    assert dec.exact_delta == row1.W - row0.W
     assert abs(dec.residual) <= 1e-12 * max(1.0, abs(row1.W))
 
 
@@ -405,9 +408,8 @@ def test_chain_matches_the_exact_rational_chain(params, tau, convention):
         assert _near(got, exact[name]), (name, got, exact[name])
     if tau == 0.0:
         return
-    dec = decomposition(params, tau)
-    e0 = exact_chain.chain(params, 0.0, "corrected")
-    e1 = exact if convention == "corrected" else exact_chain.chain(params, tau, "corrected")
+    dec = decomposition(params, tau, convention)
+    e0, e1 = exact_chain.chain(params, 0.0, convention), exact
     deterrence = (e0["r"] - e1["r"]) * (e0["gap"] - Fraction(params.u))
     assert _near(dec.deterrence_gain, deterrence), (dec.deterrence_gain, deterrence)
     suppression = e1["r"] * (e0["gap"] - e1["gap"])
@@ -429,7 +431,8 @@ def test_chain_matches_the_exact_rational_chain(params, tau, convention):
 def test_point_is_bit_identical_to_the_link_by_link_chain(params, convention, taus):
     """At 0, 1, every end of a smooth piece of W and the drawn taus, every
     SweepRow and WelfareReport field equals conftest.point_reference's by
-    float.hex, and so does the decomposition's b_loss = -R * E[y; y < cutoff].
+    float.hex, and so does the decomposition's b_loss, -R * E[y; y < cutoff]
+    (corrected) or -(1 - R) * E[y; y < cutoff] (paper_literal).
     tau = 0 puts the cutoff at 0, so S = 0 and y* = +inf."""
     for tau in [0.0, 1.0, *_pieces(params), *taus]:
         row, report = point_reference(params, tau, convention)
@@ -442,8 +445,8 @@ def test_point_is_bit_identical_to_the_link_by_link_chain(params, convention, ta
             assert got.hex() == want.hex(), (tau, name, got, want)
         if tau > 0.0:
             pe = partial_expectation_reference(params.dist_y, rejection_cutoff(params, tau))
-            want = -row.R * pe  # R does not depend on the convention
-            assert decomposition(params, tau).b_loss.hex() == want.hex(), tau
+            want = -(row.R if convention == "corrected" else 1.0 - row.R) * pe
+            assert decomposition(params, tau, convention).b_loss.hex() == want.hex(), tau
 
 
 @settings(PROPERTY, max_examples=100)

@@ -167,6 +167,17 @@ class TestDecomposition:
             dec.deterrence_gain + dec.suppression_loss + dec.b_loss
         )
 
+    def test_paper_point_paper_literal(self, paper_params):
+        # deterrence and suppression read only r and the gap, which the
+        # convention leaves alone; b_loss is -(1 - R1) * E[y; y < cutoff]
+        dec = decomposition(paper_params, 0.5, "paper_literal")
+        corrected = decomposition(paper_params, 0.5)
+        assert dec.deterrence_gain == corrected.deterrence_gain
+        assert dec.suppression_loss == corrected.suppression_loss
+        assert dec.b_loss == pytest.approx(-0.246135732399469, abs=1e-9)
+        assert dec.exact_delta == pytest.approx(-0.234301412872842, abs=1e-9)
+        assert abs(dec.residual) < 1e-15
+
     def test_continuity_at_baseline(self, paper_params):
         dec = decomposition(paper_params, 1e-6)
         assert abs(dec.exact_delta) < 1e-5
@@ -184,6 +195,8 @@ class TestDecomposition:
             decomposition(paper_params, 0.0)
         with pytest.raises(ValueError):
             decomposition(paper_params, 1.5)
+        with pytest.raises(ValueError, match="convention"):
+            decomposition(paper_params, 0.5, "literal")
 
 
 class TestSweep:
